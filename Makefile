@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
+.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full perfbench-smoke soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -39,6 +39,13 @@ bench-smoke:
 # The paper's graph sizes (up to 5,000,000 nodes) — budget hours.
 bench-full:
 	REPRO_FULL_SCALE=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's own tests (perfbench/README.md): tiny runs
+# of all four workloads with their output checks and the seed-7
+# cross-check of counts, digests and convergence.  The CI
+# perfbench-smoke job runs the same line.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Chaos soak smoke: three seeded crash-storm schedules against the
 # recovery-supervised runtime, zero invariant violations required

@@ -49,7 +49,7 @@ class LinkGraph:
     it safe for several simulation engines to share one graph.
     """
 
-    __slots__ = ("_indptr", "_indices", "_n", "_reverse_cache")
+    __slots__ = ("_indptr", "_indices", "_n", "_reverse_cache", "_inv_out_cache")
 
     def __init__(
         self,
@@ -91,6 +91,7 @@ class LinkGraph:
         self._indices = indices
         self._n = n
         self._reverse_cache: Optional["LinkGraph"] = None
+        self._inv_out_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -210,6 +211,19 @@ class LinkGraph:
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every node, as a fresh ``int64`` array."""
         return np.diff(self._indptr)
+
+    def inv_out_degrees(self) -> np.ndarray:
+        """``1 / out-degree`` of every node (0 for dangling nodes),
+        computed once and cached read-only so every consumer of one
+        graph shares a single array."""
+        if self._inv_out_cache is None:
+            out_deg = self.out_degrees()
+            inv = np.zeros(self._n, dtype=np.float64)
+            nz = out_deg > 0
+            inv[nz] = 1.0 / out_deg[nz]
+            inv.setflags(write=False)
+            self._inv_out_cache = inv
+        return self._inv_out_cache
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every node (O(E) bincount; no reverse build)."""

@@ -10,22 +10,34 @@ network message — but note that, per the pseudocode, publishing too is
 gated by ε: a document that did not change significantly exposes its
 previous value everywhere.
 
-This class is intentionally plain-Python and per-document: it is the
-readable reference implementation of the protocol, cross-validated
-against the vectorized engine by the integration tests, and it is what
-the discrete-event simulator drives asynchronously.
+A peer works at two grains.  The pass simulator calls
+:meth:`Peer.compute_pass`, which recomputes every local document with
+one segment-sum, gates publishes with one vectorized ε-mask, and stages
+the whole pass's remote updates as :class:`~repro.p2p.messages.
+UpdateColumns`; :meth:`Peer.receive_batch` folds such columns in with
+a vectorized version dedup that reproduces the one-at-a-time
+:meth:`Peer.receive` exactly.  The discrete-event simulator and the
+asynchronous runtime drive the per-document path instead
+(:meth:`Peer.recompute_document`, :meth:`Peer.receive` on
+:class:`~repro.p2p.messages.PagerankUpdate` objects), where batches are
+a handful of updates and per-call array overhead would dominate.  Every
+multi-document staging (a pass's publishes, the crash-recovery
+republishes) goes through one columnar out-link helper; a single
+document stages its few out-links with a plain loop.  The differential
+suites cross-validate both grains against the vectorized engine bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.kernels import expand_rows, kernel_backend, relative_change
 from repro.graphs.linkgraph import LinkGraph
-from repro.p2p.messages import Outbox, PagerankUpdate
+from repro.p2p.messages import Outbox, PagerankUpdate, UpdateColumns
 
 __all__ = ["Peer", "PassOutcome"]
 
@@ -106,15 +118,13 @@ class Peer:
         #: Per-local-document publish sequence numbers.
         self._publish_version: Dict[int, int] = {}
         #: Stored updates awaiting absent receivers: peer -> updates.
-        self.deferred: Dict[int, List[PagerankUpdate]] = {}
+        self.deferred: Dict[int, UpdateColumns] = {}
         self.outbox = Outbox(self.peer_id)
-        # Reciprocal out-degrees, multiplied rather than divided so the
-        # floating-point operations match the vectorized engine bit for
-        # bit (the integration tests assert exact rank equality).
-        out_deg = graph.out_degrees()
-        self._inv_out = np.zeros(graph.num_nodes, dtype=np.float64)
-        nz = out_deg > 0
-        self._inv_out[nz] = 1.0 / out_deg[nz]
+        # Reciprocal out-degrees (one array shared by every peer of the
+        # graph), multiplied rather than divided so the floating-point
+        # operations match the vectorized engine bit for bit (the
+        # integration tests assert exact rank equality).
+        self._inv_out = graph.inv_out_degrees()
         # Per-peer reverse sub-CSR shard (``csr`` kernel backend only).
         # Built lazily from the global reverse graph; invalidated when
         # the local document set changes (surrender/adopt).  The shard
@@ -129,6 +139,8 @@ class Peer:
         self._rank_arr: Optional[np.ndarray] = None  # rank, documents order
         self._vis_ids: Optional[np.ndarray] = None  # global ids, sorted
         self._vis_index: Optional[Dict[int, int]] = None  # global id -> slot
+        self._vis_remote: Optional[np.ndarray] = None  # slot is not local
+        self._vis_floor: Optional[np.ndarray] = None  # _version_floor per slot
         self._visible: Optional[np.ndarray] = None  # compact visible values
 
     # ------------------------------------------------------------------
@@ -141,6 +153,8 @@ class Peer:
         self._rank_arr = None
         self._vis_ids = None
         self._vis_index = None
+        self._vis_remote = None
+        self._vis_floor = None
         self._visible = None
 
     def _ensure_shard(self) -> None:
@@ -162,16 +176,27 @@ class Peer:
         self._lrow = np.repeat(np.arange(docs.size, dtype=np.int64), lens)
         self._lw = self._inv_out[lsrc]
         need = np.unique(np.concatenate([lsrc, docs])) if docs.size else docs
+        index = dict(zip(need.tolist(), range(need.size)))
         self._vis_ids = need
-        self._vis_index = {int(g): i for i, g in enumerate(need)}
-        visible = np.empty(need.size, dtype=np.float64)
-        for i, g in enumerate(need):
-            visible[i] = self.visible_value(int(g))
+        self._vis_index = index
+        local = np.searchsorted(need, docs)
+        self._vis_remote = np.ones(need.size, dtype=bool)
+        self._vis_remote[local] = False
+        # Never-heard sources sit at the protocol defaults; fill in what
+        # the peer knows (its own documents' published values win).
+        visible = np.full(need.size, self.init_rank, dtype=np.float64)
+        floor = np.full(need.size, -2, dtype=np.int64)
+        for src in self.remote_values.keys() | self._remote_versions.keys():
+            slot = index.get(src)
+            if slot is not None:
+                visible[slot] = self.remote_values.get(src, self.init_rank)
+                floor[slot] = self._version_floor(src)
+        keys = docs.tolist()
+        visible[local] = [self.published[d] for d in keys]
         self._visible = visible
+        self._vis_floor = floor
         self._lslot = np.searchsorted(need, lsrc)
-        self._rank_arr = np.array(
-            [self.rank[int(d)] for d in docs], dtype=np.float64
-        )
+        self._rank_arr = np.array([self.rank[d] for d in keys], dtype=np.float64)
 
     # ------------------------------------------------------------------
     def owns(self, doc: int) -> bool:
@@ -207,19 +232,132 @@ class Peer:
                 return False
             self._remote_versions[update.source_doc] = update.version
         self.remote_values[update.source_doc] = update.value
-        if self._visible is not None and update.source_doc not in self._local:
+        if self._visible is not None:
             slot = self._vis_index.get(update.source_doc)  # type: ignore[union-attr]
             if slot is not None:
-                self._visible[slot] = update.value
+                if self.honor_versions:
+                    self._vis_floor[slot] = update.version  # type: ignore[index]
+                if update.source_doc not in self._local:
+                    self._visible[slot] = update.value
         return True
 
-    def receive_batch(self, updates: Iterable[PagerankUpdate]) -> int:
-        """Receive many updates; returns how many mutated state."""
+    def receive_batch(
+        self, updates: Union[UpdateColumns, Iterable[PagerankUpdate]]
+    ) -> int:
+        """Receive many updates in order; returns how many mutated state.
+
+        Columns are folded in with :meth:`_receive_columns`, which
+        leaves exactly the state the one-at-a-time :meth:`receive` loop
+        would.
+        """
+        if isinstance(updates, UpdateColumns):
+            return self._receive_columns(updates)
         applied = 0
         for u in updates:
             if self.receive(u):
                 applied += 1
         return applied
+
+    def _version_floor(self, source: int) -> int:
+        """The version an update from ``source`` must exceed to apply.
+
+        :meth:`receive` rejects ``version < held`` and, once a value is
+        held, ``version == held``; with integer versions both are
+        ``version <= floor``.
+        """
+        held = self._remote_versions.get(source, -1)
+        return held if source in self.remote_values else held - 1
+
+    def _receive_columns(self, updates: UpdateColumns) -> int:
+        """Vectorized :meth:`receive` over a run of updates.
+
+        Sequentially, an update applies iff its version exceeds both the
+        held version floor and every earlier version from the same
+        source in the run (an applied update raises the floor to its own
+        version; a rejected one is already at or below it).  Rows are
+        grouped by source with a stable sort, the floor is a running
+        maximum within each group, and the last applied row per source
+        is what the loop would leave behind.
+        """
+        n = len(updates)
+        if n == 0:
+            return 0
+        order = np.argsort(updates.source, kind="stable")
+        src = updates.source[order]
+        repeat = src[1:] == src[:-1]  # row i + 1 repeats row i's source
+        repeats = bool(repeat.any())
+        # Shard slot of every row's source, where it has one.
+        vis_ids = self._vis_ids
+        if vis_ids is not None and vis_ids.size:
+            slot = np.searchsorted(vis_ids, src)
+            np.minimum(slot, vis_ids.size - 1, out=slot)
+            found = vis_ids[slot] == src
+        else:
+            slot = np.zeros(n, dtype=np.int64)
+            found = np.zeros(n, dtype=bool)
+        if self.honor_versions:
+            ver = updates.version[order]
+            floor = self._floors(src, slot, found)
+            if repeats:
+                # Running maximum within each source group, seeded with
+                # the group's floor: offset group g by g * span so one
+                # global maximum.accumulate never carries across groups.
+                head = np.empty(n, dtype=bool)
+                head[0] = True
+                np.logical_not(repeat, out=head[1:])
+                lo = min(int(ver.min()), int(floor.min()))
+                span = max(int(ver.max()), int(floor.max())) - lo + 1
+                offset = (np.cumsum(head) - 1) * span - lo
+                key = ver + offset
+                seed = floor + offset
+                running = np.maximum.accumulate(np.maximum(key, seed))
+                floor = np.empty(n, dtype=np.int64)
+                floor[1:] = running[:-1]
+                floor[head] = seed[head]
+                ver = key
+            rows = np.flatnonzero(ver > floor)
+            applied = int(rows.size)
+            if applied == 0:
+                return 0
+        else:
+            applied = n
+            rows = np.arange(n)
+        if repeats:
+            # Keep each source's last applied row.
+            g = src[rows]
+            last = np.empty(rows.size, dtype=bool)
+            last[-1] = True
+            np.not_equal(g[1:], g[:-1], out=last[:-1])
+            rows = rows[last]
+        win_src = src[rows]
+        win = order[rows]
+        win_val = updates.value[win]
+        self.remote_values.update(zip(win_src.tolist(), win_val.tolist()))
+        if self.honor_versions:
+            win_ver = updates.version[win]
+            self._remote_versions.update(zip(win_src.tolist(), win_ver.tolist()))
+            if self._vis_floor is not None:
+                hit = found[rows]
+                self._vis_floor[slot[rows[hit]]] = win_ver[hit]
+        if self._visible is not None:
+            assert self._vis_remote is not None
+            hit = found[rows]
+            hit &= self._vis_remote[slot[rows]]
+            self._visible[slot[rows[hit]]] = win_val[hit]
+        return applied
+
+    def _floors(self, sources: np.ndarray, slot: np.ndarray, found: np.ndarray) -> np.ndarray:
+        """:meth:`_version_floor` of every source, read from the shard
+        cache where a source has a slot."""
+        if self._vis_floor is None:
+            return np.array(
+                [self._version_floor(s) for s in sources.tolist()], dtype=np.int64
+            )
+        floor = self._vis_floor[slot]
+        if not found.all():
+            for i in np.flatnonzero(~found).tolist():
+                floor[i] = self._version_floor(int(sources[i]))
+        return floor
 
     # ------------------------------------------------------------------
     def compute_pass(
@@ -229,6 +367,10 @@ class Peer:
         peer_of: np.ndarray,
     ) -> PassOutcome:
         """Recompute every local document; stage updates for changes > ε.
+
+        Two-phase: every local document reads the *previous* published
+        values (synchronous-pass semantics, matching the vectorized
+        engine), then the significant ones publish together.
 
         Parameters
         ----------
@@ -243,84 +385,47 @@ class Peer:
         PassOutcome
         """
         if self._use_csr:
-            return self._compute_pass_csr(damping, epsilon, peer_of)
-        active = 0
-        staged = 0
-        max_change = 0.0
-        new_ranks: Dict[int, float] = {}
-        # Two-phase update: all local documents read the *previous*
-        # published values (synchronous-pass semantics, matching the
-        # vectorized engine), then publish together.
-        for doc in self.documents:
-            doc = int(doc)
-            new_ranks[doc] = self._fresh_rank(doc, damping)
-
-        published: List[int] = []
-        for doc, new in new_ranks.items():
-            old = self.rank[doc]
-            rel = abs(old - new) / new if new != 0 else 0.0
-            self.rank[doc] = new
-            if rel > max_change:
-                max_change = rel
-            if rel > epsilon:
-                active += 1
-                self.published[doc] = new
-                published.append(doc)
-                staged += self._stage_updates(doc, new, peer_of)
+            new = self._pull_csr(damping)
+            old = self._rank_arr
+            self._rank_arr = new
+        else:
+            docs = self.documents.tolist()
+            old = np.array([self.rank[d] for d in docs], dtype=np.float64)
+            new = np.array([self._fresh_rank(d, damping) for d in docs], dtype=np.float64)
+        assert old is not None
+        docs_arr = self.documents
+        rel = relative_change(old, new)
+        max_change = float(rel.max()) if docs_arr.size else 0.0
+        # Sync the rank dict only where the bits actually changed.
+        changed = np.flatnonzero(new != old)
+        self.rank.update(zip(docs_arr[changed].tolist(), new[changed].tolist()))
+        active = np.flatnonzero(rel > epsilon)
+        published = docs_arr[active]
+        staged = self._publish(published, new[active], peer_of) if active.size else 0
         return PassOutcome(
-            active_documents=active,
+            active_documents=int(active.size),
             max_rel_change=max_change,
             staged_updates=staged,
-            published_docs=tuple(published),
+            published_docs=tuple(published.tolist()),
         )
 
-    def _compute_pass_csr(
-        self,
-        damping: float,
-        epsilon: float,
-        peer_of: np.ndarray,
-    ) -> PassOutcome:
-        """Sharded pass: one bincount segment-sum over the local
-        in-link shard instead of a per-edge Python loop.
+    def _pull_csr(self, damping: float) -> np.ndarray:
+        """New ranks of the local documents (``csr`` kernel backend):
+        one bincount segment-sum over the local in-link shard instead
+        of a per-edge Python loop.
 
-        Bit-identical to the naive path: bincount accumulates each
-        row's contributions sequentially in ``in_links(doc)`` order,
+        Bit-identical to :meth:`_fresh_rank`: bincount accumulates each
+        row's contributions sequentially in ``in_links(doc)`` order, and
         ``damping * total + (1 - damping)`` commutes with the scalar
-        expression in :meth:`_fresh_rank`, and the publish loop walks
-        active documents in the same ascending order.
+        expression.
         """
         self._ensure_shard()
-        assert self._visible is not None and self._rank_arr is not None
-        docs = self.documents
-        k = docs.size
+        assert self._visible is not None
         contrib = self._visible[self._lslot] * self._lw
-        sums = np.bincount(self._lrow, weights=contrib, minlength=k)
+        sums = np.bincount(self._lrow, weights=contrib, minlength=self.documents.size)
         new = sums * damping
         new += 1.0 - damping
-        old = self._rank_arr
-        rel = relative_change(old, new)
-        max_change = float(rel.max()) if k else 0.0
-        # Sync the rank dict only where the bits actually changed.
-        for i in np.flatnonzero(new != old):
-            self.rank[int(docs[i])] = float(new[i])
-        self._rank_arr = new
-        staged = 0
-        published: List[int] = []
-        vis_index = self._vis_index
-        assert vis_index is not None
-        for i in np.flatnonzero(rel > epsilon):
-            doc = int(docs[i])
-            value = float(new[i])
-            self.published[doc] = value
-            self._visible[vis_index[doc]] = value
-            published.append(doc)
-            staged += self._stage_updates(doc, value, peer_of)
-        return PassOutcome(
-            active_documents=len(published),
-            max_rel_change=max_change,
-            staged_updates=staged,
-            published_docs=tuple(published),
-        )
+        return new
 
     # ------------------------------------------------------------------
     def _fresh_rank(self, doc: int, damping: float) -> float:
@@ -331,13 +436,65 @@ class Peer:
             total += self.visible_value(src) * self._inv_out[src]
         return (1.0 - damping) + damping * total
 
+    def _publish(self, docs: np.ndarray, values: np.ndarray, peer_of: np.ndarray) -> int:
+        """Publish ``values`` for local ``docs`` (ascending): expose them
+        to co-located consumers, bump each document's publish version
+        and stage the remote out-link updates.  Returns the number
+        staged."""
+        keys = docs.tolist()
+        self.published.update(zip(keys, values.tolist()))
+        get = self._publish_version.get
+        versions = [get(d, 0) + 1 for d in keys]
+        self._publish_version.update(zip(keys, versions))
+        if self._visible is not None:
+            assert self._vis_ids is not None
+            self._visible[np.searchsorted(self._vis_ids, docs)] = values
+        return self._stage_out_links(
+            docs, values, np.array(versions, dtype=np.int64), peer_of
+        )
+
+    def _stage_out_links(
+        self,
+        docs: np.ndarray,
+        values: np.ndarray,
+        versions: np.ndarray,
+        peer_of: np.ndarray,
+        *,
+        only_to: Optional[int] = None,
+    ) -> int:
+        """Stage ``docs``' updates for every out-link target stored on
+        another peer (only on ``only_to`` when given), as one run of
+        columns: documents in the given order, each document's targets
+        in out-link order.  Returns the number staged."""
+        pos, lens = expand_rows(self.graph.indptr, docs)
+        targets = self.graph.indices[pos]
+        dest = peer_of[targets]
+        keep = dest != self.peer_id if only_to is None else dest == only_to
+        staged = int(np.count_nonzero(keep))
+        if staged:
+            self.outbox.stage_columns(
+                dest[keep],
+                UpdateColumns(
+                    target=targets[keep],
+                    source=np.repeat(docs, lens)[keep],
+                    value=np.repeat(values, lens)[keep],
+                    version=np.repeat(versions, lens)[keep],
+                ),
+            )
+        return staged
+
     def _stage_updates(self, doc: int, value: float, peer_of: np.ndarray) -> int:
-        """Stage update messages for ``doc``'s remote out-links."""
+        """Publish-stage one document (the per-document path): bump its
+        publish version and stage an update per remote out-link.
+
+        The same staging as :meth:`_stage_out_links` for a single
+        document, as a plain loop: a document has a handful of
+        out-links, far too few to pay for array calls.
+        """
         staged = 0
         version = self._publish_version.get(doc, 0) + 1
         self._publish_version[doc] = version
-        for target in self.graph.out_links(doc):
-            target = int(target)
+        for target in self.graph.out_links(doc).tolist():
             target_peer = int(peer_of[target])
             if target_peer != self.peer_id:
                 self.outbox.stage(
@@ -403,20 +560,35 @@ class Peer:
     # ------------------------------------------------------------------
     # Store-and-resend support (§3.1)
     # ------------------------------------------------------------------
-    def defer(self, dest_peer: int, updates: List[PagerankUpdate]) -> None:
+    def defer(
+        self, dest_peer: int, updates: Union[UpdateColumns, Sequence[PagerankUpdate]]
+    ) -> None:
         """Store updates whose receiver is currently absent.
 
         Only the newest value per (source, target) pair is kept — an
         older stored update is obsolete the moment a fresh one exists.
         """
-        store = self.deferred.setdefault(dest_peer, [])
-        fresh = {(u.source_doc, u.target_doc) for u in updates}
-        store[:] = [u for u in store if (u.source_doc, u.target_doc) not in fresh]
-        store.extend(updates)
+        fresh = (
+            updates
+            if isinstance(updates, UpdateColumns)
+            else UpdateColumns.from_updates(updates)
+        )
+        store = self.deferred.get(dest_peer)
+        if store is not None and len(store):
+            n = self.graph.num_nodes
+            stale = np.isin(
+                store.source * n + store.target, fresh.source * n + fresh.target
+            )
+            fresh = UpdateColumns.concat([store.take(~stale), fresh])
+        self.deferred[dest_peer] = fresh
+
+    def take_deferred_columns(self, dest_peer: int) -> UpdateColumns:
+        """Pop all stored updates for a peer that has reappeared."""
+        return self.deferred.pop(dest_peer, None) or UpdateColumns.empty()
 
     def take_deferred(self, dest_peer: int) -> List[PagerankUpdate]:
-        """Pop all stored updates for a peer that has reappeared."""
-        return self.deferred.pop(dest_peer, [])
+        """:meth:`take_deferred_columns` as update objects."""
+        return list(self.take_deferred_columns(dest_peer))
 
     @property
     def deferred_count(self) -> int:
@@ -438,6 +610,22 @@ class Peer:
         self.deferred.clear()
         return lost
 
+    def _republish(self, peer_of: np.ndarray, only_to: Optional[int] = None) -> int:
+        """Stage every local document's persisted published value at its
+        current publish version (documents never published past the
+        globally known initial value are skipped)."""
+        keys = self.documents.tolist()
+        get = self._publish_version.get
+        versions = np.array([get(d, 0) for d in keys], dtype=np.int64)
+        announced = versions > 0
+        docs = self.documents[announced]
+        values = np.array(
+            [self.published[d] for d in docs.tolist()], dtype=np.float64
+        )
+        return self._stage_out_links(
+            docs, values, versions[announced], peer_of, only_to=only_to
+        )
+
     def reboot_republish(self, peer_of: np.ndarray) -> int:
         """Crash recovery: re-announce every local document's persisted
         published value to its remote consumers.
@@ -450,29 +638,7 @@ class Peer:
         an update applies it, healing the permanent staleness a bare
         wipe would leave.  Returns the number of updates staged.
         """
-        staged = 0
-        for doc in self.documents:
-            doc = int(doc)
-            version = self._publish_version.get(doc, 0)
-            if version == 0:
-                # Never published past the globally known initial value.
-                continue
-            value = self.published[doc]
-            for target in self.graph.out_links(doc):
-                target = int(target)
-                target_peer = int(peer_of[target])
-                if target_peer != self.peer_id:
-                    self.outbox.stage(
-                        target_peer,
-                        PagerankUpdate(
-                            target_doc=target,
-                            source_doc=doc,
-                            value=value,
-                            version=version,
-                        ),
-                    )
-                    staged += 1
-        return staged
+        return self._republish(peer_of)
 
     def republish_to(self, dest_peer: int, peer_of: np.ndarray) -> int:
         """Anti-entropy catch-up toward one recovered neighbor: stage
@@ -488,27 +654,7 @@ class Peer:
         are equal-version idempotent at the receiver.  Returns the
         number of updates staged.
         """
-        staged = 0
-        for doc in self.documents:
-            doc = int(doc)
-            version = self._publish_version.get(doc, 0)
-            if version == 0:
-                continue
-            value = self.published[doc]
-            for target in self.graph.out_links(doc):
-                target = int(target)
-                if int(peer_of[target]) == dest_peer:
-                    self.outbox.stage(
-                        dest_peer,
-                        PagerankUpdate(
-                            target_doc=target,
-                            source_doc=doc,
-                            value=value,
-                            version=version,
-                        ),
-                    )
-                    staged += 1
-        return staged
+        return self._republish(peer_of, only_to=dest_peer)
 
     # ------------------------------------------------------------------
     # Document migration (DHT re-homing support)

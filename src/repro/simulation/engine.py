@@ -3,20 +3,27 @@
 Where :class:`repro.core.distributed.ChaoticPagerank` is the vectorized
 array engine, :class:`P2PPagerankSimulation` runs the *actual
 protocol*: :class:`~repro.p2p.peer.Peer` state machines exchanging
-:class:`~repro.p2p.messages.PagerankUpdate` objects in per-destination
-batches, with §3.1 store-and-resend for absent peers and an optional
-§3.2 delivery policy pricing DHT routing hops.
+pagerank updates in per-(sender, receiver) batches, with §3.1
+store-and-resend for absent peers and an optional §3.2 delivery policy
+pricing DHT routing hops.
 
-It is deliberately per-message Python — the readable reference the
-integration suite cross-validates against the fast engine (identical
-ranks, identical message counts, identical pass counts), exercised at
-test scale.  Use the vectorized engine for anything large.
+The unit of work is the pass.  Each live peer stages its whole pass as
+:class:`~repro.p2p.messages.UpdateColumns`; the lossless exchange
+concatenates every sender's columns in sender order, stable-sorts them
+by receiver, and hands each receiver one run per pass, so a receiver
+sees exactly the update sequence per-batch delivery in sender order
+would produce.  Traffic is still accounted per (sender, receiver)
+batch.  With a fault plan the exchange instead goes through the
+reliable transport, one :class:`~repro.p2p.messages.MessageBatch`
+flight per destination.  The integration suite cross-validates the
+simulator against the vectorized engine: identical ranks, message
+counts and pass counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -33,12 +40,32 @@ from repro.faults.transport import (
 )
 from repro.graphs.linkgraph import LinkGraph
 from repro.obs import get_registry, get_trace_sink
-from repro.p2p.messages import MESSAGE_SIZE_BYTES, MessageBatch
+from repro.p2p.messages import MESSAGE_SIZE_BYTES, MessageBatch, UpdateColumns
 from repro.p2p.network import P2PNetwork
 from repro.p2p.peer import Peer
 from repro.p2p.routing import DeliveryPolicy
 
 __all__ = ["P2PPagerankSimulation", "TrafficSummary"]
+
+
+def _group_rows(keys: np.ndarray) -> Tuple[List[int], List[np.ndarray]]:
+    """Split row positions by key.
+
+    Returns the distinct keys in order of first appearance and, for
+    each, the positions holding it in ascending order.
+    """
+    if not keys.size:
+        return [], []
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    groups = np.split(order, starts[1:])
+    # A stable sort puts each key's first position at its group's head.
+    by_first = np.argsort(order[starts], kind="stable")
+    return (
+        sorted_keys[starts][by_first].tolist(),
+        [groups[i] for i in by_first.tolist()],
+    )
 
 
 @dataclass
@@ -53,7 +80,8 @@ class TrafficSummary:
         Of those, deliveries that had been stored for absent peers.
     network_batches:
         (sender, receiver) batch transfers — the unit the §4.6.1
-        transfer model serialises.
+        transfer model serialises: per pass, the distinct pairs that
+        exchanged updates.
     routing_hops:
         Total hops charged by the delivery policy (0 with the default
         oracle policy; > messages in Freenet/routed mode).
@@ -259,7 +287,7 @@ class P2PPagerankSimulation:
         self._absence = np.zeros(network.num_peers, dtype=np.int64)
         # Documents that received an update not yet folded into a
         # recompute (absent owners); blocks premature convergence.
-        self._dirty: Set[int] = set()
+        self._dirty = np.zeros(graph.num_nodes, dtype=bool)
 
     # ------------------------------------------------------------------
     def run(
@@ -424,7 +452,7 @@ class P2PPagerankSimulation:
                         computed += len(peer.documents)
                         if outcome.max_rel_change > max_change:
                             max_change = outcome.max_rel_change
-                        self._dirty.difference_update(peer._local)
+                        self._dirty[peer.documents] = False
                         published_docs.extend(outcome.published_docs)
                     # Published values are instantly visible to co-located
                     # consumers, who now owe a recompute (the vectorized engine
@@ -436,8 +464,7 @@ class P2PPagerankSimulation:
                         pos, lens = expand_rows(self.graph.indptr, pubs)
                         targets = self.graph.indices[pos]
                         owners = np.repeat(self._peer_of[pubs], lens)
-                        colocated = targets[self._peer_of[targets] == owners]
-                        self._dirty.update(int(t) for t in colocated)
+                        self._dirty[targets[self._peer_of[targets] == owners]] = True
 
                     # (3) drain outboxes: deliver or defer (reliable
                     #     transport: submit each batch as a new flight)
@@ -498,7 +525,7 @@ class P2PPagerankSimulation:
                     # arrive: strong convergence must not be certified
                     # over them, and a quiescent system that still owes
                     # undeliverable updates is stagnant, not converging.
-                    quiescent = active == 0 and not self._dirty
+                    quiescent = active == 0 and not self._dirty.any()
                     if (
                         quiescent
                         and transport.undeliverable_updates == 0
@@ -515,7 +542,7 @@ class P2PPagerankSimulation:
                         transport.note_stagnation_abort()
                         diagnostics = transport.diagnose(t, detector.streak)
                         break
-                elif active == 0 and deferred_now == 0 and not self._dirty:
+                elif active == 0 and deferred_now == 0 and not self._dirty.any():
                     converged = True
                     break
         return tracker.finish(self.ranks(), converged, diagnostics)
@@ -528,8 +555,11 @@ class P2PPagerankSimulation:
         mutated receiver state (duplicates are suppressed by the
         per-source version dedup)."""
         applied = self.peers[batch.receiver_peer].receive_batch(batch.updates)
-        self._mark_dirty(batch.updates)
-        self._charge_hops(batch.sender_peer, batch.updates)
+        targets = [u.target_doc for u in batch.updates]
+        dirty = self._dirty
+        for target in targets:
+            dirty[target] = True
+        self._charge_hops(batch.sender_peer, targets)
         self.traffic.network_batches += 1
         return applied
 
@@ -549,59 +579,76 @@ class P2PPagerankSimulation:
 
         Under re-homing a stored update's target document may have
         moved, so each update is re-resolved to the document's *current*
-        owner before delivery.
+        owner before delivery (and stored again if that owner is absent).
         """
-        delivered = 0
+        runs: List[Tuple[int, np.ndarray, UpdateColumns]] = []
         for peer in self.peers:
             if not live[peer.peer_id] or not peer.deferred:
                 continue
             if self.rehoming_after is None:
-                dests = [d for d in peer.deferred if live[d]]
-                for dest in dests:
-                    updates = peer.take_deferred(dest)
-                    self.peers[dest].receive_batch(updates)
-                    self._mark_dirty(updates)
-                    self._charge_hops(peer.peer_id, updates)
-                    delivered += len(updates)
-                    self.traffic.network_batches += 1
+                for dest in [d for d in peer.deferred if live[d]]:
+                    updates = peer.take_deferred_columns(dest)
+                    runs.append(
+                        (peer.peer_id, np.full(len(updates), dest, np.int64), updates)
+                    )
                 continue
-            # Re-homing: re-resolve every stored update's owner.
-            all_updates = []
-            for dest in list(peer.deferred):
-                all_updates.extend(peer.take_deferred(dest))
-            by_owner: Dict[int, list] = {}
-            for u in all_updates:
-                by_owner.setdefault(int(self._peer_of[u.target_doc]), []).append(u)
-            for owner, updates in by_owner.items():
-                if live[owner]:
-                    self.peers[owner].receive_batch(updates)
-                    self._mark_dirty(updates)
-                    self._charge_hops(peer.peer_id, updates)
-                    delivered += len(updates)
-                    self.traffic.network_batches += 1
-                else:
-                    peer.defer(owner, updates)
-        return delivered
+            updates = UpdateColumns.concat(
+                [peer.take_deferred_columns(d) for d in list(peer.deferred)]
+            )
+            runs.append((peer.peer_id, self._peer_of[updates.target], updates))
+        return self._exchange(runs, live)
 
     def _deliver_outboxes(self, live: np.ndarray) -> int:
-        """Step 3: route freshly staged batches.  Returns updates
-        delivered (stored ones are counted when finally delivered)."""
-        delivered = 0
+        """Step 3: route every live peer's freshly staged updates.
+        Returns updates delivered (stored ones are counted when finally
+        delivered)."""
+        runs: List[Tuple[int, np.ndarray, UpdateColumns]] = []
         for peer in self.peers:
-            if not live[peer.peer_id]:
-                # An absent peer cannot have computed this pass, but it
-                # may hold a stale outbox in pathological uses; leave it.
-                continue
-            for batch in peer.outbox.batches():
-                if live[batch.receiver_peer]:
-                    self.peers[batch.receiver_peer].receive_batch(batch.updates)
-                    self._mark_dirty(batch.updates)
-                    self._charge_hops(peer.peer_id, batch.updates)
-                    delivered += len(batch)
-                    self.traffic.network_batches += 1
+            # An absent peer cannot have computed this pass, but it may
+            # hold a stale outbox in pathological uses; leave it.
+            if live[peer.peer_id] and len(peer.outbox):
+                dests, updates = peer.outbox.take_columns()
+                runs.append((peer.peer_id, dests, updates))
+        return self._exchange(runs, live)
+
+    def _exchange(
+        self, runs: List[Tuple[int, np.ndarray, UpdateColumns]], live: np.ndarray
+    ) -> int:
+        """Deliver ``(sender, dest_peers, updates)`` runs, given in sender
+        order: every present receiver gets one run holding its updates
+        in sender order (staging order within a sender); updates for
+        absent receivers are stored with their senders.  Each distinct
+        (sender, receiver) pair is one §4.6.1 batch transfer.  Returns
+        the number of updates delivered."""
+        if not runs:
+            return 0
+        senders = np.concatenate(
+            [np.full(len(updates), pid, np.int64) for pid, _, updates in runs]
+        )
+        dests = np.concatenate([d for _, d, _ in runs])
+        updates = UpdateColumns.concat([u for _, _, u in runs])
+        num_peers = self.network.num_peers
+        pairs = senders * num_peers + dests
+        present = live[dests]
+        if self.delivery_policy is not None or not present.all():
+            # Hop pricing and storing are per batch and order-sensitive
+            # (location caches), so walk the batches in the order the
+            # senders staged them.
+            keys, rows = _group_rows(pairs)
+            for key, idx in zip(keys, rows):
+                sender, dest = divmod(key, num_peers)
+                if live[dest]:
+                    self._charge_hops(sender, updates.target[idx].tolist())
                 else:
-                    peer.defer(batch.receiver_peer, batch.updates)
-        return delivered
+                    self.peers[sender].defer(dest, updates.take(idx))
+        delivered = np.flatnonzero(present)
+        if not delivered.size:
+            return 0
+        self.traffic.network_batches += int(np.unique(pairs[delivered]).size)
+        for receiver, idx in zip(*_group_rows(dests[delivered])):
+            self.peers[receiver].receive_batch(updates.take(delivered[idx]))
+        self._dirty[updates.target[delivered]] = True
+        return int(delivered.size)
 
     def _rehome(self, live: np.ndarray) -> None:
         """Move documents off long-absent peers and back home on return."""
@@ -630,7 +677,7 @@ class P2PPagerankSimulation:
                 self.peers[new_owner].adopt_documents({doc: state[doc]})
                 self.peers[new_owner].receive_batch(by_doc.get(doc, []))
                 self._peer_of[doc] = new_owner
-                self._dirty.add(doc)  # new owner owes a recompute
+                self._dirty[doc] = True  # new owner owes a recompute
                 self.traffic.migrations += 1
 
         # Return home: a reappeared peer re-acquires its documents.
@@ -649,15 +696,12 @@ class P2PPagerankSimulation:
                 self.peers[pid].adopt_documents(state)
                 self.peers[pid].receive_batch(knowledge)
                 self._peer_of[doc] = pid
-                self._dirty.add(doc)
+                self._dirty[doc] = True
                 self.traffic.migrations += 1
 
-    def _mark_dirty(self, updates) -> None:
-        self._dirty.update(u.target_doc for u in updates)
-
-    def _charge_hops(self, sender_peer: int, updates) -> None:
+    def _charge_hops(self, sender_peer: int, targets: List[int]) -> None:
         if self.delivery_policy is None:
             return
         self.traffic.routing_hops += self.delivery_policy.delivery_hops_batch(
-            sender_peer, [u.target_doc for u in updates]
+            sender_peer, targets
         )

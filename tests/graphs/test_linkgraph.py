@@ -89,6 +89,14 @@ class TestAccessors:
         assert g.out_degrees().tolist() == [2, 1, 0]
         assert g.in_degrees().tolist() == [0, 1, 2]
 
+    def test_inv_out_degrees_shared_and_read_only(self):
+        g = LinkGraph.from_edges([(0, 1), (0, 2), (1, 2)])
+        inv = g.inv_out_degrees()
+        assert inv.tolist() == [0.5, 1.0, 0.0]
+        assert g.inv_out_degrees() is inv  # one array for every consumer
+        with pytest.raises(ValueError):
+            inv[0] = 2.0
+
     def test_dangling_nodes(self):
         g = LinkGraph.from_edges([(0, 1), (1, 2)])
         assert g.dangling_nodes().tolist() == [2]

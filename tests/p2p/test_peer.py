@@ -47,6 +47,10 @@ class TestComputePass:
             assert a.rank[doc] == pytest.approx(expected, rel=1e-12)
         assert outcome.active_documents > 0
 
+    def test_peers_share_one_inverse_outdegree_array(self, setup):
+        g, _, a, b = setup
+        assert a._inv_out is b._inv_out is g.inv_out_degrees()
+
     def test_two_phase_semantics(self, setup):
         # All documents must read the pre-pass published values, so
         # compute order inside the peer cannot matter.
