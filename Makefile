@@ -65,11 +65,13 @@ sanitize-smoke:
 
 # Sharded parallel-engine smoke: the differential lockdown vs the
 # serial engine (one-shard bitwise incl. churn+loss, w=2 real worker
-# processes, worker-count invariance) plus the 20-seed property sweeps
-# (docs/PERFORMANCE.md "Sharded execution model").  The CI
-# parallel-smoke job runs the same line.
+# processes, worker-count invariance), the lockdown of the single pass
+# step against the per-edge oracle (static + churn + loss, full pass
+# history, no copies in the one-shard runner), plus the 20-seed
+# property sweeps (docs/PERFORMANCE.md "Sharded execution model").
+# The CI parallel-smoke job runs the same line.
 parallel-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_parallel_vs_serial.py tests/properties -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_parallel_vs_serial.py tests/differential/test_kernel_parity.py tests/properties -q
 
 # Query-serving smoke: a 30-unit deterministic serving run with the
 # invariant probes (conservation, no silent drops, bounded queues) and

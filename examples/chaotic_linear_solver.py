@@ -25,7 +25,7 @@ from repro.analysis import format_table
 from repro.core import (
     ChaoticLinearSolver,
     ChaoticPagerank,
-    EdgeWorkspace,
+    CSRWorkspace,
     LinearSystem,
 )
 from repro.graphs import broder_graph
@@ -77,7 +77,7 @@ def main() -> None:
     # ---- 2. pagerank through the general solver ----------------------
     g = broder_graph(3000, seed=1)
     d = 0.85
-    ws = EdgeWorkspace.from_graph(g)
+    ws = CSRWorkspace.from_graph(g)
     m = csr_matrix((d * ws.edge_weight, (ws.dst, ws.src)),
                    shape=(g.num_nodes, g.num_nodes))
     pagerank_system = LinearSystem(matrix=m, constant=np.full(g.num_nodes, 1 - d))

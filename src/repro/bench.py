@@ -14,9 +14,7 @@ The matrix is pinned: N ∈ {1k, 10k, 100k} documents, message loss
 lossless network), churn on/off (75 % availability when on), plus one
 1k-document async-runtime row (``async_runtime_1k``; for runtime rows
 the ``passes`` column records scheduler rounds).  On top of the
-matrix, a dedicated 10k convergence scenario measures the sharded
-(``csr``) simulator against the per-edge Python (``naive``) path — the
-speedup sharding buys — the payload's ``async_vs_pass`` entry pairs
+matrix, the payload's ``async_vs_pass`` entry pairs
 the async runtime's wall-time with the pass simulator's on the
 matching 1k scenario, and ``parallel_vs_serial`` pairs the
 multi-process sharded engine (:mod:`repro.parallel`) with the serial
@@ -55,7 +53,6 @@ __all__ = [
     "BenchResult",
     "BenchComparison",
     "default_matrix",
-    "speedup_scenarios",
     "calibrate",
     "run_scenario",
     "run_bench",
@@ -97,9 +94,7 @@ class BenchScenario:
     ``workers`` worker processes), or ``"serve"`` (the query-serving
     layer of :mod:`repro.serve` offering ``qps`` queries per clock
     unit for ``duration`` units — its ``passes`` measurement records
-    completed queries and ``messages`` the document ids moved);
-    ``kernel`` is the :func:`repro.core.kernel_backend` the run is
-    pinned to.
+    completed queries and ``messages`` the document ids moved).
     """
 
     name: str
@@ -109,7 +104,6 @@ class BenchScenario:
     epsilon: float
     loss: float
     churn: bool
-    kernel: str = "csr"
     seed: int = 7
     max_passes: int = 5_000
     repeats: int = 1
@@ -122,8 +116,6 @@ class BenchScenario:
             "vectorized", "simulator", "runtime", "parallel", "serve"
         ):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.kernel not in ("csr", "naive"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.engine == "vectorized" and self.loss:
             raise ValueError("the vectorized engine models a lossless network")
         if self.workers < 1:
@@ -296,31 +288,6 @@ def default_matrix(*, smoke: bool = False) -> List[BenchScenario]:
     return scenarios
 
 
-def speedup_scenarios(*, docs: int = 10_000) -> List[BenchScenario]:
-    """The convergence speedup pair: the same simulator scenario on the
-    per-edge ``naive`` path and the sharded ``csr`` path.
-
-    Pinned at 50 peers (200 documents each at 10k) and best-of-two
-    timing, so the recorded ratio reflects steady-state per-pass cost
-    rather than scheduler noise.
-    """
-    label = f"{docs // 1000}k"
-    return [
-        BenchScenario(
-            name=f"speedup_sim_{label}_{kernel}",
-            engine="simulator",
-            docs=docs,
-            peers=50,
-            epsilon=1e-4,
-            loss=0.0,
-            churn=False,
-            kernel=kernel,
-            repeats=2,
-        )
-        for kernel in ("naive", "csr")
-    ]
-
-
 def calibrate(*, docs: int = 50_000, repeats: int = 20) -> float:
     """Time a fixed kernel workload, for cross-machine scaling.
 
@@ -329,11 +296,11 @@ def calibrate(*, docs: int = 50_000, repeats: int = 20) -> float:
     Comparisons divide current by committed calibration time to scale
     committed wall-times onto this machine before thresholding.
     """
-    from repro.core import make_workspace
+    from repro.core import CSRWorkspace
     from repro.graphs import broder_graph
 
     graph = broder_graph(docs, seed=0)
-    ws = make_workspace(graph)
+    ws = CSRWorkspace.from_graph(graph)
     values = np.ones(graph.num_nodes)
     out = np.empty_like(values)
     start = time.perf_counter()
@@ -343,16 +310,8 @@ def calibrate(*, docs: int = 50_000, repeats: int = 20) -> float:
 
 
 def run_scenario(scenario: BenchScenario) -> BenchResult:
-    """Execute one scenario and measure it.
-
-    The kernel backend is pinned by temporarily setting the
-    ``REPRO_KERNEL`` environment switch around engine construction
-    (peers/workspaces read it when built).
-    """
-    from repro.core.kernels import _KERNEL_ENV
-
-    previous = os.environ.get(_KERNEL_ENV)
-    os.environ[_KERNEL_ENV] = scenario.kernel
+    """Execute one scenario and measure it (best wall time of
+    ``repeats`` runs, whose protocol numbers must agree)."""
     runner = {
         "vectorized": _run_vectorized,
         "simulator": _run_simulator,
@@ -360,25 +319,19 @@ def run_scenario(scenario: BenchScenario) -> BenchResult:
         "parallel": _run_parallel,
         "serve": _run_serve,
     }[scenario.engine]
-    try:
-        result = runner(scenario)
-        for _ in range(scenario.repeats - 1):
-            again = runner(scenario)
-            if (again.passes, again.messages, again.converged) != (
-                result.passes, result.messages, result.converged
-            ):
-                raise AssertionError(
-                    f"{scenario.name}: repeat diverged — same seeds must "
-                    "give identical protocol numbers"
-                )
-            if again.wall_s < result.wall_s:
-                result = again
-        return result
-    finally:
-        if previous is None:
-            os.environ.pop(_KERNEL_ENV, None)
-        else:
-            os.environ[_KERNEL_ENV] = previous
+    result = runner(scenario)
+    for _ in range(scenario.repeats - 1):
+        again = runner(scenario)
+        if (again.passes, again.messages, again.converged) != (
+            result.passes, result.messages, result.converged
+        ):
+            raise AssertionError(
+                f"{scenario.name}: repeat diverged — same seeds must "
+                "give identical protocol numbers"
+            )
+        if again.wall_s < result.wall_s:
+            result = again
+    return result
 
 
 def _run_vectorized(scenario: BenchScenario) -> BenchResult:
@@ -593,19 +546,15 @@ def _run_serve(scenario: BenchScenario) -> BenchResult:
 def run_bench(
     *,
     smoke: bool = False,
-    with_speedup: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
-    """Run the pinned matrix (plus the speedup pair) and return the
-    JSON-ready payload.
+    """Run the pinned matrix and return the JSON-ready payload.
 
     ``progress`` is an optional callable invoked with a line of text
     per completed scenario (the CLI passes ``print``).
     """
     results: List[BenchResult] = []
     scenarios = default_matrix(smoke=smoke)
-    if with_speedup and not smoke:
-        scenarios = scenarios + speedup_scenarios()
     calibration = calibrate()
     if progress is not None:
         progress(f"calibration workload: {calibration:.3f}s")
@@ -625,14 +574,6 @@ def run_bench(
         "scenarios": [r.to_json() for r in results],
     }
     by_name = {r.scenario.name: r for r in results}
-    naive = by_name.get("speedup_sim_10k_naive")
-    csr = by_name.get("speedup_sim_10k_csr")
-    if naive is not None and csr is not None:
-        payload["speedup_10k"] = {
-            "naive_wall_s": naive.wall_s,
-            "csr_wall_s": csr.wall_s,
-            "ratio": naive.wall_s / csr.wall_s if csr.wall_s else float("inf"),
-        }
     # Parallel-vs-serial pair at the largest size both engines ran.
     # The ratio is hardware-dependent: on a single-core host the
     # multi-process run adds barrier/IPC overhead with no parallel
@@ -700,7 +641,7 @@ def compare_results(
     }
     checked = 0
     param_keys = (
-        "engine", "kernel", "docs", "peers", "epsilon", "loss", "churn",
+        "engine", "docs", "peers", "epsilon", "loss", "churn",
         "seed", "max_passes", "workers", "qps", "duration",
     )
     for row in current.get("scenarios", []):
@@ -743,21 +684,14 @@ def compare_results(
 def render_results(payload: Dict[str, object]) -> str:
     """Human-readable table of a payload (the CLI's stdout)."""
     lines = [
-        f"{'scenario':34} {'engine':10} {'kernel':6} "
+        f"{'scenario':34} {'engine':10} "
         f"{'wall_s':>8} {'passes':>6} {'bytes':>12} conv"
     ]
     for row in payload.get("scenarios", []):
         lines.append(
-            f"{row['name']:34} {row['engine']:10} {row['kernel']:6} "
+            f"{row['name']:34} {row['engine']:10} "
             f"{row['wall_s']:8.3f} {row['passes']:6d} "
             f"{row['bytes_on_wire']:12d} {str(row['converged'])}"
-        )
-    speedup = payload.get("speedup_10k")
-    if speedup:
-        lines.append(
-            f"\n10k simulator speedup (per-edge naive vs sharded csr): "
-            f"{speedup['ratio']:.2f}x "
-            f"({speedup['naive_wall_s']:.3f}s -> {speedup['csr_wall_s']:.3f}s)"
         )
     pair = payload.get("parallel_vs_serial")
     if pair:
@@ -794,7 +728,6 @@ def main(args) -> int:
     """``repro bench`` command body (parsed-args entry point)."""
     payload = run_bench(
         smoke=args.smoke,
-        with_speedup=not args.smoke,
         progress=print,
     )
     print()

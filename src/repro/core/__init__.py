@@ -31,11 +31,7 @@ from repro.core.incremental import (
 from repro.core.accelerated import aitken_pagerank, quadratic_extrapolation_pagerank
 from repro.core.kernels import (
     CSRWorkspace,
-    EdgeWorkspace,
-    ShardCSRView,
     expand_rows,
-    kernel_backend,
-    make_workspace,
     relative_change,
 )
 from repro.core.linear import ChaoticLinearSolver, LinearSystem
@@ -57,11 +53,7 @@ __all__ = [
     "RunReport",
     "PassStats",
     "ConvergenceTracker",
-    "EdgeWorkspace",
     "CSRWorkspace",
-    "ShardCSRView",
-    "make_workspace",
-    "kernel_backend",
     "expand_rows",
     "relative_change",
     "PropagationResult",

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro._util import check_positive, check_threshold
-from repro.core.kernels import make_workspace, relative_change
+from repro.core.kernels import CSRWorkspace, relative_change
 from repro.core.pagerank import DEFAULT_DAMPING, PagerankResult
 from repro.graphs.linkgraph import LinkGraph
 
@@ -71,7 +71,7 @@ def aitken_pagerank(
     n = graph.num_nodes
     if n == 0:
         return PagerankResult(np.zeros(0), 0, True, 0.0)
-    ws = make_workspace(graph)
+    ws = CSRWorkspace.from_graph(graph)
 
     x = np.full(n, float(init_rank))
     prev1 = x.copy()
@@ -128,7 +128,7 @@ def quadratic_extrapolation_pagerank(
     n = graph.num_nodes
     if n == 0:
         return PagerankResult(np.zeros(0), 0, True, 0.0)
-    ws = make_workspace(graph)
+    ws = CSRWorkspace.from_graph(graph)
 
     history = []
     x = np.full(n, float(init_rank))

@@ -10,15 +10,20 @@ scheme from plain Jacobi iteration — it is the source of both the
 message savings (Table 3) and the residual error versus the
 synchronous solution (Table 2).
 
-Two execution paths share the same semantics:
+The pass itself is the one-shard case of the sharded pass step in
+:mod:`repro.core.shard`: the engine drives a single
+:class:`~repro.core.shard.ShardRunner` over one whole-graph shard,
+which uses the engine's :class:`~repro.core.kernels.CSRWorkspace` and
+per-edge arrays as they are.  The step has two modes with the same
+semantics:
 
-* **fast path** (no churn): per-node ``last_sent`` state, two
-  vectorized kernel calls per pass.  This is what runs the paper's
-  5,000,000-node graph.
-* **churn path** (peer availability given): per-*edge* delivered-value
-  state, because §3.1's store-and-resend means different out-edges of
-  one document can hold different vintages of its rank while receiving
-  peers are absent.
+* **static** (no churn, no faults): per-node ``last_sent`` state and
+  frontier-selective pulls — only documents whose inputs changed last
+  pass recompute.  This is what runs the paper's 5,000,000-node graph.
+* **churn** (peer availability or injected loss given): per-*edge*
+  delivered-value state, because §3.1's store-and-resend means
+  different out-edges of one document can hold different vintages of
+  its rank while receiving peers are absent.
 
 Document-to-peer placement is an integer array ``assignment`` mapping
 each document to its peer; only cross-peer deliveries count as network
@@ -34,27 +39,33 @@ counts.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
-from repro.core.kernels import (
-    CSRWorkspace,
-    Workspace,
-    expand_rows,
-    make_workspace,
-    relative_change,
-)
+from repro.core.kernels import CSRWorkspace
 from repro.core.pagerank import DEFAULT_DAMPING
+from repro.core.shard import (
+    COL_DROPPED,
+    COL_RESENT,
+    N_STAT_COLS,
+    AllLive,
+    AvailabilityModel,
+    PassObserver,
+    ShardRunner,
+    WorkerState,
+    check_run_budget,
+    cross_peer_edges,
+    initial_rank_vector,
+    pass_stats,
+    resolve_assignment,
+    run_shards,
+)
 from repro.faults.plan import FaultPlan
 from repro.graphs.linkgraph import LinkGraph
 from repro.obs import MetricsRegistry, get_registry, get_trace_sink
-
-#: Per-pass observer: called as ``on_pass(pass_index, ranks)`` with a
-#: read-only view of the rank vector after each completed pass.
-PassObserver = Callable[[int, np.ndarray], None]
 
 __all__ = [
     "ChaoticPagerank",
@@ -136,32 +147,6 @@ class _CoreInstruments:
         )
 
 
-@runtime_checkable
-class AvailabilityModel(Protocol):
-    """Anything that can say which peers are up during a pass.
-
-    Implementations live in :mod:`repro.p2p.churn`; the engine only
-    requires this one method so tests can pass plain lambdas wrapped in
-    tiny shims.
-    """
-
-    def sample(self, pass_index: int) -> np.ndarray:
-        """Boolean array of length ``num_peers``: True = peer present."""
-        ...  # pragma: no cover
-
-
-class _AllLive:
-    """Trivial availability model: every peer present every pass.  Used
-    to route fault-injected runs through the per-edge churn path when no
-    real availability model was supplied."""
-
-    def __init__(self, num_peers: int) -> None:
-        self._mask = np.ones(num_peers, dtype=bool)
-
-    def sample(self, pass_index: int) -> np.ndarray:
-        return self._mask
-
-
 class ChaoticPagerank:
     """Distributed chaotic-iteration pagerank on a document link graph.
 
@@ -213,34 +198,15 @@ class ChaoticPagerank:
         self.epsilon = float(epsilon)
         self.init_rank = float(init_rank)
 
-        n = graph.num_nodes
-        if assignment is None:
-            assignment = np.arange(n, dtype=np.int64)
-            inferred_peers = n
-        else:
-            assignment = np.asarray(assignment, dtype=np.int64)
-            if assignment.shape != (n,):
-                raise ValueError(
-                    f"assignment must have shape ({n},), got {assignment.shape}"
-                )
-            if n and assignment.min() < 0:
-                raise ValueError("peer ids must be non-negative")
-            inferred_peers = int(assignment.max()) + 1 if n else 0
-        self.assignment = assignment
-        self.num_peers = int(num_peers) if num_peers is not None else inferred_peers
-        if n and self.num_peers <= int(assignment.max()):
-            raise ValueError(
-                f"num_peers={self.num_peers} too small for assignment max {int(assignment.max())}"
-            )
-
-        self.workspace: Workspace = make_workspace(graph)
+        self.assignment, self.num_peers = resolve_assignment(
+            graph.num_nodes, assignment, num_peers
+        )
+        self.workspace = CSRWorkspace.from_graph(graph)
         # Per-edge cross-peer mask and per-node remote out-degree: only
         # cross-peer deliveries are counted as network messages.
-        src, dst = self.workspace.src, self.workspace.dst
-        self._cross_edge = assignment[src] != assignment[dst]
-        self._remote_outdeg = np.bincount(
-            src[self._cross_edge], minlength=n
-        ).astype(np.int64)
+        self._cross_edge, self._remote_outdeg = cross_peer_edges(
+            self.workspace, self.assignment
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -300,25 +266,18 @@ class ChaoticPagerank:
         -------
         RunReport
         """
-        if max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-        if max_dead_passes < 1:
-            raise ValueError(
-                f"max_dead_passes must be >= 1, got {max_dead_passes}"
-            )
+        check_run_budget(max_passes, max_dead_passes)
         if availability is None:
             if fault_plan is None:
                 return self._run_static(
                     max_passes, initial_ranks, keep_history, on_pass
                 )
-            availability = _AllLive(self.num_peers)
+            availability = AllLive(self.num_peers)
         return self._run_churn(
             max_passes, availability, initial_ranks, keep_history, on_pass,
             fault_plan=fault_plan, max_dead_passes=max_dead_passes,
         )
 
-    # ------------------------------------------------------------------
-    # Fast path: all peers always present
     # ------------------------------------------------------------------
     def _run_static(
         self,
@@ -327,136 +286,9 @@ class ChaoticPagerank:
         keep_history: bool,
         on_pass: Optional[PassObserver] = None,
     ) -> RunReport:
-        n = self.graph.num_nodes
-        ws = self.workspace
-        tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
-        if n == 0:
-            return tracker.finish(np.zeros(0), True)
+        """All peers always present: the static pass step."""
+        return self._solve(max_passes, None, initial_ranks, keep_history, on_pass)
 
-        rank = self._initial_rank_vector(initial_ranks)
-        last_sent = rank.copy()
-        new = np.empty_like(rank)
-        err = np.empty_like(rank)
-
-        # Selective recomputation (CSR backend only): a document whose
-        # in-edge inputs (its sources' last-*sent* values) did not
-        # change since the previous pass would recompute to the very
-        # same bits, so its relative change is exactly 0.0 and it can
-        # be skipped.  The affected set of pass t is the out-targets of
-        # the documents that published during pass t-1 — `None` means
-        # "everything" (first pass, or naive backend).  Small passes
-        # run entirely on index arrays (no O(N) masks); when the
-        # frontier still covers most of the graph a full flat pull is
-        # cheaper — and equally byte-identical, since recomputing an
-        # unaffected row reproduces its bits exactly.
-        selective = isinstance(ws, CSRWorkspace)
-        indptr, indices = self.graph.indptr, self.graph.indices
-        published: Optional[np.ndarray] = None
-        num_edges = ws.dst.size
-        frontier = np.empty(n, dtype=bool) if selective else None
-
-        obs = _CoreInstruments(get_registry())
-        sink = get_trace_sink()
-        converged = False
-        with sink.span(
-            "core.run", mode="static", documents=n,
-            peers=self.num_peers, epsilon=self.epsilon,
-        ):
-            for t in range(max_passes):
-                with obs.pass_timer:
-                    rows: Optional[np.ndarray] = None
-                    if (
-                        selective
-                        and published is not None
-                        and 4 * published.size <= n
-                    ):
-                        # Frontier: out-targets of last pass's senders —
-                        # the only rows whose inputs changed.  Skipped
-                        # (O(1) check) while most documents are still
-                        # active and the frontier would cover the graph.
-                        assert frontier is not None
-                        tpos, _ = expand_rows(indptr, published)
-                        frontier[:] = False
-                        frontier[indices[tpos]] = True
-                        rows = np.flatnonzero(frontier)
-                    if rows is None:
-                        # Dense pass (always taken by the naive backend).
-                        ws.pull(last_sent, self.damping, out=new)
-                        relative_change(rank, new, out=err)
-                        active = err > self.epsilon
-                        n_active = int(active.sum())
-                        messages = int(self._remote_outdeg[active].sum())
-                        # Senders propagate their fresh value; quiet
-                        # documents' last-sent stays stale — the chaotic
-                        # rule.
-                        last_sent[active] = new[active]
-                        if selective:
-                            published = np.flatnonzero(active)
-                        rank, new = new, rank
-                        max_change = float(err.max())
-                    elif rows.size == 0:
-                        published = rows
-                        n_active = 0
-                        messages = 0
-                        max_change = 0.0
-                    else:
-                        assert isinstance(ws, CSRWorkspace)
-                        row_edges = int(
-                            (ws.rindptr[rows + 1] - ws.rindptr[rows]).sum()
-                        )
-                        old_rows = rank[rows]
-                        # Row-gathered bookkeeping costs ~2.5x per edge
-                        # vs the flat kernel, so past ~0.4E frontier
-                        # in-edges pull everything and gather the rows
-                        # out of the dense result — either way only the
-                        # frontier rows can differ from their old bits.
-                        if 5 * row_edges >= 2 * num_edges:
-                            ws.pull(last_sent, self.damping, out=new)
-                            vals = new[rows]
-                            rank, new = new, rank
-                        else:
-                            vals = ws.pull_rows(last_sent, self.damping, rows)
-                            rank[rows] = vals
-                        err_rows = relative_change(old_rows, vals)
-                        act = err_rows > self.epsilon
-                        published = rows[act]
-                        n_active = published.size
-                        messages = int(self._remote_outdeg[published].sum())
-                        if n_active:
-                            last_sent[published] = vals[act]
-                        max_change = float(err_rows.max())
-                if on_pass is not None:
-                    on_pass(t, rank)
-                obs.passes.inc()
-                obs.updates.inc(n_active)
-                obs.messages.inc(messages)
-                obs.residual.set(max_change)
-                obs.active.set(n_active)
-                obs.live_peers.set(self.num_peers)
-                if sink.enabled:
-                    sink.event(
-                        "core.pass", pass_index=t, residual=max_change,
-                        active_documents=n_active, messages=messages,
-                    )
-                tracker.record(
-                    PassStats(
-                        pass_index=t,
-                        max_rel_change=max_change,
-                        active_documents=n_active,
-                        messages=messages,
-                        deferred_messages=0,
-                        live_peers=self.num_peers,
-                        computed_documents=n,
-                    )
-                )
-                if n_active == 0:
-                    converged = True
-                    break
-        return tracker.finish(rank.copy(), converged)
-
-    # ------------------------------------------------------------------
-    # Churn path: peers leave and join between passes (§3.1)
-    # ------------------------------------------------------------------
     def _run_churn(
         self,
         max_passes: int,
@@ -468,186 +300,100 @@ class ChaoticPagerank:
         fault_plan: Optional[FaultPlan] = None,
         max_dead_passes: int = 50,
     ) -> RunReport:
+        """Peers leave and join between passes (§3.1): the churn step."""
+        return self._solve(
+            max_passes, availability, initial_ranks, keep_history, on_pass,
+            fault_plan=fault_plan, max_dead_passes=max_dead_passes,
+        )
+
+    def _solve(
+        self,
+        max_passes: int,
+        availability: Optional[AvailabilityModel],
+        initial_ranks: Optional[np.ndarray],
+        keep_history: bool,
+        on_pass: Optional[PassObserver],
+        *,
+        fault_plan: Optional[FaultPlan] = None,
+        max_dead_passes: int = 50,
+    ) -> RunReport:
+        """Run one whole-graph shard of the pass step (churn mode when
+        ``availability`` is given) and report every pass through the
+        ``core.*`` metrics, the trace and the tracker."""
         n = self.graph.num_nodes
-        ws = self.workspace
-        src, dst = ws.src, ws.dst
-        cross = self._cross_edge
         tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
         if n == 0:
             return tracker.finish(np.zeros(0), True)
-
-        rank = self._initial_rank_vector(initial_ranks)
-        # Per-edge receiver-side view of the source's rank: initialized
-        # to the globally known initial value.
-        delivered = rank[src].copy()
-        pending = np.zeros(src.size, dtype=bool)
-        pending_val = np.zeros(src.size, dtype=np.float64)
-        # dirty[i]: document i received a delivery it has not yet
-        # folded into a recompute (prevents declaring convergence while
-        # an absent peer still owes a recompute).
-        dirty = np.zeros(n, dtype=bool)
-
-        new = np.empty_like(rank)
-        err = np.empty_like(rank)
-
+        churn = availability is not None
+        rank = initial_rank_vector(n, self.init_rank, initial_ranks)
+        stats = np.zeros((1, N_STAT_COLS), dtype=np.float64)
+        views = {"rank": rank, "stats": stats}
+        if churn:
+            views["active"] = np.zeros(n, dtype=bool)
+        else:
+            views["last_sent"] = rank.copy()
+        runner = ShardRunner(
+            WorkerState(
+                damping=self.damping,
+                epsilon=self.epsilon,
+                churn=churn,
+                views=views,
+                workspace=self.workspace,
+                indptr=self.graph.indptr,
+                indices=self.graph.indices,
+                assignment=self.assignment,
+                cross_edge=self._cross_edge,
+                remote_outdeg=self._remote_outdeg,
+                fault_plans=[fault_plan],
+            )
+        )
         obs = _CoreInstruments(get_registry())
         sink = get_trace_sink()
-        converged = False
-        dead_streak = 0
+
+        def record(t: int, live_peers: int) -> None:
+            obs.passes.inc()
+            obs.live_peers.set(live_peers)
+            if not live_peers:
+                obs.dead_passes.inc()
+                tracker.record(pass_stats(stats, t, 0))
+                return
+            ps = pass_stats(stats, t, live_peers, None if churn else n)
+            resent = int(stats[:, COL_RESENT].sum())
+            obs.updates.inc(ps.active_documents)
+            obs.messages.inc(ps.messages)
+            obs.deferred.inc(ps.deferred_messages)
+            obs.resent.inc(resent)
+            obs.dropped.inc(int(stats[:, COL_DROPPED].sum()))
+            obs.residual.set(ps.max_rel_change)
+            obs.active.set(ps.active_documents)
+            if sink.enabled:
+                extra = (
+                    {"deferred": ps.deferred_messages, "resent": resent,
+                     "live_peers": live_peers}
+                    if churn else {}
+                )
+                sink.event(
+                    "core.pass", pass_index=t, residual=ps.max_rel_change,
+                    active_documents=ps.active_documents,
+                    messages=ps.messages, **extra,
+                )
+            tracker.record(ps)
+
         with sink.span(
-            "core.run", mode="churn", documents=n,
+            "core.run", mode="churn" if churn else "static", documents=n,
             peers=self.num_peers, epsilon=self.epsilon,
         ):
-            for t in range(max_passes):
-                live_peer = np.asarray(availability.sample(t), dtype=bool)
-                if live_peer.shape != (self.num_peers,):
-                    raise ValueError(
-                        f"availability.sample must return shape ({self.num_peers},), "
-                        f"got {live_peer.shape}"
-                    )
-                if not live_peer.any():
-                    # All peers down: skip the pass — with nothing live,
-                    # active/pending/dirty are vacuously quiet and the
-                    # convergence check would falsely fire.
-                    dead_streak += 1
-                    obs.passes.inc()
-                    obs.dead_passes.inc()
-                    obs.live_peers.set(0)
-                    tracker.record(
-                        PassStats(
-                            pass_index=t,
-                            max_rel_change=0.0,
-                            active_documents=0,
-                            messages=0,
-                            deferred_messages=int(pending.sum()),
-                            live_peers=0,
-                            computed_documents=0,
-                        )
-                    )
-                    if dead_streak >= max_dead_passes:
-                        raise RuntimeError(
-                            f"no live peers for {dead_streak} consecutive "
-                            f"passes (pass {t}); the availability model "
-                            "starves the computation — raise availability "
-                            "or max_dead_passes"
-                        )
-                    continue
-                dead_streak = 0
-                with obs.pass_timer:
-                    live_doc = live_peer[self.assignment]
-                    src_live = live_doc[src]
-                    dst_live = live_doc[dst]
-
-                    # 1) Store-and-resend: stored updates whose sender and
-                    #    receiver are both now present get delivered.
-                    resend = pending & src_live & dst_live
-                    n_dropped = 0
-                    if fault_plan is not None and resend.any():
-                        # Retransmissions travel the same lossy links: a
-                        # dropped one simply stays pending for next pass.
-                        cand = np.flatnonzero(resend)
-                        kept = fault_plan.edge_delivery_mask(t, cand.size)
-                        if not kept.all():
-                            resend[cand[~kept]] = False
-                            n_dropped += int((~kept).sum())
-                    n_resent = int(resend.sum())
-                    if n_resent:
-                        delivered[resend] = pending_val[resend]
-                        pending[resend] = False
-                        dirty[dst[resend]] = True
-
-                    # 2) Live documents recompute from their delivered inputs.
-                    ws.pull_edges(delivered, self.damping, out=new)
-                    np.copyto(new, rank, where=~live_doc)
-                    relative_change(rank, new, out=err)
-                    err[~live_doc] = 0.0
-                    dirty[live_doc] = False
-
-                    active = live_doc & (err > self.epsilon)
-                    send_edge = active[src]
-                    deliver_edge = send_edge & dst_live
-                    defer_edge = send_edge & ~dst_live
-
-                    if fault_plan is not None:
-                        # Lossy-send hook: each cross-peer delivery rolls
-                        # the plan; a lost copy is parked in the
-                        # store-and-resend state and retried next pass —
-                        # the pass-granular equivalent of a reliable
-                        # transport's ack-timeout retransmission.
-                        lossy = np.flatnonzero(deliver_edge & cross)
-                        if lossy.size:
-                            kept = fault_plan.edge_delivery_mask(t, lossy.size)
-                            if not kept.all():
-                                lost = lossy[~kept]
-                                deliver_edge[lost] = False
-                                pending_val[lost] = new[src[lost]]
-                                pending[lost] = True
-                                n_dropped += lost.size
-                        # A fresh value that does get through supersedes
-                        # any staler copy still awaiting retransmission.
-                        pending[deliver_edge] = False
-
-                    # 3) Deliver to present receivers; store for absent ones.
-                    if deliver_edge.any():
-                        delivered[deliver_edge] = new[src[deliver_edge]]
-                        dirty[dst[deliver_edge]] = True
-                    if defer_edge.any():
-                        pending_val[defer_edge] = new[src[defer_edge]]
-                        pending[defer_edge] = True
-
-                    messages = int((deliver_edge & cross).sum()) + n_resent
-                    deferred = int(defer_edge.sum())
-                    np.copyto(rank, new)
-                if on_pass is not None:
-                    on_pass(t, rank)
-
-                max_change = float(err.max())
-                n_active = int(active.sum())
-                n_live = int(live_peer.sum())
-                obs.passes.inc()
-                obs.updates.inc(n_active)
-                obs.messages.inc(messages)
-                obs.deferred.inc(deferred)
-                obs.resent.inc(n_resent)
-                obs.dropped.inc(n_dropped)
-                obs.residual.set(max_change)
-                obs.active.set(n_active)
-                obs.live_peers.set(n_live)
-                if sink.enabled:
-                    sink.event(
-                        "core.pass", pass_index=t, residual=max_change,
-                        active_documents=n_active, messages=messages,
-                        deferred=deferred, resent=n_resent, live_peers=n_live,
-                    )
-                tracker.record(
-                    PassStats(
-                        pass_index=t,
-                        max_rel_change=max_change,
-                        active_documents=n_active,
-                        messages=messages,
-                        deferred_messages=deferred,
-                        live_peers=n_live,
-                        computed_documents=int(live_doc.sum()),
-                    )
-                )
-                if not active.any() and not pending.any() and not dirty.any():
-                    converged = True
-                    break
-        return tracker.finish(rank.copy(), converged)
-
-    # ------------------------------------------------------------------
-    def _initial_rank_vector(self, initial_ranks: Optional[np.ndarray]) -> np.ndarray:
-        n = self.graph.num_nodes
-        if initial_ranks is None:
-            return np.full(n, self.init_rank, dtype=np.float64)
-        initial_ranks = np.asarray(initial_ranks, dtype=np.float64)
-        if initial_ranks.shape != (n,):
-            raise ValueError(
-                f"initial_ranks must have shape ({n},), got {initial_ranks.shape}"
+            converged = run_shards(
+                [runner],
+                max_passes=max_passes,
+                num_peers=self.num_peers,
+                record=record,
+                availability=availability,
+                max_dead_passes=max_dead_passes,
+                on_pass=on_pass,
+                pass_timer=obs.pass_timer,
             )
-        if np.any(initial_ranks <= 0):
-            raise ValueError("initial_ranks must be strictly positive")
-        return initial_ranks.copy()
+        return tracker.finish(rank.copy(), converged)
 
 
 def distributed_pagerank(

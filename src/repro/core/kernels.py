@@ -5,23 +5,18 @@ engine compute, once per pass, the quantity
 
     new(i) = (1 - d) + d * Σ_{j -> i} value(j) / outdeg(j)
 
-over every in-link of every document (paper Eq. 1).  Two kernel
-backends implement that contract, selected by the ``REPRO_KERNEL``
-environment variable (read once per workspace construction):
-
-* ``csr`` (default) — :class:`CSRWorkspace`, a precomputed reverse-CSR
-  (in-adjacency) layout of flat numpy ``indptr``/``indices``/``data``
-  arrays (no scipy).  Besides the full pull it supports **selective
-  row recomputation** (:meth:`CSRWorkspace.pull_rows`): only the rows
-  whose in-edge inputs changed since the last pass are re-summed.  A
-  row whose inputs are untouched would re-sum to bit-identical values,
-  so skipping it cannot change any result — the speedup is mechanical,
-  not semantic (the differential suite proves byte-identical ranks and
-  pass counts against the naive backend on every seed).
-* ``naive`` — :class:`EdgeWorkspace`, the original per-edge layout
-  (full gather + scatter-add over every edge, every pass).  Kept as
-  the reference the differential tests compare against; select it with
-  ``REPRO_KERNEL=naive``.
+over every in-link of every document (paper Eq. 1).  One kernel class
+implements that contract: :class:`CSRWorkspace`, a precomputed
+reverse-CSR (in-adjacency) layout of flat numpy ``indptr``/``indices``/
+``data`` arrays (no scipy), plus the forward per-edge arrays.  Besides
+the full pull it supports **selective row recomputation**
+(:meth:`CSRWorkspace.pull_rows`): only the rows whose in-edge inputs
+changed since the last pass are re-summed.  A row whose inputs are
+untouched would re-sum to bit-identical values, so skipping it cannot
+change any result — the speedup is mechanical, not semantic.  The same
+class covers the whole graph (:meth:`CSRWorkspace.from_graph`) or a
+row subset of it (:meth:`CSRWorkspace.restrict`, one shard of the
+sharded pass in :mod:`repro.core.shard`).
 
 Bit-identity rests on one numerical fact the test suite pins down:
 ``np.bincount`` accumulates its weights *sequentially* in array order,
@@ -29,7 +24,9 @@ so per-target sums come out identical whether the edges are walked in
 forward (source-major) order or grouped per row of the reverse CSR —
 within one target, both orders list in-edges by ascending source.
 (``np.add.reduceat`` is *not* used: it sums pairwise, which rounds
-differently.)
+differently.)  The differential suite keeps a plain per-edge pull as
+an independent oracle (``tests/differential/edge_oracle.py``) and
+checks the engines against it bit for bit.
 
 Workspaces hold precomputed arrays plus reusable output buffers
 (allocated once, reused every pass — "be easy on the memory" per the
@@ -38,42 +35,18 @@ optimization guide).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.linkgraph import LinkGraph
 
 __all__ = [
-    "EdgeWorkspace",
     "CSRWorkspace",
-    "ShardCSRView",
-    "Workspace",
-    "kernel_backend",
-    "make_workspace",
     "expand_rows",
     "relative_change",
 ]
-
-#: Environment variable selecting the kernel backend (``csr``/``naive``).
-_KERNEL_ENV = "REPRO_KERNEL"
-
-
-def kernel_backend() -> str:
-    """The kernel backend selected by ``REPRO_KERNEL`` (default ``csr``).
-
-    Read at every workspace construction, so tests can flip the
-    environment between engine instantiations.  Unknown values raise
-    immediately rather than silently running the wrong kernel.
-    """
-    backend = os.environ.get(_KERNEL_ENV, "csr").strip().lower()
-    if backend not in ("csr", "naive"):
-        raise ValueError(
-            f"{_KERNEL_ENV} must be 'csr' or 'naive', got {backend!r}"
-        )
-    return backend
 
 
 def expand_rows(
@@ -100,121 +73,38 @@ def expand_rows(
 
 
 @dataclass
-class EdgeWorkspace:
-    """Per-edge arrays + scratch buffers (the ``naive`` kernel backend).
-
-    Attributes
-    ----------
-    src:
-        Source document of every edge (length E).
-    dst:
-        Target document of every edge (length E).
-    inv_outdeg:
-        ``1 / outdeg`` per *node* (0.0 for dangling nodes so a gather
-        through it contributes nothing).
-    edge_weight:
-        ``inv_outdeg[src]`` per edge — the share of the source's rank
-        this edge carries.
-    """
-
-    num_nodes: int
-    src: np.ndarray
-    dst: np.ndarray
-    inv_outdeg: np.ndarray
-    edge_weight: np.ndarray
-    _contrib: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-
-    @classmethod
-    def from_graph(cls, graph: LinkGraph) -> "EdgeWorkspace":
-        """Build the workspace for ``graph`` (O(E) one-time setup)."""
-        n = graph.num_nodes
-        out_deg = graph.out_degrees()
-        src = np.repeat(np.arange(n, dtype=np.int64), out_deg)
-        dst = graph.indices
-        inv = np.zeros(n, dtype=np.float64)
-        nz = out_deg > 0
-        inv[nz] = 1.0 / out_deg[nz]
-        ws = cls(
-            num_nodes=n,
-            src=src,
-            dst=dst,
-            inv_outdeg=inv,
-            edge_weight=inv[src],
-        )
-        ws._contrib = np.empty(src.size, dtype=np.float64)
-        return ws
-
-    def pull(self, values: np.ndarray, damping: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """One full pull pass: ``(1-d) + d * Σ_in values[src]/outdeg``.
-
-        Parameters
-        ----------
-        values:
-            Per-node values visible to receivers (current ranks for the
-            synchronous solver; last-*sent* ranks for the chaotic one).
-        damping:
-            The damping factor ``d``.
-        out:
-            Optional preallocated length-N output buffer.
-
-        Returns
-        -------
-        numpy.ndarray
-            The new rank of every node.
-        """
-        np.multiply(values[self.src], self.edge_weight, out=self._contrib)
-        acc = np.bincount(self.dst, weights=self._contrib, minlength=self.num_nodes)
-        if out is None:
-            out = np.empty(self.num_nodes, dtype=np.float64)
-        np.multiply(acc, damping, out=out)
-        out += 1.0 - damping
-        return out
-
-    def pull_edges(
-        self,
-        edge_values: np.ndarray,
-        damping: float,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Pull pass where each edge carries its own delivered value.
-
-        Used by the churn-aware engine: ``edge_values[e]`` is the last
-        value actually *delivered* along edge ``e`` (deliveries fail
-        while the receiving peer is absent), so different out-edges of
-        the same document may carry different vintages of its rank —
-        exactly the store-and-resend behaviour of §3.1.
-        """
-        np.multiply(edge_values, self.edge_weight, out=self._contrib)
-        acc = np.bincount(self.dst, weights=self._contrib, minlength=self.num_nodes)
-        if out is None:
-            out = np.empty(self.num_nodes, dtype=np.float64)
-        np.multiply(acc, damping, out=out)
-        out += 1.0 - damping
-        return out
-
-
-@dataclass
 class CSRWorkspace:
     """Reverse-CSR pull kernel with selective row recomputation.
 
     The layout is three flat numpy arrays (no scipy): ``rindptr`` of
-    length ``N + 1``, ``rindices`` listing the *source* document of
+    length ``rows + 1``, ``rindices`` listing the *source* document of
     every in-edge grouped by target, and ``rdata`` carrying the edge
     weight ``1/outdeg(source)``.  Within one target the sources appear
     in ascending order — the same per-target order ``np.bincount``
     accumulates the forward (source-major) edge walk in, which is what
-    makes every kernel here bit-identical to :class:`EdgeWorkspace`.
+    makes :meth:`pull`, :meth:`pull_rows` and :meth:`pull_edges`
+    bit-identical to one another and to a plain per-edge pull.
 
     The forward per-edge arrays (``src``/``dst``/``edge_weight``) are
-    kept too: the churn engine's §3.1 per-edge delivered-value state
-    and the frontier expansion of the selective path both need them.
+    kept too: the churn step's §3.1 per-edge delivered-value state
+    needs them.
+
+    A workspace covers a set of *rows* (target documents): every
+    document for :meth:`from_graph`, a sorted subset for
+    :meth:`restrict`.  Row ids — ``dst``, the rows :meth:`pull_rows`
+    takes and the positions of every output — are local to that set;
+    source ids (``src``, ``rindices``) stay global, so every kernel
+    reads straight out of a whole-graph value array.
 
     Attributes
     ----------
+    num_nodes:
+        Rows the kernels compute (every document of a whole-graph
+        workspace).
     rindptr:
-        In-adjacency row pointers (length N + 1).
+        In-adjacency row pointers (length ``num_nodes + 1``).
     rindices:
-        In-edge source document per reverse-CSR entry (length E).
+        In-edge source document per reverse-CSR entry.
     rdata:
         ``inv_outdeg[rindices]`` — the weight of each in-edge.
     """
@@ -245,15 +135,55 @@ class CSRWorkspace:
         # keeps, within each target, the ascending-source order the
         # forward bincount accumulates in.
         order = np.argsort(dst, kind="stable")
-        rindices = src[order]
-        rdata = edge_weight[order]
         rindptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=rindptr[1:])
+        return cls._build(
+            src, dst, inv, edge_weight, rindptr, src[order], edge_weight[order]
+        )
+
+    def restrict(self, rows: np.ndarray) -> "CSRWorkspace":
+        """The same kernels over ``rows`` (sorted, unique document ids)
+        of this whole-graph workspace (O(E) one-time setup).
+
+        Every row keeps its complete in-edge list in ascending-source
+        order, in both layouts, so the values computed for ``rows`` are
+        bit-identical to what the whole-graph kernels put there — the
+        partition cannot change any result, only who computes it.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        pos, lens = expand_rows(self.rindptr, rows)
+        rindptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=rindptr[1:])
+        member = np.zeros(self.num_nodes, dtype=bool)
+        member[rows] = True
+        sel = np.flatnonzero(member[self.dst])
+        return self._build(
+            self.src[sel],
+            np.searchsorted(rows, self.dst[sel]),
+            self.inv_outdeg,
+            self.edge_weight[sel],
+            rindptr,
+            self.rindices[pos],
+            self.rdata[pos],
+        )
+
+    @classmethod
+    def _build(
+        cls,
+        src: np.ndarray,
+        dst: np.ndarray,
+        inv_outdeg: np.ndarray,
+        edge_weight: np.ndarray,
+        rindptr: np.ndarray,
+        rindices: np.ndarray,
+        rdata: np.ndarray,
+    ) -> "CSRWorkspace":
+        rows = rindptr.size - 1
         ws = cls(
-            num_nodes=n,
+            num_nodes=rows,
             src=src,
             dst=dst,
-            inv_outdeg=inv,
+            inv_outdeg=inv_outdeg,
             edge_weight=edge_weight,
             rindptr=rindptr,
             rindices=rindices,
@@ -261,17 +191,29 @@ class CSRWorkspace:
         )
         ws._contrib = np.empty(src.size, dtype=np.float64)
         ws._rev_rowids = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(rindptr)
+            np.arange(rows, dtype=np.int64), np.diff(rindptr)
         )
         return ws
 
     # ------------------------------------------------------------------
-    def pull(self, values: np.ndarray, damping: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """One full pull pass over the reverse layout.
+    def row_edges(self, rows: np.ndarray) -> int:
+        """Total in-edge count of ``rows``."""
+        return int((self.rindptr[rows + 1] - self.rindptr[rows]).sum())
 
-        Bit-identical to :meth:`EdgeWorkspace.pull`: the per-target
-        accumulation order (ascending source) and the scalar epilogue
-        (multiply by ``d``, add ``1 - d``) are the same.
+    def pull(self, values: np.ndarray, damping: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """One full pull pass over the reverse layout: the new rank of
+        every row from the global ``values`` (``(1-d) + d * Σ_in
+        values[src]/outdeg``).
+
+        Parameters
+        ----------
+        values:
+            Per-node values visible to receivers (current ranks for the
+            synchronous solver; last-*sent* ranks for the chaotic one).
+        damping:
+            The damping factor ``d``.
+        out:
+            Optional preallocated length-``num_nodes`` output buffer.
         """
         np.multiply(values[self.rindices], self.rdata, out=self._contrib)
         acc = np.bincount(
@@ -286,7 +228,7 @@ class CSRWorkspace:
     def pull_rows(
         self, values: np.ndarray, damping: float, rows: np.ndarray
     ) -> np.ndarray:
-        """Selective pull: recompute only ``rows`` (sorted node ids).
+        """Selective pull: recompute only ``rows`` (sorted row ids).
 
         Returns the new rank of each requested row, bit-identical to
         what a full pull would produce there: each row's in-edges are
@@ -305,29 +247,19 @@ class CSRWorkspace:
         acc += 1.0 - damping
         return acc
 
-    def out_neighbors_mask(
-        self, rows: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Mark (in ``out``, a length-N bool buffer) every out-link
-        target of ``rows`` — the frontier whose inputs just changed."""
-        out[:] = False
-        pos, _ = expand_rows(indptr, rows)
-        if pos.size:
-            out[indices[pos]] = True
-        return out
-
     def pull_edges(
         self,
         edge_values: np.ndarray,
         damping: float,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Pull pass where each edge carries its own delivered value
-        (§3.1 churn state; see :meth:`EdgeWorkspace.pull_edges`).
+        """Pull pass where each edge carries its own delivered value.
 
-        Operates on the forward per-edge arrays, so it is the very same
-        computation as the naive backend's.
+        Used by the churn step: ``edge_values[e]`` is the last value
+        actually *delivered* along forward edge ``e`` (deliveries fail
+        while the receiving peer is absent), so different out-edges of
+        the same document may carry different vintages of its rank —
+        exactly the store-and-resend behaviour of §3.1.
         """
         np.multiply(edge_values, self.edge_weight, out=self._contrib)
         acc = np.bincount(self.dst, weights=self._contrib, minlength=self.num_nodes)
@@ -336,133 +268,6 @@ class CSRWorkspace:
         np.multiply(acc, damping, out=out)
         out += 1.0 - damping
         return out
-
-
-@dataclass
-class ShardCSRView:
-    """Read-only sub-CSR over a fixed row subset of a :class:`CSRWorkspace`.
-
-    The multi-process sharded engine (:mod:`repro.parallel`) gives each
-    worker shard a slice of the reverse CSR covering only its own rows;
-    source indices stay *global* so a shard pulls straight out of the
-    shared last-sent array without any id translation.  Because every
-    row keeps its complete in-edge list in the original ascending-source
-    order and the accumulation is the same sequential ``np.bincount``,
-    the values a shard computes for its rows are bit-identical to what
-    a full :meth:`CSRWorkspace.pull` over the whole graph would put
-    there — the partition cannot change any result, only who computes
-    it (the differential suite pins this down per seed).
-
-    Attributes
-    ----------
-    rows:
-        Global ids of the rows this view covers (sorted ascending).
-    rindptr:
-        Local in-adjacency row pointers (length ``rows.size + 1``).
-    rindices:
-        Global source id per in-edge of the covered rows.
-    rdata:
-        ``1/outdeg(source)`` weight per in-edge.
-    """
-
-    num_nodes: int
-    rows: np.ndarray
-    rindptr: np.ndarray
-    rindices: np.ndarray
-    rdata: np.ndarray
-    _contrib: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _rowids: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-
-    @classmethod
-    def from_workspace(
-        cls, ws: CSRWorkspace, rows: np.ndarray
-    ) -> "ShardCSRView":
-        """Slice the reverse CSR of ``ws`` down to ``rows`` (O(shard
-        edges) one-time setup; ``rows`` must be sorted and unique)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        pos, lens = expand_rows(ws.rindptr, rows)
-        rindptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=rindptr[1:])
-        view = cls(
-            num_nodes=ws.num_nodes,
-            rows=rows,
-            rindptr=rindptr,
-            rindices=ws.rindices[pos].copy(),
-            rdata=ws.rdata[pos].copy(),
-        )
-        view._contrib = np.empty(pos.size, dtype=np.float64)
-        view._rowids = np.repeat(np.arange(rows.size, dtype=np.int64), lens)
-        return view
-
-    @property
-    def num_rows(self) -> int:
-        """Rows covered by this view."""
-        return int(self.rows.size)
-
-    @property
-    def num_edges(self) -> int:
-        """In-edges of the covered rows."""
-        return int(self.rindices.size)
-
-    def row_edges(self, local_rows: np.ndarray) -> int:
-        """Total in-edge count of the given *local* row indices."""
-        return int(
-            (self.rindptr[local_rows + 1] - self.rindptr[local_rows]).sum()
-        )
-
-    def pull(
-        self,
-        values: np.ndarray,
-        damping: float,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Recompute every covered row from the global ``values`` array.
-
-        Returns a length-``num_rows`` array aligned with :attr:`rows`,
-        bit-identical to the same rows of a full-graph pull.
-        """
-        np.multiply(values[self.rindices], self.rdata, out=self._contrib)
-        acc = np.bincount(
-            self._rowids, weights=self._contrib, minlength=self.rows.size
-        )
-        if out is None:
-            out = np.empty(self.rows.size, dtype=np.float64)
-        np.multiply(acc, damping, out=out)
-        out += 1.0 - damping
-        return out
-
-    def pull_rows(
-        self, values: np.ndarray, damping: float, local_rows: np.ndarray
-    ) -> np.ndarray:
-        """Selective pull of the given *local* row indices (sorted).
-
-        The shard-local twin of :meth:`CSRWorkspace.pull_rows`: same
-        expansion, same sequential ``bincount``, so the returned values
-        are bit-identical to a full pull's at ``rows[local_rows]``.
-        """
-        pos, lens = expand_rows(self.rindptr, local_rows)
-        k = local_rows.size
-        if pos.size == 0:
-            return np.full(k, 1.0 - damping, dtype=np.float64)
-        contrib = values[self.rindices[pos]]
-        contrib *= self.rdata[pos]
-        local = np.repeat(np.arange(k, dtype=np.int64), lens)
-        acc = np.bincount(local, weights=contrib, minlength=k)
-        np.multiply(acc, damping, out=acc)
-        acc += 1.0 - damping
-        return acc
-
-
-#: Either kernel backend; engines accept both interchangeably.
-Workspace = Union[CSRWorkspace, EdgeWorkspace]
-
-
-def make_workspace(graph: LinkGraph) -> Workspace:
-    """Build the pass-kernel workspace for ``graph`` under the backend
-    selected by ``REPRO_KERNEL`` (see :func:`kernel_backend`)."""
-    if kernel_backend() == "naive":
-        return EdgeWorkspace.from_graph(graph)
-    return CSRWorkspace.from_graph(graph)
 
 
 def relative_change(old: np.ndarray, new: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

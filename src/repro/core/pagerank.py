@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro._util import check_positive, check_threshold
-from repro.core.kernels import Workspace, make_workspace, relative_change
+from repro.core.kernels import CSRWorkspace, relative_change
 from repro.graphs.linkgraph import LinkGraph
 
 __all__ = ["PagerankResult", "pagerank_reference", "DEFAULT_DAMPING"]
@@ -72,7 +72,7 @@ def pagerank_reference(
     max_iter: int = 10_000,
     init_rank: float = 1.0,
     dangling: str = "none",
-    workspace: Optional[Workspace] = None,
+    workspace: Optional[CSRWorkspace] = None,
 ) -> PagerankResult:
     """Solve Eq. 1 synchronously to tolerance ``tol``.
 
@@ -96,9 +96,8 @@ def pagerank_reference(
         ``"none"`` (paper-faithful: dangling documents contribute no
         rank) or ``"redistribute"`` (spread dangling rank uniformly).
     workspace:
-        Optional precomputed kernel workspace (either backend, see
-        :func:`repro.core.kernels.make_workspace`), for callers that
-        run several solves on the same graph.
+        Optional precomputed :class:`~repro.core.kernels.CSRWorkspace`,
+        for callers that run several solves on the same graph.
 
     Returns
     -------
@@ -116,7 +115,7 @@ def pagerank_reference(
     if n == 0:
         return PagerankResult(np.zeros(0), 0, True, 0.0)
 
-    ws = workspace if workspace is not None else make_workspace(graph)
+    ws = workspace if workspace is not None else CSRWorkspace.from_graph(graph)
     dangling_mask = graph.out_degrees() == 0 if dangling == "redistribute" else None
 
     rank = np.full(n, float(init_rank), dtype=np.float64)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
-from repro.core.kernels import make_workspace, relative_change
+from repro.core.kernels import CSRWorkspace, relative_change
 from repro.core.pagerank import DEFAULT_DAMPING, PagerankResult
 from repro.graphs.linkgraph import LinkGraph
 
@@ -89,7 +89,7 @@ def personalized_reference(
     v = _validate_preference(preference, n)
     teleport = (1.0 - damping) * n * v
 
-    ws = make_workspace(graph)
+    ws = CSRWorkspace.from_graph(graph)
     rank = np.full(n, 1.0)
     new = np.empty_like(rank)
     err = np.empty_like(rank)
@@ -141,7 +141,7 @@ def personalized_chaotic(
         if assignment.shape != (n,):
             raise ValueError(f"assignment must have shape ({n},)")
 
-    ws = make_workspace(graph)
+    ws = CSRWorkspace.from_graph(graph)
     src = ws.src
     cross = assignment[src] != assignment[ws.dst]
     remote_outdeg = np.bincount(src[cross], minlength=n).astype(np.int64)

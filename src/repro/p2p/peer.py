@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.kernels import expand_rows, kernel_backend, relative_change
+from repro.core.kernels import expand_rows, relative_change
 from repro.graphs.linkgraph import LinkGraph
 from repro.p2p.messages import Outbox, PagerankUpdate, UpdateColumns
 
@@ -125,13 +125,12 @@ class Peer:
         # operations match the vectorized engine bit for bit (the
         # integration tests assert exact rank equality).
         self._inv_out = graph.inv_out_degrees()
-        # Per-peer reverse sub-CSR shard (``csr`` kernel backend only).
-        # Built lazily from the global reverse graph; invalidated when
-        # the local document set changes (surrender/adopt).  The shard
-        # accumulates with np.bincount, whose sequential accumulation
-        # order over ``in_links(doc)`` is bit-identical to the
-        # per-edge Python loop in :meth:`_fresh_rank`.
-        self._use_csr = kernel_backend() == "csr"
+        # Per-peer reverse sub-CSR shard.  Built lazily from the global
+        # reverse graph; invalidated when the local document set
+        # changes (surrender/adopt).  The shard accumulates with
+        # np.bincount, whose sequential accumulation order over
+        # ``in_links(doc)`` is bit-identical to the per-document loop
+        # in :meth:`_fresh_rank`.
         self._lsrc: Optional[np.ndarray] = None  # flat in-link sources
         self._lrow: Optional[np.ndarray] = None  # local row id per in-link
         self._lslot: Optional[np.ndarray] = None  # visible-slot per in-link
@@ -384,14 +383,9 @@ class Peer:
         -------
         PassOutcome
         """
-        if self._use_csr:
-            new = self._pull_csr(damping)
-            old = self._rank_arr
-            self._rank_arr = new
-        else:
-            docs = self.documents.tolist()
-            old = np.array([self.rank[d] for d in docs], dtype=np.float64)
-            new = np.array([self._fresh_rank(d, damping) for d in docs], dtype=np.float64)
+        new = self._pull_csr(damping)
+        old = self._rank_arr
+        self._rank_arr = new
         assert old is not None
         docs_arr = self.documents
         rel = relative_change(old, new)
@@ -410,9 +404,8 @@ class Peer:
         )
 
     def _pull_csr(self, damping: float) -> np.ndarray:
-        """New ranks of the local documents (``csr`` kernel backend):
-        one bincount segment-sum over the local in-link shard instead
-        of a per-edge Python loop.
+        """New ranks of the local documents: one bincount segment-sum
+        over the local in-link shard instead of a per-edge Python loop.
 
         Bit-identical to :meth:`_fresh_rank`: bincount accumulates each
         row's contributions sequentially in ``in_links(doc)`` order, and

@@ -7,17 +7,20 @@ arena every worker maps zero-copy, and passes proceed in barrier-
 separated compute/publish phases whose cross-shard exchange is priced
 like the paper's 24-byte update messages (§4.6.1).  The engine is
 deterministic by construction: results depend on the shard count,
-never the worker count, and a one-shard run is bit-identical to the
-serial :class:`~repro.core.distributed.ChaoticPagerank` — see
-docs/PERFORMANCE.md "Sharded execution model".
+never the worker count.  The per-shard pass step and the partition
+live in :mod:`repro.core.shard` — the serial
+:class:`~repro.core.distributed.ChaoticPagerank` is its one-shard case
+— so this package holds only the process machinery: the arena, the
+worker loops and :class:`ParallelPagerank` (docs/PERFORMANCE.md
+"Sharded execution model").
 """
 
+from repro.core.shard import ShardPlan, build_shard_plan
 from repro.parallel.engine import (
     ExchangeStats,
     ParallelPagerank,
     parallel_pagerank,
 )
-from repro.parallel.plan import ShardPlan, build_shard_plan
 from repro.parallel.state import SharedArena, plan_layout
 
 __all__ = [

@@ -29,44 +29,45 @@ import multiprocessing as mp
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro._util import check_positive, check_threshold
-from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
-from repro.core.distributed import AvailabilityModel, PassObserver
+from repro.core.convergence import ConvergenceTracker, RunReport
 from repro.core.kernels import expand_rows
 from repro.core.pagerank import DEFAULT_DAMPING
+from repro.core.shard import (
+    COL_COMPUTE_S,
+    COL_CUT,
+    N_STAT_COLS,
+    AllLive,
+    AvailabilityModel,
+    PassObserver,
+    ShardPlan,
+    ShardRunner,
+    build_shard_plan,
+    check_run_budget,
+    churn_should_stop,
+    initial_rank_vector,
+    live_mask,
+    pass_stats,
+    resolve_assignment,
+    run_shards,
+    starvation_error,
+    static_should_stop,
+)
 from repro.faults.plan import FaultSpec
 from repro.graphs.linkgraph import LinkGraph
 from repro.obs import MetricsRegistry, get_registry
 from repro.p2p.messages import MESSAGE_SIZE_BYTES
 from repro.p2p.routing import DeliveryPolicy
-from repro.parallel.control import (
-    COL_ACTIVE,
-    COL_COMPUTE_S,
-    COL_COMPUTED,
-    COL_CUT,
-    COL_DEFERRED,
-    COL_DROPPED,
-    COL_MAX_CHANGE,
-    COL_MESSAGES,
-    COL_PUBLISHED,
-    COL_RESENT,
-    N_STAT_COLS,
-    churn_should_stop,
-    static_pass_is_dense,
-    static_should_stop,
-)
-from repro.parallel.plan import ShardPlan, build_shard_plan
 from repro.parallel.state import ArraySpec, SharedArena
 from repro.parallel.worker import (
     BARRIER_TIMEOUT_S,
     RunConfig,
-    ShardRunner,
     build_worker_state,
-    gather_published,
+    published_regions,
     worker_main,
 )
 
@@ -86,16 +87,13 @@ class ExchangeStats:
     hops: int
 
 
-class _AllPresent:
-    """Availability model with every peer always live; routes
-    fault-only runs through the per-edge churn path (picklable, no
-    RNG, so every party trivially agrees)."""
+@dataclass
+class _Tally:
+    """Running totals of one run's cross-shard exchange and compute."""
 
-    def __init__(self, num_peers: int) -> None:
-        self._mask = np.ones(num_peers, dtype=bool)
-
-    def sample(self, pass_index: int) -> np.ndarray:
-        return self._mask
+    messages: int = 0
+    hops: int = 0
+    compute: float = 0.0
 
 
 class _ParallelInstruments:
@@ -201,26 +199,9 @@ class ParallelPagerank:
         self.init_rank = float(init_rank)
         self.backend = backend
 
-        n = graph.num_nodes
-        if assignment is None:
-            assignment = np.arange(n, dtype=np.int64)
-            inferred_peers = n
-        else:
-            assignment = np.asarray(assignment, dtype=np.int64)
-            if assignment.shape != (n,):
-                raise ValueError(
-                    f"assignment must have shape ({n},), got {assignment.shape}"
-                )
-            if n and assignment.min() < 0:
-                raise ValueError("peer ids must be non-negative")
-            inferred_peers = int(assignment.max()) + 1 if n else 0
-        self.assignment = assignment
-        self.num_peers = int(num_peers) if num_peers is not None else inferred_peers
-        if n and self.num_peers <= int(assignment.max()):
-            raise ValueError(
-                f"num_peers={self.num_peers} too small for assignment "
-                f"max {int(assignment.max())}"
-            )
+        self.assignment, self.num_peers = resolve_assignment(
+            graph.num_nodes, assignment, num_peers
+        )
 
         max_shards = max(self.num_peers, 1)
         if shards is None:
@@ -266,10 +247,7 @@ class ParallelPagerank:
         prices cross-shard exchange hops on the static path (direct
         delivery — one hop per delta — when ``None``).
         """
-        if max_dead_passes < 1:
-            raise ValueError(
-                f"max_dead_passes must be >= 1, got {max_dead_passes}"
-            )
+        check_run_budget(max_passes, max_dead_passes)
         n = self.graph.num_nodes
         tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
         if n == 0:
@@ -278,7 +256,7 @@ class ParallelPagerank:
 
         mode = "churn" if (availability is not None or fault_spec is not None) else "static"
         if mode == "churn" and availability is None:
-            availability = _AllPresent(self.num_peers)
+            availability = AllLive(self.num_peers)
         cfg = RunConfig(
             num_docs=n,
             num_peers=max(self.num_peers, 1),
@@ -293,7 +271,7 @@ class ParallelPagerank:
             fault_seed=fault_seed,
             availability=availability,
         )
-        rank0 = self._initial_rank_vector(initial_ranks)
+        rank0 = initial_rank_vector(n, self.init_rank, initial_ranks)
         backend = self.backend
         if backend == "auto":
             backend = "process" if self.workers > 1 else "in-process"
@@ -314,19 +292,6 @@ class ParallelPagerank:
     # ------------------------------------------------------------------
     # Shared parent-side bookkeeping
     # ------------------------------------------------------------------
-    def _initial_rank_vector(self, initial_ranks: Optional[np.ndarray]) -> np.ndarray:
-        n = self.graph.num_nodes
-        if initial_ranks is None:
-            return np.full(n, self.init_rank, dtype=np.float64)
-        initial_ranks = np.asarray(initial_ranks, dtype=np.float64)
-        if initial_ranks.shape != (n,):
-            raise ValueError(
-                f"initial_ranks must have shape ({n},), got {initial_ranks.shape}"
-            )
-        if np.any(initial_ranks <= 0):
-            raise ValueError("initial_ranks must be strictly positive")
-        return initial_ranks.copy()
-
     def _shared_specs(self, cfg: RunConfig) -> List[ArraySpec]:
         n = cfg.num_docs
         return [
@@ -349,29 +314,26 @@ class ParallelPagerank:
             "last_sent": rank0.copy(),
             "rank": rank0.copy(),
             "active": np.zeros(n, dtype=bool),
-            "published": np.zeros(n, dtype=np.int64),
             "stats": np.zeros((cfg.shards, N_STAT_COLS), dtype=np.float64),
         }
 
     def _price_static_exchange(
         self,
         policy: Optional[DeliveryPolicy],
-        views: Dict[str, np.ndarray],
         stats: np.ndarray,
+        published: Callable[[], Sequence[np.ndarray]],
     ) -> int:
         """Hops of this pass's cross-shard exchange: direct delivery
-        (one hop per delta) unless a policy prices the routing."""
+        (one hop per delta) unless a policy prices the routing of every
+        shard's ``published()`` documents."""
         cut = int(stats[:, COL_CUT].sum())
         if policy is None:
             return cut
         plan = self.plan
         hops = 0
-        for s in range(plan.shards):
-            count = int(stats[s, COL_PUBLISHED])
-            if not count:
+        for s, pub in enumerate(published()):
+            if not pub.size:
                 continue
-            offset = int(plan.row_offsets[s])
-            pub = np.asarray(views["published"][offset: offset + count])
             tpos, lens = expand_rows(self._indptr, pub)
             targets = self._indices[tpos]
             cut_targets = targets[
@@ -382,46 +344,33 @@ class ParallelPagerank:
                 hops += int(policy.delivery_hops_batch(sender, cut_targets))
         return hops
 
-    def _record_static(
+    def _record(
         self,
+        cfg: RunConfig,
+        tally: _Tally,
         tracker: ConvergenceTracker,
         obs: _ParallelInstruments,
-        stats: np.ndarray,
-        t: int,
-    ) -> None:
-        obs.passes.inc()
-        obs.compute.observe(float(stats[:, COL_COMPUTE_S].sum()))
-        tracker.record(
-            PassStats(
-                pass_index=t,
-                max_rel_change=float(stats[:, COL_MAX_CHANGE].max()),
-                active_documents=int(stats[:, COL_ACTIVE].sum()),
-                messages=int(stats[:, COL_MESSAGES].sum()),
-                deferred_messages=0,
-                live_peers=self.num_peers,
-                computed_documents=self.graph.num_nodes,
-            )
-        )
-
-    def _record_churn(
-        self,
-        tracker: ConvergenceTracker,
-        obs: _ParallelInstruments,
+        policy: Optional[DeliveryPolicy],
         stats: np.ndarray,
         t: int,
         live_peers: int,
+        published: Callable[[], Sequence[np.ndarray]],
     ) -> None:
+        """Account one pass: cross-shard exchange, compute seconds and
+        the pass record (a skipped all-down pass adds no exchange)."""
+        static = cfg.mode == "static"
+        cut = int(stats[:, COL_CUT].sum())
+        compute = float(stats[:, COL_COMPUTE_S].sum())
+        tally.messages += cut
+        tally.hops += (
+            self._price_static_exchange(policy, stats, published) if static else cut
+        )
+        tally.compute += compute
         obs.passes.inc()
-        obs.compute.observe(float(stats[:, COL_COMPUTE_S].sum()))
+        obs.compute.observe(compute)
         tracker.record(
-            PassStats(
-                pass_index=t,
-                max_rel_change=float(stats[:, COL_MAX_CHANGE].max()),
-                active_documents=int(stats[:, COL_ACTIVE].sum()),
-                messages=int(stats[:, COL_MESSAGES].sum()),
-                deferred_messages=int(stats[:, COL_DEFERRED].sum()),
-                live_peers=live_peers,
-                computed_documents=int(stats[:, COL_COMPUTED].sum()),
+            pass_stats(
+                stats, t, live_peers, self.graph.num_nodes if static else None
             )
         )
 
@@ -431,43 +380,22 @@ class ParallelPagerank:
         rank: np.ndarray,
         converged: bool,
         obs: _ParallelInstruments,
-        exchange_messages: int,
-        exchange_hops: int,
-        compute_total: float,
+        tally: _Tally,
         wall: float,
     ) -> RunReport:
         exchange = ExchangeStats(
-            messages=exchange_messages,
-            bytes_on_wire=exchange_messages * MESSAGE_SIZE_BYTES,
-            hops=exchange_hops,
+            messages=tally.messages,
+            bytes_on_wire=tally.messages * MESSAGE_SIZE_BYTES,
+            hops=tally.hops,
         )
         self.last_exchange = exchange
         denom = self.workers * wall
-        self.last_utilization = compute_total / denom if denom > 0 else 0.0
+        self.last_utilization = tally.compute / denom if denom > 0 else 0.0
         obs.exchange_messages.inc(exchange.messages)
         obs.exchange_bytes.inc(exchange.bytes_on_wire)
         obs.exchange_hops.inc(exchange.hops)
         obs.utilization.set(self.last_utilization)
         return tracker.finish(rank.copy(), converged)
-
-    @staticmethod
-    def _validate_live(live: np.ndarray, num_peers: int) -> np.ndarray:
-        live = np.asarray(live, dtype=bool)
-        if live.shape != (num_peers,):
-            raise ValueError(
-                f"availability.sample must return shape ({num_peers},), "
-                f"got {live.shape}"
-            )
-        return live
-
-    @staticmethod
-    def _starvation_error(dead_streak: int, t: int) -> RuntimeError:
-        return RuntimeError(
-            f"no live peers for {dead_streak} consecutive "
-            f"passes (pass {t}); the availability model "
-            "starves the computation — raise availability "
-            "or max_dead_passes"
-        )
 
     # ------------------------------------------------------------------
     # In-process backend: the same per-shard code on one thread
@@ -486,73 +414,27 @@ class ParallelPagerank:
         views = self._fresh_views(cfg, rank0)
         state = build_worker_state(cfg, views)
         runners = [ShardRunner(state, s) for s in range(cfg.shards)]
-        stats = views["stats"]
-        rank = views["rank"]
-        converged = False
-        ex_messages = 0
-        ex_hops = 0
-        compute_total = 0.0
+        tally = _Tally()
+
+        def record(t: int, live_peers: int) -> None:
+            self._record(
+                cfg, tally, tracker, obs, policy, views["stats"], t, live_peers,
+                lambda: [r.published for r in runners],
+            )
+
         t_start = perf_counter()
-        if cfg.mode == "static":
-            prev_published = 0
-            for t in range(cfg.max_passes):
-                dense = static_pass_is_dense(t, prev_published, cfg.num_docs)
-                published_global = (
-                    None if dense
-                    else gather_published(views, state.plan, stats)
-                )
-                for runner in runners:
-                    runner.static_compute(t, dense, published_global)
-                for runner in runners:
-                    runner.static_publish()
-                prev_published = int(stats[:, COL_PUBLISHED].sum())
-                ex_messages += int(stats[:, COL_CUT].sum())
-                ex_hops += self._price_static_exchange(policy, views, stats)
-                compute_total += float(stats[:, COL_COMPUTE_S].sum())
-                if on_pass is not None:
-                    on_pass(t, rank)
-                self._record_static(tracker, obs, stats, t)
-                if static_should_stop(stats):
-                    converged = True
-                    break
-        else:
-            availability = cfg.availability
-            assert availability is not None
-            dead_streak = 0
-            for t in range(cfg.max_passes):
-                live = self._validate_live(
-                    availability.sample(t), cfg.num_peers
-                )
-                if not live.any():
-                    dead_streak += 1
-                    for runner in runners:
-                        runner.churn_dead_pass(t)
-                    self._record_churn(tracker, obs, stats, t, 0)
-                    if dead_streak >= cfg.max_dead_passes:
-                        raise self._starvation_error(dead_streak, t)
-                    continue
-                dead_streak = 0
-                for runner in runners:
-                    runner.churn_compute(t, live)
-                for runner in runners:
-                    runner.churn_publish()
-                for runner in runners:
-                    runner.churn_deliver(t, live)
-                ex_messages += int(stats[:, COL_CUT].sum())
-                ex_hops += int(stats[:, COL_CUT].sum())
-                compute_total += float(stats[:, COL_COMPUTE_S].sum())
-                if on_pass is not None:
-                    on_pass(t, rank)
-                self._record_churn(
-                    tracker, obs, stats, t, int(live.sum())
-                )
-                if churn_should_stop(stats):
-                    converged = True
-                    break
-        wall = perf_counter() - t_start
+        converged = run_shards(
+            runners,
+            max_passes=cfg.max_passes,
+            num_peers=cfg.num_peers,
+            record=record,
+            availability=cfg.availability,
+            max_dead_passes=cfg.max_dead_passes,
+            on_pass=on_pass,
+        )
         return self._finish(
-            tracker, rank, converged, obs,
-            ex_messages, ex_hops, compute_total, wall,
+            tracker, views["rank"], converged, obs, tally,
+            perf_counter() - t_start,
         )
 
     # ------------------------------------------------------------------
@@ -602,9 +484,11 @@ class ParallelPagerank:
                 procs.append(proc)
 
             converged = False
-            ex_messages = 0
-            ex_hops = 0
-            compute_total = 0.0
+            tally = _Tally()
+
+            def published() -> List[np.ndarray]:
+                return published_regions(views, self.plan, stats)
+
             t_start = perf_counter()
             try:
                 if cfg.mode == "static":
@@ -612,14 +496,12 @@ class ParallelPagerank:
                         with obs.barrier_wait:
                             barrier_a.wait(BARRIER_TIMEOUT_S)
                             barrier_b.wait(BARRIER_TIMEOUT_S)
-                        ex_messages += int(stats[:, COL_CUT].sum())
-                        ex_hops += self._price_static_exchange(
-                            policy, views, stats
-                        )
-                        compute_total += float(stats[:, COL_COMPUTE_S].sum())
                         if on_pass is not None:
                             on_pass(t, rank)
-                        self._record_static(tracker, obs, stats, t)
+                        self._record(
+                            cfg, tally, tracker, obs, policy, stats, t,
+                            cfg.num_peers, published,
+                        )
                         if static_should_stop(stats):
                             converged = True
                             break
@@ -632,33 +514,24 @@ class ParallelPagerank:
                     assert availability is not None
                     dead_streak = 0
                     for t in range(cfg.max_passes):
-                        live = self._validate_live(
-                            availability.sample(t), cfg.num_peers
-                        )
-                        if not live.any():
-                            dead_streak += 1
-                            with obs.barrier_wait:
-                                barrier_a.wait(BARRIER_TIMEOUT_S)
-                                barrier_b.wait(BARRIER_TIMEOUT_S)
-                                barrier_a.wait(BARRIER_TIMEOUT_S)
-                            self._record_churn(tracker, obs, stats, t, 0)
-                            if dead_streak >= cfg.max_dead_passes:
-                                raise self._starvation_error(dead_streak, t)
-                            continue
-                        dead_streak = 0
+                        live = live_mask(availability, t, cfg.num_peers)
+                        n_live = int(live.sum())
+                        dead_streak = 0 if n_live else dead_streak + 1
+                        # Three rendezvous per pass, dead or not (see
+                        # repro.parallel.worker._loop_churn).
                         with obs.barrier_wait:
                             barrier_a.wait(BARRIER_TIMEOUT_S)
                             barrier_b.wait(BARRIER_TIMEOUT_S)
                             barrier_a.wait(BARRIER_TIMEOUT_S)
-                        ex_messages += int(stats[:, COL_CUT].sum())
-                        ex_hops += int(stats[:, COL_CUT].sum())
-                        compute_total += float(stats[:, COL_COMPUTE_S].sum())
-                        if on_pass is not None:
+                        if n_live and on_pass is not None:
                             on_pass(t, rank)
-                        self._record_churn(
-                            tracker, obs, stats, t, int(live.sum())
+                        self._record(
+                            cfg, tally, tracker, obs, policy, stats, t,
+                            n_live, published,
                         )
-                        if churn_should_stop(stats):
+                        if dead_streak >= cfg.max_dead_passes:
+                            raise starvation_error(dead_streak, t)
+                        if n_live and churn_should_stop(stats):
                             converged = True
                             break
             except threading.BrokenBarrierError:
@@ -668,11 +541,8 @@ class ParallelPagerank:
                 # when the parent errored between waits), then reap.
                 barrier_a.abort()
                 barrier_b.abort()
-            wall = perf_counter() - t_start
-            rank_final = np.array(rank, copy=True)
             return self._finish(
-                tracker, rank_final, converged, obs,
-                ex_messages, ex_hops, compute_total, wall,
+                tracker, rank, converged, obs, tally, perf_counter() - t_start
             )
         finally:
             for proc in procs:

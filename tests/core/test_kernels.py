@@ -1,11 +1,17 @@
-"""Tests of the shared vectorized pass kernels."""
+"""Tests of the shared vectorized pass kernels.
+
+``EdgeWorkspace`` is the differential suite's per-edge oracle
+(``tests/differential/edge_oracle.py``); these tests pin it to a plain
+Python loop so the oracle itself stays trustworthy.
+"""
 
 import numpy as np
 import pytest
+from differential.edge_oracle import EdgeWorkspace
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import EdgeWorkspace, relative_change
+from repro.core import relative_change
 from repro.graphs import LinkGraph, broder_graph
 
 

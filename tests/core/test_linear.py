@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, random as sparse_random
 
 from repro.core import ChaoticLinearSolver, LinearSystem, pagerank_reference
-from repro.core.kernels import EdgeWorkspace
+from repro.core.kernels import CSRWorkspace
 from repro.graphs import broder_graph
 
 
@@ -84,7 +84,7 @@ class TestChaoticSolver:
         the reference pagerank."""
         g = broder_graph(300, seed=3)
         d = 0.85
-        ws = EdgeWorkspace.from_graph(g)
+        ws = CSRWorkspace.from_graph(g)
         n = g.num_nodes
         m = csr_matrix(
             (d * ws.edge_weight, (ws.dst, ws.src)), shape=(n, n)

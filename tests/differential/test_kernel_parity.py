@@ -1,18 +1,23 @@
-"""Differential lockdown of the CSR kernel rebuild.
+"""Differential lockdown of the single chaotic pass implementation.
 
-The ``csr`` backend (sharded segment-sum kernels) must be **byte
-identical** to the ``naive`` per-edge backend it replaced: same seeds
-in, same rank bits out, same pass counts, same messages and bytes on
-the wire.  These tests sweep ≥20 seeds × 3 sizes through both backends
-of the vectorized engine, plus churn and loss variants, and a protocol
-simulator sweep — any accumulation-order or gating drift fails loudly.
+:class:`~repro.core.ChaoticPagerank` runs the one pass step
+(:mod:`repro.core.shard`) over one whole-graph shard, with reverse-CSR
+kernels and frontier-selective pulls.  It must be **byte identical** to
+the independent per-edge oracle in ``edge_oracle.py``, which pulls
+every row densely every pass: same seeds in, same rank bits out, same
+pass counts, same messages and bytes on the wire, and the same
+per-pass statistics history — on the static path, under churn, and
+under churn plus injected loss.  The protocol simulator's per-peer
+compute path is held to the same oracle.  Any accumulation-order,
+gating or store-and-resend drift fails loudly.
 """
 
 import numpy as np
 import pytest
+from edge_oracle import EdgeWorkspace, reference_pagerank
 
-from repro.core import ChaoticPagerank, CSRWorkspace, EdgeWorkspace, make_workspace
-from repro.core.kernels import _KERNEL_ENV
+import repro.core.distributed as distributed
+from repro.core import ChaoticPagerank, CSRWorkspace
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, FixedFractionChurn, P2PNetwork
@@ -24,132 +29,103 @@ SIZES = (120, 400, 900)
 EPSILON = 1e-4
 
 
-def _engine_run(graph, placement, peers, *, churn_seed=None):
-    availability = (
-        FixedFractionChurn(peers, 0.75, seed=churn_seed)
-        if churn_seed is not None
-        else None
-    )
-    report = ChaoticPagerank(
-        graph, placement.assignment, num_peers=peers, epsilon=EPSILON
-    ).run(availability=availability, keep_history=False)
-    return report
+def _workload(seed, size, peers=None):
+    graph = broder_graph(size, seed=seed)
+    peers = peers or max(4, size // 30)
+    placement = DocumentPlacement.random(size, peers, seed=seed + 1)
+    return graph, placement.assignment, peers
 
 
-def _sim_run(graph, placement, peers, *, loss=0.0, loss_seed=0):
-    network = P2PNetwork(peers, placement, build_ring=False)
-    faults = (
-        FaultPlan(FaultSpec(drop_rate=loss), seed=loss_seed) if loss else None
+def _both(graph, assignment, peers, *, churn_seed=None, loss_seed=None):
+    """Run the engine and the oracle on identically seeded inputs."""
+
+    def inputs():
+        availability = (
+            FixedFractionChurn(peers, 0.75, seed=churn_seed)
+            if churn_seed is not None else None
+        )
+        plan = (
+            FaultPlan(FaultSpec(drop_rate=0.2), seed=loss_seed)
+            if loss_seed is not None else None
+        )
+        return availability, plan
+
+    availability, plan = inputs()
+    engine = ChaoticPagerank(
+        graph, assignment, num_peers=peers, epsilon=EPSILON
+    ).run(availability=availability, fault_plan=plan)
+    availability, plan = inputs()
+    oracle = reference_pagerank(
+        graph, assignment, peers, epsilon=EPSILON,
+        availability=availability, fault_plan=plan,
     )
-    sim = P2PPagerankSimulation(graph, network, epsilon=EPSILON, faults=faults)
-    report = sim.run(keep_history=False, max_passes=5_000)
-    return report, sim.traffic
+    return engine, oracle
+
+
+def _assert_identical(engine, oracle):
+    assert np.array_equal(engine.ranks, oracle.ranks), "rank bits diverged"
+    assert engine.passes == oracle.passes
+    assert engine.converged == oracle.converged
+    assert engine.total_messages == oracle.total_messages
+    assert (
+        engine.total_messages * MESSAGE_SIZE_BYTES
+        == oracle.total_messages * MESSAGE_SIZE_BYTES
+    )
+    assert list(engine.history) == oracle.history
 
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_engine_backends_byte_identical(monkeypatch, seed, size):
-    """Same seed → same rank bits, pass count, and message count on
-    both kernel backends of the vectorized engine."""
-    graph = broder_graph(size, seed=seed)
-    peers = max(4, size // 30)
-    placement = DocumentPlacement.random(size, peers, seed=seed + 1)
+def test_engine_backends_byte_identical(seed, size):
+    """Static path: the frontier-selective CSR engine equals the dense
+    per-edge oracle bit for bit, pass for pass."""
+    _assert_identical(*_both(*_workload(seed, size)))
 
-    monkeypatch.setenv(_KERNEL_ENV, "naive")
-    naive = _engine_run(graph, placement, peers)
-    monkeypatch.setenv(_KERNEL_ENV, "csr")
-    csr = _engine_run(graph, placement, peers)
 
-    assert np.array_equal(naive.ranks, csr.ranks), "rank bits diverged"
-    assert naive.passes == csr.passes
-    assert naive.total_messages == csr.total_messages
-    assert (
-        naive.total_messages * MESSAGE_SIZE_BYTES
-        == csr.total_messages * MESSAGE_SIZE_BYTES
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_matches_oracle_under_churn_and_loss(seed, size):
+    """75 % availability plus 20 % injected loss: resend, deliver,
+    defer and park-on-loss match the oracle, draw for draw."""
+    engine, oracle = _both(
+        *_workload(seed, size), churn_seed=seed + 2, loss_seed=seed + 3
     )
+    assert engine.converged
+    _assert_identical(engine, oracle)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_engine_backends_identical_under_churn(monkeypatch, seed):
+def test_engine_backends_identical_under_churn(seed):
     """Byte-identity must survive the churn path (availability < 1)."""
-    size = 400
-    graph = broder_graph(size, seed=seed)
-    peers = 16
-    placement = DocumentPlacement.random(size, peers, seed=seed + 1)
-
-    monkeypatch.setenv(_KERNEL_ENV, "naive")
-    naive = _engine_run(graph, placement, peers, churn_seed=seed + 2)
-    monkeypatch.setenv(_KERNEL_ENV, "csr")
-    csr = _engine_run(graph, placement, peers, churn_seed=seed + 2)
-
-    assert np.array_equal(naive.ranks, csr.ranks)
-    assert naive.passes == csr.passes
-    assert naive.total_messages == csr.total_messages
+    _assert_identical(
+        *_both(*_workload(seed, 400, peers=16), churn_seed=seed + 2)
+    )
 
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("seed", range(8))
-def test_simulator_backends_byte_identical(monkeypatch, seed, size):
-    """The sharded peer compute path must reproduce the per-edge
-    Python path bit for bit: ranks, passes, and bytes on the wire."""
-    graph = broder_graph(size, seed=seed)
-    peers = 12
-    placement = DocumentPlacement.random(size, peers, seed=seed + 1)
+def test_simulator_backends_byte_identical(seed, size):
+    """The protocol simulator's per-peer CSR compute path against the
+    per-edge oracle: rank bits, passes, and the update messages and
+    bytes on the wire."""
+    graph, assignment, peers = _workload(seed, size, peers=12)
+    placement = DocumentPlacement(assignment, peers)
+    network = P2PNetwork(peers, placement, build_ring=False)
+    sim = P2PPagerankSimulation(graph, network, epsilon=EPSILON)
+    report = sim.run(keep_history=False, max_passes=5_000)
+    oracle = reference_pagerank(graph, assignment, peers, epsilon=EPSILON)
 
-    monkeypatch.setenv(_KERNEL_ENV, "naive")
-    naive, naive_traffic = _sim_run(graph, placement, peers)
-    monkeypatch.setenv(_KERNEL_ENV, "csr")
-    csr, csr_traffic = _sim_run(graph, placement, peers)
-
-    assert np.array_equal(naive.ranks, csr.ranks), "rank bits diverged"
-    assert naive.passes == csr.passes
-    assert naive_traffic.update_messages == csr_traffic.update_messages
-    assert naive_traffic.bytes_transferred == csr_traffic.bytes_transferred
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_simulator_backends_identical_under_loss(monkeypatch, seed):
-    """Byte-identity must survive the lossy reliable-transport path
-    (drops, retransmits, store-and-resend parking)."""
-    size = 400
-    graph = broder_graph(size, seed=seed)
-    peers = 12
-    placement = DocumentPlacement.random(size, peers, seed=seed + 1)
-
-    monkeypatch.setenv(_KERNEL_ENV, "naive")
-    naive, naive_traffic = _sim_run(
-        graph, placement, peers, loss=0.2, loss_seed=seed + 3
-    )
-    monkeypatch.setenv(_KERNEL_ENV, "csr")
-    csr, csr_traffic = _sim_run(
-        graph, placement, peers, loss=0.2, loss_seed=seed + 3
-    )
-
-    assert np.array_equal(naive.ranks, csr.ranks)
-    assert naive.passes == csr.passes
-    assert naive_traffic.update_messages == csr_traffic.update_messages
-    assert naive_traffic.bytes_transferred == csr_traffic.bytes_transferred
-    assert naive_traffic.resent_messages == csr_traffic.resent_messages
-
-
-def test_kernel_env_selects_workspace(monkeypatch):
-    """The ``REPRO_KERNEL`` switch picks the workspace class."""
-    graph = broder_graph(50, seed=0)
-    monkeypatch.setenv(_KERNEL_ENV, "naive")
-    assert isinstance(make_workspace(graph), EdgeWorkspace)
-    monkeypatch.setenv(_KERNEL_ENV, "csr")
-    assert isinstance(make_workspace(graph), CSRWorkspace)
-    monkeypatch.delenv(_KERNEL_ENV)
-    assert isinstance(make_workspace(graph), CSRWorkspace)
-    monkeypatch.setenv(_KERNEL_ENV, "bogus")
-    with pytest.raises(ValueError):
-        make_workspace(graph)
+    assert np.array_equal(report.ranks, oracle.ranks), "rank bits diverged"
+    assert report.passes == oracle.passes
+    assert sim.traffic.update_messages == oracle.total_messages
+    assert sim.traffic.bytes_transferred == oracle.total_messages * MESSAGE_SIZE_BYTES
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_csr_pull_matches_edge_pull_bitwise(seed):
     """One pull pass: reverse-CSR bincount accumulation equals the
-    forward-edge bincount accumulation bit for bit."""
+    forward-edge bincount accumulation bit for bit, and a row subset
+    (:meth:`CSRWorkspace.restrict`) reproduces the same bits."""
     graph = broder_graph(300, seed=seed)
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.1, 2.0, size=graph.num_nodes)
@@ -163,3 +139,44 @@ def test_csr_pull_matches_edge_pull_bitwise(seed):
     # Selective rows reproduce the same bits as the dense pass.
     rows = np.unique(rng.integers(0, graph.num_nodes, size=40))
     assert np.array_equal(csr.pull_rows(values, 0.85, rows), out_csr[rows])
+    # So does a workspace restricted to those rows, on every kernel.
+    sub = csr.restrict(rows)
+    assert np.array_equal(sub.pull(values, 0.85), out_csr[rows])
+    local = np.arange(0, rows.size, 3)
+    assert np.array_equal(sub.pull_rows(values, 0.85, local), out_csr[rows[local]])
+    edge_values = rng.uniform(0.1, 2.0, size=edge.src.size)
+    whole = edge.pull_edges(edge_values, 0.85)
+    on_rows = np.isin(edge.dst, rows)
+    assert np.array_equal(
+        sub.pull_edges(edge_values[on_rows], 0.85), whole[rows]
+    )
+
+
+@pytest.mark.parametrize("churn", [False, True])
+def test_one_shard_runner_aliases_engine_workspace(monkeypatch, churn):
+    """The whole-graph shard works on the engine's own kernel arrays:
+    no copy of the reverse CSR, the forward edge arrays or the
+    cross-peer mask may creep back in."""
+    captured = []
+    real = distributed.run_shards
+
+    def spy(runners, **kwargs):
+        captured.extend(runners)
+        return real(runners, **kwargs)
+
+    monkeypatch.setattr(distributed, "run_shards", spy)
+    graph, assignment, peers = _workload(3, 400)
+    engine = ChaoticPagerank(graph, assignment, num_peers=peers, epsilon=EPSILON)
+    availability = FixedFractionChurn(peers, 0.75, seed=5) if churn else None
+    engine.run(availability=availability)
+
+    (runner,) = captured
+    ws = engine.workspace
+    assert runner.rows is None
+    view = runner.view
+    for name in ("rindptr", "rindices", "rdata", "_rev_rowids", "_contrib",
+                 "src", "dst", "edge_weight"):
+        assert np.shares_memory(getattr(view, name), getattr(ws, name)), name
+    if churn:
+        assert np.shares_memory(runner.ecross, engine._cross_edge)
+        assert runner.ecut is None
