@@ -8,7 +8,7 @@ install:
 	pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Repo-specific invariant checks (docs/STATIC_ANALYSIS.md) always run;
 # ruff rides along when installed (the offline container lacks it).
@@ -29,7 +29,7 @@ docs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/docs -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Pinned perf matrix → BENCH_pagerank.json (docs/PERFORMANCE.md); the
 # smoke variant regression-checks the 1k rows against the committed file.
@@ -38,7 +38,7 @@ bench-smoke:
 
 # The paper's graph sizes (up to 5,000,000 nodes) — budget hours.
 bench-full:
-	REPRO_FULL_SCALE=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_FULL_SCALE=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The end-to-end benchmark's own tests (perfbench/README.md): tiny runs
 # of all four workloads with their output checks and the seed-7
@@ -82,13 +82,13 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --docs 200 --peers 10 --qps 40 --duration 30 --verify-ranks
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 # Tiny fully-instrumented simulation + metrics report (docs/OBSERVABILITY.md).
 # The same invocation runs in the test suite (tests/obs/test_obs_demo.py)
 # so the documented example cannot rot.
 obs-demo:
-	$(PYTHON) -m repro obs report --docs 800 --sim-docs 200 --peers 30 --sim-peers 10
+	PYTHONPATH=src $(PYTHON) -m repro obs report --docs 800 --sim-docs 200 --peers 30 --sim-peers 10
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

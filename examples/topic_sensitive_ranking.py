@@ -3,8 +3,9 @@
 
 The paper's related work cites Haveliwala's topic-sensitive pagerank;
 this example shows the distributed scheme computes it with the *same*
-message protocol — the teleport preference vector is local state at
-each document's owner, so topic bias costs the network nothing extra.
+engine and message protocol — the teleport preference vector is one
+more input of ``ChaoticPagerank``, local state at each document's
+owner, so topic bias costs the network nothing extra.
 
 We pick a "topic" as the documents containing a chosen frequent term,
 compute global and topic-biased ranks with the distributed engine, and
@@ -18,7 +19,7 @@ import numpy as np
 
 from _scale import scaled
 from repro.analysis import format_table
-from repro.core import personalized_chaotic, ChaoticPagerank, topic_vector
+from repro.core import ChaoticPagerank, topic_vector
 from repro.p2p import DocumentPlacement
 from repro.search import CorpusConfig, FasdScorer, synthesize_corpus
 
@@ -46,10 +47,9 @@ def main() -> None:
     print(f"Topic seed set: term {topic_term}, {seeds.size} documents")
 
     v = topic_vector(corpus.num_documents, seeds, weight=0.9)
-    topic_run = personalized_chaotic(
-        corpus.link_graph, v, placement.assignment, epsilon=1e-4,
-        keep_history=False,
-    )
+    topic_run = ChaoticPagerank(
+        corpus.link_graph, placement.assignment, epsilon=1e-4, preference=v
+    ).run(keep_history=False)
 
     print(f"\nmessage cost:  global {global_run.total_messages:,}  "
           f"topic-biased {topic_run.total_messages:,}  "

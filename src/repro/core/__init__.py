@@ -35,11 +35,7 @@ from repro.core.kernels import (
     relative_change,
 )
 from repro.core.linear import ChaoticLinearSolver, LinearSystem
-from repro.core.personalized import (
-    personalized_chaotic,
-    personalized_reference,
-    topic_vector,
-)
+from repro.core.personalized import topic_vector
 from repro.core.pagerank import DEFAULT_DAMPING, PagerankResult, pagerank_reference
 
 __all__ = [
@@ -67,7 +63,5 @@ __all__ = [
     "quadratic_extrapolation_pagerank",
     "ChaoticLinearSolver",
     "LinearSystem",
-    "personalized_reference",
-    "personalized_chaotic",
     "topic_vector",
 ]

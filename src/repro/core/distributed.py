@@ -47,6 +47,7 @@ from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
 from repro.core.kernels import CSRWorkspace
 from repro.core.pagerank import DEFAULT_DAMPING
+from repro.core.personalized import preference_shift
 from repro.core.shard import (
     COL_DROPPED,
     COL_RESENT,
@@ -168,6 +169,11 @@ class ChaoticPagerank:
         Initial rank of every document; 1.0 per the paper.  The initial
         value is a global constant every peer knows, so no messages are
         needed to establish it.
+    preference:
+        Optional teleport preference vector ``v`` for topic-sensitive
+        ranking (§7, :mod:`repro.core.personalized`): the constant term
+        ``1-d`` becomes ``(1-d)·N·v``.  It is local state at each
+        document's owner, so the message protocol is unchanged.
 
     Examples
     --------
@@ -189,6 +195,7 @@ class ChaoticPagerank:
         damping: float = DEFAULT_DAMPING,
         epsilon: float = 1e-3,
         init_rank: float = 1.0,
+        preference: Optional[np.ndarray] = None,
     ) -> None:
         check_threshold("damping", damping)
         check_threshold("epsilon", epsilon)
@@ -200,6 +207,10 @@ class ChaoticPagerank:
 
         self.assignment, self.num_peers = resolve_assignment(
             graph.num_nodes, assignment, num_peers
+        )
+        self._shift = (
+            None if preference is None
+            else preference_shift(preference, graph.num_nodes, self.damping)
         )
         self.workspace = CSRWorkspace.from_graph(graph)
         # Per-edge cross-peer mask and per-node remote out-degree: only
@@ -345,6 +356,7 @@ class ChaoticPagerank:
                 cross_edge=self._cross_edge,
                 remote_outdeg=self._remote_outdeg,
                 fault_plans=[fault_plan],
+                shift=self._shift,
             )
         )
         obs = _CoreInstruments(get_registry())

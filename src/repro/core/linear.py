@@ -34,6 +34,7 @@ from scipy.sparse import csr_matrix, issparse
 
 from repro._util import check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
+from repro.core.shard import resolve_assignment
 
 __all__ = ["ChaoticLinearSolver", "LinearSystem"]
 
@@ -66,6 +67,8 @@ class LinearSystem:
             raise ValueError(
                 f"constant must have shape ({m.shape[0]},), got {c.shape}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("constant must be finite")
         object.__setattr__(self, "matrix", m.tocsr())
         object.__setattr__(self, "constant", c)
 
@@ -122,17 +125,11 @@ class ChaoticLinearSolver:
         self.system = system
         self.epsilon = float(epsilon)
         n = system.size
-        if assignment is None:
-            assignment = np.arange(n, dtype=np.int64)
-        else:
-            assignment = np.asarray(assignment, dtype=np.int64)
-            if assignment.shape != (n,):
-                raise ValueError(f"assignment must have shape ({n},)")
-        self.assignment = assignment
+        self.assignment, self.num_peers = resolve_assignment(n, assignment, None)
         # remote_dependents[j] = number of unknowns on *other* peers
         # that read x_j — the messages one announcement of j costs.
         m = system.matrix.tocoo()
-        cross = assignment[m.row] != assignment[m.col]
+        cross = self.assignment[m.row] != self.assignment[m.col]
         self._remote_dependents = np.bincount(
             m.col[cross], minlength=n
         ).astype(np.int64)
@@ -153,7 +150,6 @@ class ChaoticLinearSolver:
 
         x = sys_.constant.copy()
         announced = x.copy()
-        num_peers = int(self.assignment.max()) + 1 if n else 0
 
         converged = False
         for t in range(max_passes):
@@ -172,7 +168,7 @@ class ChaoticLinearSolver:
                     active_documents=int(active.sum()),
                     messages=messages,
                     deferred_messages=0,
-                    live_peers=num_peers,
+                    live_peers=self.num_peers,
                     computed_documents=n,
                 )
             )

@@ -21,6 +21,9 @@ Design notes
   mode implements the textbook correction (spread dangling mass
   uniformly) for users who want the stochastic-matrix variant; the
   reproduction experiments all use ``"none"``.
+* An optional teleport ``preference`` vector ``v`` replaces the
+  constant term with ``(1-d)·N·v`` — topic-sensitive ranking (§7,
+  :mod:`repro.core.personalized`); everything else is unchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro._util import check_positive, check_threshold
 from repro.core.kernels import CSRWorkspace, relative_change
+from repro.core.personalized import preference_shift
 from repro.graphs.linkgraph import LinkGraph
 
 __all__ = ["PagerankResult", "pagerank_reference", "DEFAULT_DAMPING"]
@@ -73,6 +77,7 @@ def pagerank_reference(
     init_rank: float = 1.0,
     dangling: str = "none",
     workspace: Optional[CSRWorkspace] = None,
+    preference: Optional[np.ndarray] = None,
 ) -> PagerankResult:
     """Solve Eq. 1 synchronously to tolerance ``tol``.
 
@@ -98,6 +103,12 @@ def pagerank_reference(
     workspace:
         Optional precomputed :class:`~repro.core.kernels.CSRWorkspace`,
         for callers that run several solves on the same graph.
+    preference:
+        Optional teleport preference vector ``v`` (non-negative, finite,
+        positive mass; normalized to Σv = 1): the constant term becomes
+        ``(1-d)·N·v``, so the uniform ``v`` reproduces the default.
+        Dangling handling stays uniform — ``"redistribute"`` still
+        spreads dangling rank evenly, not along ``v``.
 
     Returns
     -------
@@ -112,6 +123,7 @@ def pagerank_reference(
         raise ValueError(f"dangling must be 'none' or 'redistribute', got {dangling!r}")
 
     n = graph.num_nodes
+    shift = None if preference is None else preference_shift(preference, n, damping)
     if n == 0:
         return PagerankResult(np.zeros(0), 0, True, 0.0)
 
@@ -126,6 +138,8 @@ def pagerank_reference(
     residual = np.inf
     for iterations in range(1, max_iter + 1):
         ws.pull(rank, damping, out=new)
+        if shift is not None:
+            new += shift
         if dangling_mask is not None:
             new += damping * rank[dangling_mask].sum() / n
         relative_change(rank, new, out=err)

@@ -29,7 +29,9 @@ whatever the partition, so the static path's values do not depend on
 the shard count (docs/PERFORMANCE.md "Sharded execution model").  A
 whole-graph shard uses the engine's :class:`CSRWorkspace` and
 per-edge arrays as they are, without copies, and its row ids are
-document ids.
+document ids.  A teleport preference vector (topic-sensitive ranking,
+§7) is data of the step: its per-document shift is added to every
+pulled row, on the static and churn paths alike.
 
 The per-pass control decisions (dense or selective pass, stop or go)
 are pure functions of the statistics matrix, so every party of a
@@ -391,7 +393,10 @@ class WorkerState:
     ``stats`` always, ``last_sent`` on the static path and ``active``
     on the churn path.  ``plan`` is ``None`` (or has one shard) when
     the whole graph is a single shard.  ``fault_plans[s]`` is shard
-    ``s``'s seeded loss stream, if any.
+    ``s``'s seeded loss stream, if any.  ``shift`` is the per-document
+    teleport shift of a preference vector
+    (:func:`repro.core.personalized.preference_shift`), added to every
+    pulled row; ``None`` keeps the uniform teleport.
     """
 
     damping: float
@@ -406,6 +411,7 @@ class WorkerState:
     remote_outdeg: np.ndarray
     fault_plans: Sequence[Optional[FaultPlan]]
     plan: Optional[ShardPlan] = None
+    shift: Optional[np.ndarray] = None
     cut_outdeg: Optional[np.ndarray] = field(init=False, default=None)
     frontier_buf: np.ndarray = field(init=False, repr=False)
 
@@ -441,6 +447,8 @@ class ShardRunner:
         self._sel: Union[slice, np.ndarray] = (
             slice(None) if self.rows is None else self.rows
         )
+        #: The teleport shift of the shard's rows (``None``: uniform).
+        self._shift = None if state.shift is None else state.shift[self._sel]
         k = self.view.num_nodes
         self._vals_buf = np.empty(k, dtype=np.float64)
         self._err_buf = np.empty(k, dtype=np.float64)
@@ -477,6 +485,8 @@ class ShardRunner:
         ids: Optional[np.ndarray] = None
         if dense:
             vals = view.pull(last_sent, self.damping, out=self._vals_buf)
+            if self._shift is not None:
+                vals += self._shift
             err = relative_change(rank[self._sel], vals, out=self._err_buf)
         else:
             assert published_global is not None
@@ -499,6 +509,8 @@ class ShardRunner:
                 vals = view.pull(last_sent, self.damping, out=self._vals_buf)[local]
             else:
                 vals = view.pull_rows(last_sent, self.damping, local)
+            if st.shift is not None:
+                vals += st.shift[ids]
             err = relative_change(rank[ids], vals)
         act = err > self.epsilon
         self.published = self._doc_ids(np.flatnonzero(act)) if ids is None else ids[act]
@@ -594,6 +606,8 @@ class ShardRunner:
 
         # 2) Live rows recompute from their delivered in-edge values.
         new = view.pull_edges(self.delivered, self.damping, out=self._vals_buf)
+        if self._shift is not None:
+            new += self._shift
         old = st.views["rank"][self._sel]
         np.copyto(new, old, where=~live_rows)
         err = relative_change(old, new, out=self._err_buf)

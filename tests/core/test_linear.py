@@ -39,6 +39,12 @@ class TestLinearSystem:
         with pytest.raises(ValueError):
             LinearSystem(matrix=csr_matrix(np.zeros((2, 2))), constant=np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constant_rejected(self, bad):
+        m = csr_matrix(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            LinearSystem(matrix=m, constant=np.array([1.0, bad]))
+
     def test_contraction_bound(self):
         m = csr_matrix(np.array([[0.0, 0.5], [-0.25, 0.0]]))
         sys_ = LinearSystem(matrix=m, constant=np.zeros(2))
@@ -93,6 +99,18 @@ class TestChaoticSolver:
         report = ChaoticLinearSolver(sys_, epsilon=1e-10).run()
         ref = pagerank_reference(g).ranks
         assert np.allclose(report.ranks, ref, rtol=1e-6)
+
+    def test_negative_peer_ids_rejected(self):
+        sys_ = random_contraction_system(3, 0.5, 0.5, seed=5)
+        with pytest.raises(ValueError, match="non-negative"):
+            ChaoticLinearSolver(sys_, [-1, -1, -1])
+
+    def test_live_peers_from_assignment(self):
+        sys_ = random_contraction_system(6, 0.5, 0.5, seed=6)
+        report = ChaoticLinearSolver(sys_, [0, 0, 1, 1, 2, 2]).run()
+        assert {p.live_peers for p in report.history} == {3}
+        default = ChaoticLinearSolver(sys_).run()
+        assert {p.live_peers for p in default.history} == {6}
 
     def test_empty_system(self):
         sys_ = LinearSystem(

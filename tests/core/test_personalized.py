@@ -1,16 +1,13 @@
-"""Tests of personalized / topic-sensitive pagerank."""
+"""Tests of personalized / topic-sensitive pagerank: the teleport
+preference vector as input data of both solvers."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    pagerank_reference,
-    personalized_chaotic,
-    personalized_reference,
-    topic_vector,
-)
-from repro.graphs import broder_graph
-from repro.p2p import DocumentPlacement
+from repro.core import ChaoticPagerank, pagerank_reference, topic_vector
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.graphs import broder_graph, chain_graph
+from repro.p2p import DocumentPlacement, FixedFractionChurn
 
 
 @pytest.fixture(scope="module")
@@ -41,51 +38,79 @@ class TestTopicVector:
         with pytest.raises(ValueError):
             topic_vector(0, [0])
 
+    @pytest.mark.parametrize("ids", [[1, 1], [1, 1, 2], [3, 2, 3, 2, 2]])
+    def test_duplicate_ids_keep_unit_mass(self, ids):
+        v = topic_vector(10, ids)
+        assert v.sum() == pytest.approx(1.0)
+        assert np.array_equal(v, topic_vector(10, sorted(set(ids))))
+        blended = topic_vector(10, ids, weight=0.3)
+        assert np.array_equal(blended, topic_vector(10, set(ids), weight=0.3))
+
 
 class TestPersonalizedReference:
     def test_uniform_preference_matches_global(self, graph):
         uniform = np.full(graph.num_nodes, 1.0 / graph.num_nodes)
-        personalized = personalized_reference(graph, uniform)
+        personalized = pagerank_reference(graph, preference=uniform)
         plain = pagerank_reference(graph)
         assert np.allclose(personalized.ranks, plain.ranks, rtol=1e-8)
 
     def test_topic_bias_raises_seed_ranks(self, graph):
         seeds = [0, 1, 2]
         v = topic_vector(graph.num_nodes, seeds)
-        biased = personalized_reference(graph, v)
+        biased = pagerank_reference(graph, preference=v)
         plain = pagerank_reference(graph)
         for doc in seeds:
             assert biased.ranks[doc] > plain.ranks[doc]
 
     def test_teleport_mass_conserved_shape(self, graph):
         v = topic_vector(graph.num_nodes, [5])
-        result = personalized_reference(graph, v)
+        result = pagerank_reference(graph, preference=v)
         assert result.converged
         assert np.all(result.ranks >= 0)
 
     def test_unnormalized_preference_is_normalized(self, graph):
         v = np.zeros(graph.num_nodes)
         v[:3] = 7.0  # not summing to 1
-        result = personalized_reference(graph, v)
+        result = pagerank_reference(graph, preference=v)
         assert result.converged
+        unit = pagerank_reference(graph, preference=v / v.sum())
+        assert np.allclose(result.ranks, unit.ranks, rtol=1e-12)
 
     def test_validation(self, graph):
         with pytest.raises(ValueError):
-            personalized_reference(graph, np.ones(3))
+            pagerank_reference(graph, preference=np.ones(3))
         with pytest.raises(ValueError):
-            personalized_reference(graph, -np.ones(graph.num_nodes))
+            pagerank_reference(graph, preference=-np.ones(graph.num_nodes))
         with pytest.raises(ValueError):
-            personalized_reference(graph, np.zeros(graph.num_nodes))
+            pagerank_reference(graph, preference=np.zeros(graph.num_nodes))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_preference_rejected(self, graph, bad):
+        v = topic_vector(graph.num_nodes, [0])
+        v[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pagerank_reference(graph, preference=v)
+
+    def test_dangling_redistribution_stays_uniform(self):
+        # A chain ends in a dangling document; with "redistribute" its
+        # mass is spread evenly whatever the preference vector says.
+        g = chain_graph(5)
+        v = topic_vector(5, [0])
+        ranks = pagerank_reference(g, preference=v, dangling="redistribute").ranks
+        d = 0.85
+        dangling_share = d * ranks[4] / 5
+        expected_head = (1 - d) * 5 * v[0] + dangling_share
+        assert ranks[0] == pytest.approx(expected_head, rel=1e-9)
 
 
 class TestPersonalizedChaotic:
     def test_matches_reference(self, graph):
         v = topic_vector(graph.num_nodes, [0, 10, 20], weight=0.8)
-        ref = personalized_reference(graph, v).ranks
+        ref = pagerank_reference(graph, preference=v).ranks
         pl = DocumentPlacement.random(graph.num_nodes, 20, seed=0)
-        report = personalized_chaotic(
-            graph, v, pl.assignment, epsilon=1e-6
-        )
+        report = ChaoticPagerank(
+            graph, pl.assignment, epsilon=1e-6, preference=v
+        ).run()
         assert report.converged
         rel = np.abs(report.ranks - ref) / np.maximum(ref, 1e-12)
         assert np.percentile(rel, 99) < 1e-3
@@ -93,28 +118,57 @@ class TestPersonalizedChaotic:
     def test_message_cost_comparable_to_global(self, graph):
         """Topic sensitivity is free in communication: teleport terms
         are local state."""
-        from repro.core import ChaoticPagerank
-
         pl = DocumentPlacement.random(graph.num_nodes, 20, seed=1)
         global_run = ChaoticPagerank(
             graph, pl.assignment, num_peers=20, epsilon=1e-4
         ).run()
         v = topic_vector(graph.num_nodes, [0, 1], weight=0.5)
-        topic_run = personalized_chaotic(
-            graph, v, pl.assignment, epsilon=1e-4
-        )
+        topic_run = ChaoticPagerank(
+            graph, pl.assignment, epsilon=1e-4, preference=v
+        ).run()
         assert topic_run.total_messages < 3 * global_run.total_messages
 
     def test_default_assignment(self, graph):
         v = topic_vector(graph.num_nodes, [0])
-        report = personalized_chaotic(graph, v, epsilon=1e-3)
+        report = ChaoticPagerank(graph, epsilon=1e-3, preference=v).run()
         assert report.converged
 
     def test_validation(self, graph):
         v = topic_vector(graph.num_nodes, [0])
         with pytest.raises(ValueError):
-            personalized_chaotic(graph, v, epsilon=0.0)
+            ChaoticPagerank(graph, epsilon=0.0, preference=v)
         with pytest.raises(ValueError):
-            personalized_chaotic(graph, v, np.zeros(3, dtype=np.int64))
+            ChaoticPagerank(graph, np.zeros(3, dtype=np.int64), preference=v)
         with pytest.raises(ValueError):
-            personalized_chaotic(graph, v, max_passes=0)
+            ChaoticPagerank(graph, preference=v).run(max_passes=0)
+        with pytest.raises(ValueError):
+            ChaoticPagerank(graph, preference=np.ones(3))
+
+    def test_negative_peer_ids_rejected(self, graph):
+        v = topic_vector(graph.num_nodes, [0])
+        with pytest.raises(ValueError, match="non-negative"):
+            ChaoticPagerank(
+                graph, -np.ones(graph.num_nodes, dtype=np.int64), preference=v
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_preference_rejected(self, graph, bad):
+        v = topic_vector(graph.num_nodes, [0])
+        v[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ChaoticPagerank(graph, preference=v)
+
+    def test_churn_and_loss_reach_the_personalized_fixed_point(self, graph):
+        v = topic_vector(graph.num_nodes, [0, 10, 20], weight=0.8)
+        ref = pagerank_reference(graph, preference=v).ranks
+        pl = DocumentPlacement.random(graph.num_nodes, 20, seed=0)
+        engine = ChaoticPagerank(
+            graph, pl.assignment, num_peers=20, epsilon=1e-6, preference=v
+        )
+        report = engine.run(
+            availability=FixedFractionChurn(20, 0.75, seed=4),
+            fault_plan=FaultPlan(FaultSpec(drop_rate=0.2), seed=5),
+        )
+        assert report.converged
+        rel = np.abs(report.ranks - ref) / ref
+        assert np.percentile(rel, 99) < 1e-3

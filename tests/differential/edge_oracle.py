@@ -92,7 +92,11 @@ class OracleReport:
 
 
 def _rel_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    return np.abs(old - new) / new
+    """``|old - new| / new``, and 0 where ``new`` is exactly 0 — the
+    engine's convention (``repro.core.relative_change``).  Only a
+    preference vector with zero entries can zero a rank."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(new == 0, 0.0, np.abs(old - new) / new)
 
 
 def reference_pagerank(
@@ -105,6 +109,7 @@ def reference_pagerank(
     availability=None,
     fault_plan: Optional[FaultPlan] = None,
     max_passes: int = 100_000,
+    preference: Optional[np.ndarray] = None,
 ) -> OracleReport:
     """Chaotic pagerank with a dense per-edge pull every pass.
 
@@ -113,9 +118,15 @@ def reference_pagerank(
     delivered along it, updates to absent receivers are stored and
     resent (§3.1), and a delivery the plan drops is parked for the next
     pass.  Draws follow the engine's order: resends first, then sends.
+    A ``preference`` vector ``v`` replaces the pulled rows' teleport
+    ``1-d`` with ``(1-d)·N·v`` (``v`` normalized to unit mass).
     """
     n = graph.num_nodes
     ws = EdgeWorkspace.from_graph(graph)
+    shift = np.zeros(n)
+    if preference is not None:
+        v = np.asarray(preference, dtype=np.float64)
+        shift = (1.0 - damping) * n * (v / v.sum()) - (1.0 - damping)
     src, dst = ws.src, ws.dst
     cross = assignment[src] != assignment[dst]
     remote_outdeg = np.bincount(src[cross], minlength=n)
@@ -126,6 +137,7 @@ def reference_pagerank(
         last_sent = rank.copy()
         for t in range(max_passes):
             new = ws.pull(last_sent, damping)
+            new += shift
             err = _rel_change(rank, new)
             active = err > epsilon
             last_sent[active] = new[active]
@@ -162,6 +174,7 @@ def reference_pagerank(
         dirty[dst[resend]] = True
 
         new = ws.pull_edges(delivered, damping)
+        new += shift
         new[~live] = rank[~live]
         err = _rel_change(rank, new)
         err[~live] = 0.0

@@ -7,7 +7,8 @@ the independent per-edge oracle in ``edge_oracle.py``, which pulls
 every row densely every pass: same seeds in, same rank bits out, same
 pass counts, same messages and bytes on the wire, and the same
 per-pass statistics history — on the static path, under churn, and
-under churn plus injected loss.  The protocol simulator's per-peer
+under churn plus injected loss, with the uniform teleport or a
+preference vector.  The protocol simulator's per-peer
 compute path is held to the same oracle.  Any accumulation-order,
 gating or store-and-resend drift fails loudly.
 """
@@ -36,7 +37,19 @@ def _workload(seed, size, peers=None):
     return graph, placement.assignment, peers
 
 
-def _both(graph, assignment, peers, *, churn_seed=None, loss_seed=None):
+def _preference(seed, size):
+    """A sparse, unnormalized teleport preference vector."""
+    rng = np.random.default_rng(seed + 100)
+    v = rng.uniform(0.0, 5.0, size)
+    v[rng.random(size) < 0.7] = 0.0
+    v[seed % size] += 1.0
+    return v
+
+
+def _both(
+    graph, assignment, peers, *, churn_seed=None, loss_seed=None,
+    preference=None,
+):
     """Run the engine and the oracle on identically seeded inputs."""
 
     def inputs():
@@ -52,12 +65,13 @@ def _both(graph, assignment, peers, *, churn_seed=None, loss_seed=None):
 
     availability, plan = inputs()
     engine = ChaoticPagerank(
-        graph, assignment, num_peers=peers, epsilon=EPSILON
+        graph, assignment, num_peers=peers, epsilon=EPSILON,
+        preference=preference,
     ).run(availability=availability, fault_plan=plan)
     availability, plan = inputs()
     oracle = reference_pagerank(
         graph, assignment, peers, epsilon=EPSILON,
-        availability=availability, fault_plan=plan,
+        availability=availability, fault_plan=plan, preference=preference,
     )
     return engine, oracle
 
@@ -100,6 +114,33 @@ def test_engine_backends_identical_under_churn(seed):
     _assert_identical(
         *_both(*_workload(seed, 400, peers=16), churn_seed=seed + 2)
     )
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", range(5))
+def test_personalized_engine_matches_oracle(seed, size):
+    """Static path with a teleport preference vector: the shift rides
+    on the dense and the frontier pulls alike, bit for bit."""
+    graph, assignment, peers = _workload(seed, size)
+    engine, oracle = _both(
+        graph, assignment, peers, preference=_preference(seed, size)
+    )
+    assert engine.converged
+    _assert_identical(engine, oracle)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed", range(5))
+def test_personalized_engine_matches_oracle_under_churn_and_loss(seed, size):
+    """75 % availability plus 20 % loss with a teleport preference
+    vector: the churn step's pull carries the same shift."""
+    graph, assignment, peers = _workload(seed, size)
+    engine, oracle = _both(
+        graph, assignment, peers, churn_seed=seed + 2, loss_seed=seed + 3,
+        preference=_preference(seed, size),
+    )
+    assert engine.converged
+    _assert_identical(engine, oracle)
 
 
 @pytest.mark.parametrize("size", SIZES)
