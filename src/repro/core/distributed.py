@@ -11,11 +11,12 @@ message savings (Table 3) and the residual error versus the
 synchronous solution (Table 2).
 
 The pass itself is the one-shard case of the sharded pass step in
-:mod:`repro.core.shard`: the engine drives a single
+:mod:`repro.core.shard`: :func:`run_whole_graph` drives a single
 :class:`~repro.core.shard.ShardRunner` over one whole-graph shard,
 which uses the engine's :class:`~repro.core.kernels.CSRWorkspace` and
-per-edge arrays as they are.  The step has two modes with the same
-semantics:
+per-edge arrays as they are; the same driver runs any sparse
+``x = Mx + c`` system (:mod:`repro.core.linear`).  The step has two
+modes with the same semantics:
 
 * **static** (no churn, no faults): per-node ``last_sent`` state and
   frontier-selective pulls — only documents whose inputs changed last
@@ -39,7 +40,8 @@ counts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +74,7 @@ __all__ = [
     "ChaoticPagerank",
     "AvailabilityModel",
     "distributed_pagerank",
+    "run_whole_graph",
     "scheduled_pagerank",
 ]
 
@@ -277,7 +280,6 @@ class ChaoticPagerank:
         -------
         RunReport
         """
-        check_run_budget(max_passes, max_dead_passes)
         if availability is None:
             if fault_plan is None:
                 return self._run_static(
@@ -298,7 +300,10 @@ class ChaoticPagerank:
         on_pass: Optional[PassObserver] = None,
     ) -> RunReport:
         """All peers always present: the static pass step."""
-        return self._solve(max_passes, None, initial_ranks, keep_history, on_pass)
+        return self._solve(
+            initial_ranks, max_passes=max_passes, keep_history=keep_history,
+            on_pass=on_pass,
+        )
 
     def _run_churn(
         self,
@@ -313,99 +318,110 @@ class ChaoticPagerank:
     ) -> RunReport:
         """Peers leave and join between passes (§3.1): the churn step."""
         return self._solve(
-            max_passes, availability, initial_ranks, keep_history, on_pass,
+            initial_ranks, max_passes=max_passes, availability=availability,
+            keep_history=keep_history, on_pass=on_pass,
             fault_plan=fault_plan, max_dead_passes=max_dead_passes,
         )
 
-    def _solve(
-        self,
-        max_passes: int,
-        availability: Optional[AvailabilityModel],
-        initial_ranks: Optional[np.ndarray],
-        keep_history: bool,
-        on_pass: Optional[PassObserver],
-        *,
-        fault_plan: Optional[FaultPlan] = None,
-        max_dead_passes: int = 50,
-    ) -> RunReport:
-        """Run one whole-graph shard of the pass step (churn mode when
-        ``availability`` is given) and report every pass through the
-        ``core.*`` metrics, the trace and the tracker."""
-        n = self.graph.num_nodes
-        tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
-        if n == 0:
-            return tracker.finish(np.zeros(0), True)
-        churn = availability is not None
-        rank = initial_rank_vector(n, self.init_rank, initial_ranks)
-        stats = np.zeros((1, N_STAT_COLS), dtype=np.float64)
-        views = {"rank": rank, "stats": stats}
-        if churn:
-            views["active"] = np.zeros(n, dtype=bool)
-        else:
-            views["last_sent"] = rank.copy()
-        runner = ShardRunner(
-            WorkerState(
-                damping=self.damping,
-                epsilon=self.epsilon,
-                churn=churn,
-                views=views,
-                workspace=self.workspace,
-                indptr=self.graph.indptr,
-                indices=self.graph.indices,
-                assignment=self.assignment,
-                cross_edge=self._cross_edge,
-                remote_outdeg=self._remote_outdeg,
-                fault_plans=[fault_plan],
-                shift=self._shift,
-            )
+    def _solve(self, initial_ranks: Optional[np.ndarray], **run: Any) -> RunReport:
+        """:func:`run_whole_graph` on this graph; ``run`` is run control."""
+        g = self.graph
+        return run_whole_graph(
+            self.workspace, g.indptr, g.indices, self.assignment, self.num_peers,
+            self._cross_edge, self._remote_outdeg,
+            damping=self.damping, epsilon=self.epsilon, shift=self._shift,
+            initial=initial_rank_vector(g.num_nodes, self.init_rank, initial_ranks),
+            **run,
         )
-        obs = _CoreInstruments(get_registry())
-        sink = get_trace_sink()
 
-        def record(t: int, live_peers: int) -> None:
-            obs.passes.inc()
-            obs.live_peers.set(live_peers)
-            if not live_peers:
-                obs.dead_passes.inc()
-                tracker.record(pass_stats(stats, t, 0))
-                return
-            ps = pass_stats(stats, t, live_peers, None if churn else n)
-            resent = int(stats[:, COL_RESENT].sum())
-            obs.updates.inc(ps.active_documents)
-            obs.messages.inc(ps.messages)
-            obs.deferred.inc(ps.deferred_messages)
-            obs.resent.inc(resent)
-            obs.dropped.inc(int(stats[:, COL_DROPPED].sum()))
-            obs.residual.set(ps.max_rel_change)
-            obs.active.set(ps.active_documents)
-            if sink.enabled:
-                extra = (
-                    {"deferred": ps.deferred_messages, "resent": resent,
-                     "live_peers": live_peers}
-                    if churn else {}
-                )
-                sink.event(
-                    "core.pass", pass_index=t, residual=ps.max_rel_change,
-                    active_documents=ps.active_documents,
-                    messages=ps.messages, **extra,
-                )
-            tracker.record(ps)
 
-        with sink.span(
-            "core.run", mode="churn" if churn else "static", documents=n,
-            peers=self.num_peers, epsilon=self.epsilon,
-        ):
-            converged = run_shards(
-                [runner],
-                max_passes=max_passes,
-                num_peers=self.num_peers,
-                record=record,
-                availability=availability,
-                max_dead_passes=max_dead_passes,
-                on_pass=on_pass,
-                pass_timer=obs.pass_timer,
+def run_whole_graph(
+    workspace: CSRWorkspace,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    assignment: np.ndarray,
+    num_peers: int,
+    cross_edge: np.ndarray,
+    remote_outdeg: np.ndarray,
+    *,
+    damping: float,
+    epsilon: float,
+    shift: Optional[np.ndarray],
+    initial: np.ndarray,
+    max_passes: int,
+    availability: Optional[AvailabilityModel] = None,
+    keep_history: bool = True,
+    on_pass: Optional[PassObserver] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    max_dead_passes: int = 50,
+) -> RunReport:
+    """Run the pass step over one whole-graph shard (the churn step when
+    ``availability`` is given) from ``initial``, which becomes the rank
+    array, and report every pass through the ``core.*`` metrics, the
+    trace and the tracker.  ``indptr``/``indices`` are the forward
+    adjacency the static frontier expands through."""
+    check_run_budget(max_passes, max_dead_passes)
+    n = workspace.num_nodes
+    tracker = ConvergenceTracker(epsilon, keep_history=keep_history)
+    if n == 0:
+        return tracker.finish(np.zeros(0), True)
+    churn = availability is not None
+    rank = initial
+    stats = np.zeros((1, N_STAT_COLS), dtype=np.float64)
+    views = {"rank": rank, "stats": stats}
+    if churn:
+        views["active"] = np.zeros(n, dtype=bool)
+    else:
+        views["last_sent"] = rank.copy()
+    runner = ShardRunner(WorkerState(
+        damping=damping, epsilon=epsilon, churn=churn, views=views,
+        workspace=workspace, indptr=indptr, indices=indices,
+        assignment=assignment, cross_edge=cross_edge,
+        remote_outdeg=remote_outdeg, fault_plans=[fault_plan], shift=shift,
+    ))
+    obs = _CoreInstruments(get_registry())
+    sink = get_trace_sink()
+
+    def record(t: int, live_peers: int) -> None:
+        obs.passes.inc()
+        obs.live_peers.set(live_peers)
+        if not live_peers:
+            obs.dead_passes.inc()
+            tracker.record(pass_stats(stats, t, 0))
+            return
+        ps = pass_stats(stats, t, live_peers, None if churn else n)
+        resent = int(stats[:, COL_RESENT].sum())
+        obs.updates.inc(ps.active_documents)
+        obs.messages.inc(ps.messages)
+        obs.deferred.inc(ps.deferred_messages)
+        obs.resent.inc(resent)
+        obs.dropped.inc(int(stats[:, COL_DROPPED].sum()))
+        obs.residual.set(ps.max_rel_change)
+        obs.active.set(ps.active_documents)
+        if sink.enabled:
+            extra = (
+                {"deferred": ps.deferred_messages, "resent": resent,
+                 "live_peers": live_peers}
+                if churn else {}
             )
-        return tracker.finish(rank.copy(), converged)
+            sink.event(
+                "core.pass", pass_index=t, residual=ps.max_rel_change,
+                active_documents=ps.active_documents,
+                messages=ps.messages, **extra,
+            )
+        tracker.record(ps)
+
+    with sink.span(
+        "core.run", mode="churn" if churn else "static", documents=n,
+        peers=num_peers, epsilon=epsilon,
+    ):
+        converged = run_shards(
+            [runner], max_passes=max_passes, num_peers=num_peers,
+            record=record, availability=availability,
+            max_dead_passes=max_dead_passes, on_pass=on_pass,
+            pass_timer=obs.pass_timer,
+        )
+    return tracker.finish(rank.copy(), converged)
 
 
 def distributed_pagerank(
@@ -481,18 +497,10 @@ def scheduled_pagerank(
             converged = False
             break
         report = engine.run(max_passes=budget, initial_ranks=ranks)
-        for stats in report.history:
-            history.append(
-                PassStats(
-                    pass_index=total_passes + stats.pass_index,
-                    max_rel_change=stats.max_rel_change,
-                    active_documents=stats.active_documents,
-                    messages=stats.messages,
-                    deferred_messages=stats.deferred_messages,
-                    live_peers=stats.live_peers,
-                    computed_documents=stats.computed_documents,
-                )
-            )
+        history.extend(
+            replace(stats, pass_index=total_passes + stats.pass_index)
+            for stats in report.history
+        )
         total_messages += report.total_messages
         total_passes += report.passes
         ranks = report.ranks

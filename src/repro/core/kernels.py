@@ -5,7 +5,9 @@ engine compute, once per pass, the quantity
 
     new(i) = (1 - d) + d * Σ_{j -> i} value(j) / outdeg(j)
 
-over every in-link of every document (paper Eq. 1).  One kernel class
+over every in-link of every document (paper Eq. 1); the link weights
+are data (:meth:`CSRWorkspace.from_edges`), so the same kernels pull
+any sparse ``x = Mx + c`` system.  One kernel class
 implements that contract: :class:`CSRWorkspace`, a precomputed
 reverse-CSR (in-adjacency) layout of flat numpy ``indptr``/``indices``/
 ``data`` arrays (no scipy), plus the forward per-edge arrays.  Besides
@@ -79,11 +81,12 @@ class CSRWorkspace:
     The layout is three flat numpy arrays (no scipy): ``rindptr`` of
     length ``rows + 1``, ``rindices`` listing the *source* document of
     every in-edge grouped by target, and ``rdata`` carrying the edge
-    weight ``1/outdeg(source)``.  Within one target the sources appear
-    in ascending order — the same per-target order ``np.bincount``
-    accumulates the forward (source-major) edge walk in, which is what
-    makes :meth:`pull`, :meth:`pull_rows` and :meth:`pull_edges`
-    bit-identical to one another and to a plain per-edge pull.
+    weight (``1/outdeg(source)`` for pagerank).  Within one target the
+    sources appear in ascending order — the same per-target order
+    ``np.bincount`` accumulates the forward (source-major) edge walk
+    in, which is what makes :meth:`pull`, :meth:`pull_rows` and
+    :meth:`pull_edges` bit-identical to one another and to a plain
+    per-edge pull.
 
     The forward per-edge arrays (``src``/``dst``/``edge_weight``) are
     kept too: the churn step's §3.1 per-edge delivered-value state
@@ -106,13 +109,13 @@ class CSRWorkspace:
     rindices:
         In-edge source document per reverse-CSR entry.
     rdata:
-        ``inv_outdeg[rindices]`` — the weight of each in-edge.
+        ``edge_weight`` in reverse-CSR order — the weight of each
+        in-edge.
     """
 
     num_nodes: int
     src: np.ndarray
     dst: np.ndarray
-    inv_outdeg: np.ndarray
     edge_weight: np.ndarray
     rindptr: np.ndarray
     rindices: np.ndarray
@@ -122,24 +125,28 @@ class CSRWorkspace:
 
     @classmethod
     def from_graph(cls, graph: LinkGraph) -> "CSRWorkspace":
-        """Build forward + reverse layouts for ``graph`` (O(E) setup)."""
+        """:meth:`from_edges` with link ``j -> i`` weighted ``1/outdeg(j)``."""
         n = graph.num_nodes
         out_deg = graph.out_degrees()
         src = np.repeat(np.arange(n, dtype=np.int64), out_deg)
-        dst = graph.indices
         inv = np.zeros(n, dtype=np.float64)
         nz = out_deg > 0
         inv[nz] = 1.0 / out_deg[nz]
-        edge_weight = inv[src]
+        return cls.from_edges(n, src, graph.indices, inv[src])
+
+    @classmethod
+    def from_edges(
+        cls, n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> "CSRWorkspace":
+        """Build forward + reverse layouts (O(E) setup) for ``n`` rows
+        from weighted edges ``src -> dst`` listed source-major."""
         # Reverse CSR: stable sort of the forward edge list by target
         # keeps, within each target, the ascending-source order the
         # forward bincount accumulates in.
         order = np.argsort(dst, kind="stable")
         rindptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=rindptr[1:])
-        return cls._build(
-            src, dst, inv, edge_weight, rindptr, src[order], edge_weight[order]
-        )
+        return cls._build(src, dst, weight, rindptr, src[order], weight[order])
 
     def restrict(self, rows: np.ndarray) -> "CSRWorkspace":
         """The same kernels over ``rows`` (sorted, unique document ids)
@@ -160,7 +167,6 @@ class CSRWorkspace:
         return self._build(
             self.src[sel],
             np.searchsorted(rows, self.dst[sel]),
-            self.inv_outdeg,
             self.edge_weight[sel],
             rindptr,
             self.rindices[pos],
@@ -172,7 +178,6 @@ class CSRWorkspace:
         cls,
         src: np.ndarray,
         dst: np.ndarray,
-        inv_outdeg: np.ndarray,
         edge_weight: np.ndarray,
         rindptr: np.ndarray,
         rindices: np.ndarray,
@@ -183,7 +188,6 @@ class CSRWorkspace:
             num_nodes=rows,
             src=src,
             dst=dst,
-            inv_outdeg=inv_outdeg,
             edge_weight=edge_weight,
             rindptr=rindptr,
             rindices=rindices,
@@ -203,7 +207,7 @@ class CSRWorkspace:
     def pull(self, values: np.ndarray, damping: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """One full pull pass over the reverse layout: the new rank of
         every row from the global ``values`` (``(1-d) + d * Σ_in
-        values[src]/outdeg``).
+        weight * values[src]``).
 
         Parameters
         ----------
@@ -271,17 +275,20 @@ class CSRWorkspace:
 
 
 def relative_change(old: np.ndarray, new: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-document relative error ``|old - new| / new`` (paper Fig. 1).
+    """Per-document relative error ``|old - new| / |new|`` (paper Fig. 1).
 
-    ``new`` is bounded below by ``(1 - d) > 0`` for every computed
-    document, so the division is safe there; entries where ``new`` is 0
-    (never-computed documents in edge cases) are reported as 0 change.
+    For finite inputs of any sign: an unchanged value (0 included)
+    reports 0, and a drop to exactly 0 reports ``inf``, so the ε-gate
+    publishes it.  Where ``new > 0`` (uniform pagerank) the bits equal
+    ``|old - new| / new``.
     """
     if out is None:
         out = np.empty_like(new)
     np.subtract(old, new, out=out)
-    np.abs(out, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, new, out=out, where=new != 0)
-    out[new == 0] = 0.0
+        np.divide(out, new, out=out)
+    np.abs(out, out=out)
+    # Only an unchanged 0 divides to NaN (0/0); fmax maps it to 0.  No
+    # masked divide: numpy's ``where=`` loop is slow on ragged masks.
+    np.fmax(out, 0.0, out=out)
     return out

@@ -9,14 +9,16 @@ fixed-point problem
     x = M x + c
 
 with ``spectral_radius(|M|) < 1`` (for pagerank, ``M = d·Aᵀ D⁻¹`` and
-``c = (1-d)·1``).  This module implements that general problem under
-the same distributed execution model as the pagerank engine:
+``c = (1-d)·1``).  This module runs the general problem on the
+pagerank engine's own pass step (:mod:`repro.core.shard`), so exactly
+as for pagerank:
 
 * unknowns are assigned to peers (``assignment``);
-* each pass, every unknown recomputes from the values its in-links
-  last *announced*;
+* each pass, unknowns recompute from the values their in-links last
+  *announced* (only the out-targets of last pass's announcers);
 * an unknown whose relative change falls below ε stops announcing —
-  the chaotic stop-sending rule, with the same message accounting.
+  the chaotic stop-sending rule, with the same message accounting,
+  ``core.*`` metrics and ``core.run`` trace span.
 
 Chazan & Miranker (1969, the paper's ref. [5]) prove such iterations
 converge whenever ``rho(|M|) < 1`` for any bounded-delay interleaving;
@@ -33,8 +35,10 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
 from repro._util import check_threshold
-from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
-from repro.core.shard import resolve_assignment
+from repro.core.convergence import RunReport
+from repro.core.distributed import run_whole_graph
+from repro.core.kernels import CSRWorkspace
+from repro.core.shard import cross_peer_edges, resolve_assignment
 
 __all__ = ["ChaoticLinearSolver", "LinearSystem"]
 
@@ -49,6 +53,8 @@ class LinearSystem:
         Sparse ``(n, n)`` iteration matrix ``M``.  Convergence of the
         chaotic iteration requires ``rho(|M|) < 1`` (sufficient:
         any induced norm of ``|M|`` below 1, e.g. max absolute row sum).
+        Stored as a canonical copy (duplicates summed, explicit zeros
+        dropped), so each stored entry is one real dependency.
     constant:
         The affine term ``c`` (length n).
     """
@@ -69,7 +75,10 @@ class LinearSystem:
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("constant must be finite")
-        object.__setattr__(self, "matrix", m.tocsr())
+        m = m.tocsr().astype(np.float64)  # always a copy
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "constant", c)
 
     @property
@@ -106,12 +115,13 @@ class ChaoticLinearSolver:
 
     Notes
     -----
-    Exactly the pagerank engine's semantics, generalised: receivers
-    compute from last-announced values; announcements (and the network
-    messages they imply for cross-peer dependents) stop below ε.  The
-    pagerank engine remains a separate, specialised implementation
-    because its kernels exploit the uniform ``1/outdeg`` edge weights;
-    the cross-check test confirms the two agree on pagerank systems.
+    The pagerank engine's pass step, not a copy of it: ``M``'s columns
+    become the workspace's weighted edges and
+    :func:`~repro.core.distributed.run_whole_graph` runs with damping 1
+    (a row pulls exactly ``Σ_j M_ij x_j``), shift ``c`` and initial
+    vector ``c``.  Announcements — one message per cross-peer
+    dependent — stop below ε.  The cross-check test confirms the two
+    engines agree on pagerank systems.
     """
 
     def __init__(
@@ -126,13 +136,15 @@ class ChaoticLinearSolver:
         self.epsilon = float(epsilon)
         n = system.size
         self.assignment, self.num_peers = resolve_assignment(n, assignment, None)
-        # remote_dependents[j] = number of unknowns on *other* peers
-        # that read x_j — the messages one announcement of j costs.
-        m = system.matrix.tocoo()
-        cross = self.assignment[m.row] != self.assignment[m.col]
-        self._remote_dependents = np.bincount(
-            m.col[cross], minlength=n
-        ).astype(np.int64)
+        # Source-major edges j -> i of weight M_ij: the columns of M.
+        by_col = system.matrix.tocsc()
+        self._indptr = by_col.indptr.astype(np.int64)
+        self._indices = by_col.indices.astype(np.int64)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
+        self.workspace = CSRWorkspace.from_edges(n, src, self._indices, by_col.data)
+        self._cross_edge, self._remote_outdeg = cross_peer_edges(
+            self.workspace, self.assignment
+        )
 
     def run(self, *, max_passes: int = 100_000, keep_history: bool = True) -> RunReport:
         """Iterate to the strong convergence criterion.
@@ -140,39 +152,10 @@ class ChaoticLinearSolver:
         Returns a :class:`~repro.core.convergence.RunReport`; ``ranks``
         holds the solution vector.
         """
-        if max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-        sys_ = self.system
-        n = sys_.size
-        tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
-        if n == 0:
-            return tracker.finish(np.zeros(0), True)
-
-        x = sys_.constant.copy()
-        announced = x.copy()
-
-        converged = False
-        for t in range(max_passes):
-            new = sys_.matrix @ announced + sys_.constant
-            denom = np.where(new != 0, np.abs(new), 1.0)
-            rel = np.abs(x - new) / denom
-            rel[(new == 0) & (x == 0)] = 0.0
-            active = rel > self.epsilon
-            messages = int(self._remote_dependents[active].sum())
-            announced[active] = new[active]
-            x = new
-            tracker.record(
-                PassStats(
-                    pass_index=t,
-                    max_rel_change=float(rel.max()),
-                    active_documents=int(active.sum()),
-                    messages=messages,
-                    deferred_messages=0,
-                    live_peers=self.num_peers,
-                    computed_documents=n,
-                )
-            )
-            if not active.any():
-                converged = True
-                break
-        return tracker.finish(x.copy(), converged)
+        c = self.system.constant
+        return run_whole_graph(
+            self.workspace, self._indptr, self._indices, self.assignment,
+            self.num_peers, self._cross_edge, self._remote_outdeg,
+            damping=1.0, epsilon=self.epsilon, shift=c, initial=c.copy(),
+            max_passes=max_passes, keep_history=keep_history,
+        )

@@ -69,9 +69,17 @@ class TestRelativeChange:
         new = np.array([2.0, 2.0])
         assert np.allclose(relative_change(old, new), [0.5, 0.0])
 
-    def test_zero_new_reports_zero(self):
-        out = relative_change(np.array([1.0]), np.array([0.0]))
-        assert out[0] == 0.0
+    def test_drop_to_zero_reports_inf(self):
+        # A value that falls to exactly 0 must cross any epsilon (and
+        # publish); an unchanged 0 has not changed at all.
+        out = relative_change(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        assert out[0] == np.inf
+        assert out[1] == 0.0
+
+    def test_negative_values_use_the_magnitude(self):
+        # A signed divide would make these negative, below every epsilon.
+        out = relative_change(np.array([-1.0, 1.0]), np.array([-2.0, -1.0]))
+        assert np.array_equal(out, [0.5, 2.0])
 
     def test_out_buffer_reused(self):
         old, new = np.array([1.0]), np.array([4.0])

@@ -172,3 +172,22 @@ class TestPersonalizedChaotic:
         assert report.converged
         rel = np.abs(report.ranks - ref) / ref
         assert np.percentile(rel, 99) < 1e-3
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["static", "churn-loss"])
+    def test_rank_falling_to_zero_is_published(self, faulted):
+        # 650 of these 800 ranks are exactly 0: a document whose rank
+        # drops from 1 to 0 must announce the drop, or its
+        # out-neighbours keep pulling the initial 1 forever.
+        g = broder_graph(800, seed=9)
+        v = topic_vector(800, [0])
+        ref = pagerank_reference(g, preference=v).ranks
+        assert int((ref == 0).sum()) == 650
+        run = {}
+        if faulted:
+            run = dict(
+                availability=FixedFractionChurn(800, 0.75, seed=4),
+                fault_plan=FaultPlan(FaultSpec(drop_rate=0.2), seed=5),
+            )
+        report = ChaoticPagerank(g, epsilon=1e-6, preference=v).run(**run)
+        assert report.converged
+        assert float(np.max(np.abs(report.ranks - ref))) < 1e-3

@@ -92,11 +92,12 @@ class OracleReport:
 
 
 def _rel_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``|old - new| / new``, and 0 where ``new`` is exactly 0 — the
+    """``|old - new| / |new|``: ``inf`` where a value drops to exactly
+    0, and 0 where it is unchanged (an unchanged 0 included) — the
     engine's convention (``repro.core.relative_change``).  Only a
     preference vector with zero entries can zero a rank."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(new == 0, 0.0, np.abs(old - new) / new)
+        return np.where(old == new, 0.0, np.abs(old - new) / np.abs(new))
 
 
 def reference_pagerank(
