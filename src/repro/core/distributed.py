@@ -373,12 +373,13 @@ def run_whole_graph(
         views["active"] = np.zeros(n, dtype=bool)
     else:
         views["last_sent"] = rank.copy()
-    runner = ShardRunner(WorkerState(
+    state = WorkerState(
         damping=damping, epsilon=epsilon, churn=churn, views=views,
         workspace=workspace, indptr=indptr, indices=indices,
         assignment=assignment, cross_edge=cross_edge,
         remote_outdeg=remote_outdeg, fault_plans=[fault_plan], shift=shift,
-    ))
+    )
+    runner = ShardRunner(state)
     obs = _CoreInstruments(get_registry())
     sink = get_trace_sink()
 
@@ -416,7 +417,7 @@ def run_whole_graph(
         peers=num_peers, epsilon=epsilon,
     ):
         converged = run_shards(
-            [runner], max_passes=max_passes, num_peers=num_peers,
+            [runner], state=state, max_passes=max_passes, num_peers=num_peers,
             record=record, availability=availability,
             max_dead_passes=max_dead_passes, on_pass=on_pass,
             pass_timer=obs.pass_timer,

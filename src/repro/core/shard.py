@@ -33,11 +33,14 @@ document ids.  A teleport preference vector (topic-sensitive ranking,
 §7) is data of the step: its per-document shift is added to every
 pulled row, on the static and churn paths alike.
 
-The per-pass control decisions (dense or selective pass, stop or go)
-are pure functions of the statistics matrix, so every party of a
-parallel run takes them independently from the same bytes: no control
-messages, no coordinator.  :func:`run_shards` is the pass loop for
-shards driven on the calling thread.
+The per-pass control decisions (dense or selective pass, stop or go,
+starved or not) are pure functions of the statistics matrix and the
+availability sample, so every party of a parallel run takes them
+independently from the same bytes: no control messages, no
+coordinator.  :func:`run_shards` is the one pass loop: every party —
+the serial engine's whole-graph shard, the in-thread sharded backend,
+each worker process and the parent that only watches — runs it over
+its own shards, with a ``sync`` rendezvous between phases.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from typing import (
     Callable,
     ContextManager,
     Dict,
+    List,
     Optional,
     Protocol,
     Sequence,
@@ -72,6 +76,7 @@ __all__ = [
     "initial_rank_vector",
     "check_run_budget",
     "live_mask",
+    "StarvationError",
     "starvation_error",
     "COL_ACTIVE",
     "COL_MESSAGES",
@@ -202,10 +207,16 @@ def live_mask(
     return live
 
 
-def starvation_error(dead_streak: int, pass_index: int) -> RuntimeError:
+class StarvationError(RuntimeError):
+    """A run hit ``max_dead_passes`` consecutive passes with zero live
+    peers.  A parallel run's workers stop on it quietly; the parent
+    raises it."""
+
+
+def starvation_error(dead_streak: int, pass_index: int) -> StarvationError:
     """The error a run raises after ``max_dead_passes`` consecutive
     passes with zero live peers, instead of stalling silently."""
-    return RuntimeError(
+    return StarvationError(
         f"no live peers for {dead_streak} consecutive "
         f"passes (pass {pass_index}); the availability model "
         "starves the computation — raise availability "
@@ -391,12 +402,16 @@ class WorkerState:
 
     ``views`` holds the arrays shards exchange through: ``rank`` and
     ``stats`` always, ``last_sent`` on the static path and ``active``
-    on the churn path.  ``plan`` is ``None`` (or has one shard) when
-    the whole graph is a single shard.  ``fault_plans[s]`` is shard
-    ``s``'s seeded loss stream, if any.  ``shift`` is the per-document
-    teleport shift of a preference vector
-    (:func:`repro.core.personalized.preference_shift`), added to every
-    pulled row; ``None`` keeps the uniform teleport.
+    on the churn path.  A sharded run's views also hold ``published``,
+    whose per-shard regions (``plan.row_offsets``) carry each shard's
+    publishers of the latest static pass.  ``plan`` is ``None`` (or
+    has one shard) when the whole graph is a single shard.
+    ``fault_plans[s]`` is shard ``s``'s seeded loss stream, if any.
+    ``shift`` is the per-document teleport shift of a preference
+    vector (:func:`repro.core.personalized.preference_shift`), added
+    to every pulled row; ``None`` keeps the uniform teleport.
+    ``cut_outdeg`` (cross-shard out-degree per document) is derived
+    from the plan when not given.
     """
 
     damping: float
@@ -412,18 +427,30 @@ class WorkerState:
     fault_plans: Sequence[Optional[FaultPlan]]
     plan: Optional[ShardPlan] = None
     shift: Optional[np.ndarray] = None
-    cut_outdeg: Optional[np.ndarray] = field(init=False, default=None)
+    cut_outdeg: Optional[np.ndarray] = None
     frontier_buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ws = self.workspace
-        if self.plan is not None and self.plan.shards > 1:
+        if self.cut_outdeg is None and self.plan is not None and self.plan.shards > 1:
             shard_of = self.plan.doc_shard
             cut = shard_of[ws.src] != shard_of[ws.dst]
             self.cut_outdeg = np.bincount(
                 ws.src[cut], minlength=ws.num_nodes
             ).astype(np.int64)
         self.frontier_buf = np.empty(ws.num_nodes, dtype=bool)
+
+    def published_regions(self) -> List[np.ndarray]:
+        """Every shard's publishers of the latest static pass, read from
+        its region of the shared ``published`` array."""
+        assert self.plan is not None
+        published = self.views["published"]
+        stats = self.views["stats"]
+        offsets = self.plan.row_offsets
+        return [
+            published[offsets[s]: offsets[s] + int(stats[s, COL_PUBLISHED])]
+            for s in range(self.plan.shards)
+        ]
 
 
 class ShardRunner:
@@ -531,6 +558,11 @@ class ShardRunner:
         vals = self._stage_vals
         if published.size:
             st.views["last_sent"][published] = vals[self._stage_act]
+        region = st.views.get("published")
+        if region is not None:
+            assert st.plan is not None
+            start = int(st.plan.row_offsets[self.shard])
+            region[start: start + published.size] = published
         ids = self._stage_ids
         st.views["rank"][self._sel if ids is None else ids] = vals
         row = st.views["stats"][self.shard]
@@ -696,9 +728,14 @@ class ShardRunner:
         row[COL_DIRTY] = 1.0 if self.dirty.any() else 0.0
 
 
+def _no_sync() -> None:
+    """The phase rendezvous of a party that runs every shard itself."""
+
+
 def run_shards(
     runners: Sequence[ShardRunner],
     *,
+    state: WorkerState,
     max_passes: int,
     num_peers: int,
     record: PassRecorder,
@@ -706,9 +743,18 @@ def run_shards(
     max_dead_passes: int = 50,
     on_pass: Optional[PassObserver] = None,
     pass_timer: Optional[ContextManager[object]] = None,
+    sync: Optional[Callable[[], None]] = None,
 ) -> bool:
-    """Drive every shard of a run through the pass loop on this thread.
+    """The pass loop: drive ``runners`` — this party's shards of the
+    run ``state`` describes, possibly none — through every pass.
 
+    ``sync`` is the rendezvous between phases: a barrier wait across
+    processes, ``None`` when one party runs every shard.  It is
+    called twice per static pass (after compute, after publish) and
+    three times per churn pass, dead or not (after compute, publish
+    and deliver), so every party performs the identical wait sequence;
+    shared arrays are written only between a pass's first and last
+    sync and read by the next pass's compute, or by ``record``.
     ``record`` sees each pass once its statistics rows are written;
     ``pass_timer`` (entered once per computed pass) times the step.
     Returns whether the strong convergence criterion fired before the
@@ -716,25 +762,28 @@ def run_shards(
     ``max_dead_passes`` consecutive passes with every peer down (such
     passes are skipped, never evaluated for convergence).
     """
-    state = runners[0].state
     stats = state.views["stats"]
     rank = state.views["rank"]
     timer = pass_timer if pass_timer is not None else nullcontext()
+    if sync is None:
+        sync = _no_sync
     if not state.churn:
         prev_published = 0
         for t in range(max_passes):
             dense = static_pass_is_dense(t, prev_published, rank.size)
             with timer:
                 published: Optional[np.ndarray] = None
-                if not dense:
+                if runners and not dense:
                     published = (
-                        runners[0].published if len(runners) == 1
-                        else np.concatenate([r.published for r in runners])
+                        np.concatenate(state.published_regions())
+                        if "published" in state.views else runners[0].published
                     )
                 for runner in runners:
                     runner.static_compute(t, dense, published)
+                sync()
                 for runner in runners:
                     runner.static_publish()
+                sync()
             prev_published = int(stats[:, COL_PUBLISHED].sum())
             if on_pass is not None:
                 on_pass(t, rank)
@@ -749,10 +798,14 @@ def run_shards(
         live = live_mask(availability, t, num_peers)
         if not live.any():
             # All peers down: skip the pass — with nothing live, the
-            # convergence check would falsely fire.
+            # convergence check would falsely fire.  Every party still
+            # meets the pass's three syncs.
             dead_streak += 1
+            sync()
+            sync()
             for runner in runners:
                 runner.churn_dead_pass(t)
+            sync()
             record(t, 0)
             if dead_streak >= max_dead_passes:
                 raise starvation_error(dead_streak, t)
@@ -761,10 +814,13 @@ def run_shards(
         with timer:
             for runner in runners:
                 runner.churn_compute(t, live)
+            sync()
             for runner in runners:
                 runner.churn_publish()
+            sync()
             for runner in runners:
                 runner.churn_deliver(t, live)
+            sync()
         if on_pass is not None:
             on_pass(t, rank)
         record(t, int(live.sum()))

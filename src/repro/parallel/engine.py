@@ -27,15 +27,17 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, RunReport
-from repro.core.kernels import expand_rows
+from repro.core.kernels import CSRWorkspace, expand_rows
 from repro.core.pagerank import DEFAULT_DAMPING
 from repro.core.shard import (
     COL_COMPUTE_S,
@@ -46,30 +48,22 @@ from repro.core.shard import (
     PassObserver,
     ShardPlan,
     ShardRunner,
+    WorkerState,
     build_shard_plan,
     check_run_budget,
-    churn_should_stop,
+    cross_peer_edges,
     initial_rank_vector,
-    live_mask,
     pass_stats,
     resolve_assignment,
     run_shards,
-    starvation_error,
-    static_should_stop,
 )
-from repro.faults.plan import FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs.linkgraph import LinkGraph
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import MetricsRegistry, TimerMetric, get_registry
 from repro.p2p.messages import MESSAGE_SIZE_BYTES
 from repro.p2p.routing import DeliveryPolicy
 from repro.parallel.state import ArraySpec, SharedArena
-from repro.parallel.worker import (
-    BARRIER_TIMEOUT_S,
-    RunConfig,
-    build_worker_state,
-    published_regions,
-    worker_main,
-)
+from repro.parallel.worker import BARRIER_TIMEOUT_S, worker_main
 
 __all__ = ["ParallelPagerank", "ExchangeStats", "parallel_pagerank"]
 
@@ -124,7 +118,8 @@ class _ParallelInstruments:
         )
         self.barrier_wait = reg.timer(
             "parallel.barrier_wait_seconds",
-            description="parent wall-clock seconds blocked on pass barriers",
+            description="parent wall-clock seconds blocked on the pass "
+                        "barrier, one observation per computed pass",
         )
         self.compute = reg.histogram(
             "parallel.compute_seconds", unit="seconds",
@@ -202,21 +197,22 @@ class ParallelPagerank:
         self.assignment, self.num_peers = resolve_assignment(
             graph.num_nodes, assignment, num_peers
         )
-
-        max_shards = max(self.num_peers, 1)
-        if shards is None:
-            shards = min(workers, max_shards)
-        if not 1 <= shards <= max_shards:
-            raise ValueError(
-                f"shards must be in [1, num_peers={max_shards}], got {shards}"
-            )
-        self.shards = int(shards)
-        self.workers = min(int(workers), self.shards)
-
-        self._indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
-        self._indices = np.ascontiguousarray(graph.indices, dtype=np.int64)
+        peers = max(self.num_peers, 1)
         self.plan: ShardPlan = build_shard_plan(
-            self.assignment, max(self.num_peers, 1), self.shards
+            self.assignment, peers, min(workers, peers) if shards is None else shards
+        )
+        self.shards = self.plan.shards
+        self.workers = min(int(workers), self.shards)
+        # The derived per-run context every party shares, built once:
+        # each run copies it with its own mode, fault streams and views.
+        workspace = CSRWorkspace.from_graph(graph)
+        cross_edge, remote_outdeg = cross_peer_edges(workspace, self.assignment)
+        self._context = WorkerState(
+            damping=self.damping, epsilon=self.epsilon, churn=False, views={},
+            workspace=workspace, indptr=graph.indptr, indices=graph.indices,
+            assignment=self.assignment, cross_edge=cross_edge,
+            remote_outdeg=remote_outdeg, fault_plans=[None] * self.shards,
+            plan=self.plan,
         )
         #: Cross-shard exchange of the most recent run.
         self.last_exchange: Optional[ExchangeStats] = None
@@ -254,23 +250,8 @@ class ParallelPagerank:
             self.last_exchange = ExchangeStats(0, 0, 0)
             return tracker.finish(np.zeros(0), True)
 
-        mode = "churn" if (availability is not None or fault_spec is not None) else "static"
-        if mode == "churn" and availability is None:
+        if fault_spec is not None and availability is None:
             availability = AllLive(self.num_peers)
-        cfg = RunConfig(
-            num_docs=n,
-            num_peers=max(self.num_peers, 1),
-            shards=self.shards,
-            workers=self.workers,
-            damping=self.damping,
-            epsilon=self.epsilon,
-            max_passes=max_passes,
-            mode=mode,
-            max_dead_passes=max_dead_passes,
-            fault_spec=fault_spec,
-            fault_seed=fault_seed,
-            availability=availability,
-        )
         rank0 = initial_rank_vector(n, self.init_rank, initial_ranks)
         backend = self.backend
         if backend == "auto":
@@ -280,62 +261,85 @@ class ParallelPagerank:
         sizes = np.diff(self.plan.row_offsets).astype(np.float64)
         obs.imbalance.set(float(sizes.max() / sizes.mean()) if sizes.mean() else 1.0)
         obs.workers.set(self.workers if backend == "process" else 1)
+        if delivery_policy is not None:
+            delivery_policy.reset()
 
-        if backend == "in-process":
-            return self._run_in_process(
-                cfg, rank0, tracker, obs, on_pass, delivery_policy
-            )
-        return self._run_process(
-            cfg, rank0, tracker, obs, on_pass, delivery_policy
+        # Every party runs this loop.  Each holds its own identically
+        # seeded copy of the availability model: under fork the
+        # workers' copies snapshot the same pre-run RNG state, under
+        # spawn they are pickled from it.
+        loop = partial(
+            run_shards, max_passes=max_passes, num_peers=self.plan.num_peers,
+            availability=availability, max_dead_passes=max_dead_passes,
         )
+        state = replace(
+            self._context,
+            churn=availability is not None,
+            fault_plans=_shard_fault_plans(fault_spec, fault_seed, self.shards),
+        )
+        with ExitStack() as stack:
+            sync: Optional[Callable[[], None]] = None
+            barrier_timer: Optional[TimerMetric] = None
+            if backend == "process":
+                state, sync = stack.enter_context(
+                    self._worker_processes(state, loop, rank0)
+                )
+                # With no shards of its own, the parent's pass is its
+                # barrier waits.
+                barrier_timer = obs.barrier_wait
+                runners: List[ShardRunner] = []
+            else:
+                state = replace(state, views=_reset_views(
+                    {name: np.empty(shape, dtype) for name, dtype, shape
+                     in self._shared_specs()},
+                    rank0,
+                ))
+                runners = [ShardRunner(state, s) for s in range(self.shards)]
+            tally = _Tally()
+
+            def record(t: int, live_peers: int) -> None:
+                self._record(state, tally, tracker, obs, delivery_policy, t, live_peers)
+
+            t_start = perf_counter()
+            converged = loop(
+                runners, state=state, record=record, on_pass=on_pass,
+                pass_timer=barrier_timer, sync=sync,
+            )
+            return self._finish(
+                tracker, state.views["rank"], converged, obs, tally,
+                perf_counter() - t_start,
+            )
 
     # ------------------------------------------------------------------
-    # Shared parent-side bookkeeping
+    # Parent-side bookkeeping
     # ------------------------------------------------------------------
-    def _shared_specs(self, cfg: RunConfig) -> List[ArraySpec]:
-        n = cfg.num_docs
+    def _shared_specs(self) -> List[ArraySpec]:
+        """The arrays parties write, one region per shard where split."""
+        n = self.graph.num_nodes
         return [
-            ("indptr", "int64", (n + 1,)),
-            ("indices", "int64", (self._indices.size,)),
-            ("assignment", "int64", (n,)),
             ("last_sent", "float64", (n,)),
             ("rank", "float64", (n,)),
             ("active", "bool", (n,)),
             ("published", "int64", (n,)),
-            ("stats", "float64", (cfg.shards, N_STAT_COLS)),
+            ("stats", "float64", (self.shards, N_STAT_COLS)),
         ]
 
-    def _fresh_views(self, cfg: RunConfig, rank0: np.ndarray) -> Dict[str, np.ndarray]:
-        n = cfg.num_docs
-        return {
-            "indptr": self._indptr,
-            "indices": self._indices,
-            "assignment": self.assignment,
-            "last_sent": rank0.copy(),
-            "rank": rank0.copy(),
-            "active": np.zeros(n, dtype=bool),
-            "stats": np.zeros((cfg.shards, N_STAT_COLS), dtype=np.float64),
-        }
-
     def _price_static_exchange(
-        self,
-        policy: Optional[DeliveryPolicy],
-        stats: np.ndarray,
-        published: Callable[[], Sequence[np.ndarray]],
+        self, policy: Optional[DeliveryPolicy], state: WorkerState
     ) -> int:
         """Hops of this pass's cross-shard exchange: direct delivery
         (one hop per delta) unless a policy prices the routing of every
-        shard's ``published()`` documents."""
-        cut = int(stats[:, COL_CUT].sum())
+        shard's published documents."""
+        cut = int(state.views["stats"][:, COL_CUT].sum())
         if policy is None:
             return cut
         plan = self.plan
         hops = 0
-        for s, pub in enumerate(published()):
+        for s, pub in enumerate(state.published_regions()):
             if not pub.size:
                 continue
-            tpos, lens = expand_rows(self._indptr, pub)
-            targets = self._indices[tpos]
+            tpos, lens = expand_rows(state.indptr, pub)
+            targets = state.indices[tpos]
             cut_targets = targets[
                 plan.doc_shard[targets] != np.repeat(plan.doc_shard[pub], lens)
             ]
@@ -346,31 +350,27 @@ class ParallelPagerank:
 
     def _record(
         self,
-        cfg: RunConfig,
+        state: WorkerState,
         tally: _Tally,
         tracker: ConvergenceTracker,
         obs: _ParallelInstruments,
         policy: Optional[DeliveryPolicy],
-        stats: np.ndarray,
         t: int,
         live_peers: int,
-        published: Callable[[], Sequence[np.ndarray]],
     ) -> None:
         """Account one pass: cross-shard exchange, compute seconds and
         the pass record (a skipped all-down pass adds no exchange)."""
-        static = cfg.mode == "static"
+        stats = state.views["stats"]
         cut = int(stats[:, COL_CUT].sum())
         compute = float(stats[:, COL_COMPUTE_S].sum())
         tally.messages += cut
-        tally.hops += (
-            self._price_static_exchange(policy, stats, published) if static else cut
-        )
+        tally.hops += cut if state.churn else self._price_static_exchange(policy, state)
         tally.compute += compute
         obs.passes.inc()
         obs.compute.observe(compute)
         tracker.record(
             pass_stats(
-                stats, t, live_peers, self.graph.num_nodes if static else None
+                stats, t, live_peers, None if state.churn else self.graph.num_nodes
             )
         )
 
@@ -398,84 +398,34 @@ class ParallelPagerank:
         return tracker.finish(rank.copy(), converged)
 
     # ------------------------------------------------------------------
-    # In-process backend: the same per-shard code on one thread
-    # ------------------------------------------------------------------
-    def _run_in_process(
-        self,
-        cfg: RunConfig,
-        rank0: np.ndarray,
-        tracker: ConvergenceTracker,
-        obs: _ParallelInstruments,
-        on_pass: Optional[PassObserver],
-        policy: Optional[DeliveryPolicy],
-    ) -> RunReport:
-        if policy is not None:
-            policy.reset()
-        views = self._fresh_views(cfg, rank0)
-        state = build_worker_state(cfg, views)
-        runners = [ShardRunner(state, s) for s in range(cfg.shards)]
-        tally = _Tally()
-
-        def record(t: int, live_peers: int) -> None:
-            self._record(
-                cfg, tally, tracker, obs, policy, views["stats"], t, live_peers,
-                lambda: [r.published for r in runners],
-            )
-
-        t_start = perf_counter()
-        converged = run_shards(
-            runners,
-            max_passes=cfg.max_passes,
-            num_peers=cfg.num_peers,
-            record=record,
-            availability=cfg.availability,
-            max_dead_passes=cfg.max_dead_passes,
-            on_pass=on_pass,
-        )
-        return self._finish(
-            tracker, views["rank"], converged, obs, tally,
-            perf_counter() - t_start,
-        )
-
-    # ------------------------------------------------------------------
     # Process backend: worker OS processes over the shared arena
     # ------------------------------------------------------------------
-    def _run_process(
+    @contextmanager
+    def _worker_processes(
         self,
-        cfg: RunConfig,
+        state: WorkerState,
+        loop: Callable[..., bool],
         rank0: np.ndarray,
-        tracker: ConvergenceTracker,
-        obs: _ParallelInstruments,
-        on_pass: Optional[PassObserver],
-        policy: Optional[DeliveryPolicy],
-    ) -> RunReport:
-        if policy is not None:
-            policy.reset()
+    ) -> Iterator[Tuple[WorkerState, Callable[[], None]]]:
+        """Start the workers over a fresh shared arena.  Yields the
+        parent's view of the run and the phase rendezvous every party
+        shares: a wait on one reusable barrier."""
         start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         ctx = mp.get_context(start_method)
-        arena = SharedArena.create(self._shared_specs(cfg))
+        arena = SharedArena.create(self._shared_specs())
         procs: List[mp.process.BaseProcess] = []
-        barrier_a = ctx.Barrier(cfg.workers + 1)
-        barrier_b = ctx.Barrier(cfg.workers + 1)
+        barrier = ctx.Barrier(self.workers + 1)
         errors = ctx.Queue()
         try:
-            arena.view("indptr")[:] = self._indptr
-            arena.view("indices")[:] = self._indices
-            arena.view("assignment")[:] = self.assignment
-            arena.view("last_sent")[:] = rank0
-            arena.view("rank")[:] = rank0
-            arena.view("active")[:] = False
-            arena.view("published")[:] = 0
-            arena.view("stats")[:] = 0.0
-            views = arena.views()
-            stats = views["stats"]
-            rank = views["rank"]
-            for w in range(cfg.workers):
+            _reset_views(arena.views(), rank0)
+            for w in range(self.workers):
+                # ``state`` carries no views yet: fork inherits it
+                # without a copy, spawn pickles only the derived context.
                 proc = ctx.Process(
                     target=worker_main,
                     args=(
-                        w, cfg, arena.name, arena.layout,
-                        barrier_a, barrier_b, errors,
+                        w, self.plan.shards_of_worker(w, self.workers), state,
+                        loop, arena.name, arena.layout, barrier, errors,
                         start_method == "spawn",
                     ),
                     daemon=True,
@@ -483,67 +433,17 @@ class ParallelPagerank:
                 proc.start()
                 procs.append(proc)
 
-            converged = False
-            tally = _Tally()
-
-            def published() -> List[np.ndarray]:
-                return published_regions(views, self.plan, stats)
-
-            t_start = perf_counter()
             try:
-                if cfg.mode == "static":
-                    for t in range(cfg.max_passes):
-                        with obs.barrier_wait:
-                            barrier_a.wait(BARRIER_TIMEOUT_S)
-                            barrier_b.wait(BARRIER_TIMEOUT_S)
-                        if on_pass is not None:
-                            on_pass(t, rank)
-                        self._record(
-                            cfg, tally, tracker, obs, policy, stats, t,
-                            cfg.num_peers, published,
-                        )
-                        if static_should_stop(stats):
-                            converged = True
-                            break
-                else:
-                    # Parent holds its own identically seeded copy of
-                    # the availability model: under fork the workers'
-                    # copies snapshot the same pre-run RNG state, under
-                    # spawn they are pickled from it.
-                    availability = cfg.availability
-                    assert availability is not None
-                    dead_streak = 0
-                    for t in range(cfg.max_passes):
-                        live = live_mask(availability, t, cfg.num_peers)
-                        n_live = int(live.sum())
-                        dead_streak = 0 if n_live else dead_streak + 1
-                        # Three rendezvous per pass, dead or not (see
-                        # repro.parallel.worker._loop_churn).
-                        with obs.barrier_wait:
-                            barrier_a.wait(BARRIER_TIMEOUT_S)
-                            barrier_b.wait(BARRIER_TIMEOUT_S)
-                            barrier_a.wait(BARRIER_TIMEOUT_S)
-                        if n_live and on_pass is not None:
-                            on_pass(t, rank)
-                        self._record(
-                            cfg, tally, tracker, obs, policy, stats, t,
-                            n_live, published,
-                        )
-                        if dead_streak >= cfg.max_dead_passes:
-                            raise starvation_error(dead_streak, t)
-                        if n_live and churn_should_stop(stats):
-                            converged = True
-                            break
+                yield (
+                    replace(state, views=arena.views()),
+                    partial(barrier.wait, BARRIER_TIMEOUT_S),
+                )
             except threading.BrokenBarrierError:
                 raise self._collect_worker_error(errors)
             finally:
-                # Unblock any worker still parked on a barrier (e.g.
+                # Unblock any worker still parked on the barrier (e.g.
                 # when the parent errored between waits), then reap.
-                barrier_a.abort()
-                barrier_b.abort()
-            return self._finish(
-                tracker, rank, converged, obs, tally, perf_counter() - t_start
-            )
+                barrier.abort()
         finally:
             for proc in procs:
                 proc.join(timeout=30.0)
@@ -565,6 +465,36 @@ class ParallelPagerank:
             pass
         detail = "\n".join(tracebacks) if tracebacks else "(no traceback reported)"
         return RuntimeError(f"parallel worker failed:\n{detail}")
+
+
+def _shard_fault_plans(
+    spec: Optional[FaultSpec], seed: int, shards: int
+) -> List[Optional[FaultPlan]]:
+    """Seeded per-shard fault streams.
+
+    One shard keeps the raw seed so a ``shards=1`` run replays the
+    serial engine's exact draw sequence; more shards split the stream
+    via ``SeedSequence.spawn`` — deterministic per ``(seed, shards)``
+    and independent of worker count.
+    """
+    if spec is None:
+        return [None] * shards
+    if shards == 1:
+        return [FaultPlan(spec, seed=seed)]
+    children = np.random.SeedSequence(seed).spawn(shards)
+    return [FaultPlan(spec, seed=children[s]) for s in range(shards)]
+
+
+def _reset_views(
+    views: Dict[str, np.ndarray], rank0: np.ndarray
+) -> Dict[str, np.ndarray]:
+    """A run's starting state: every shared array zero but the rank and
+    last-sent vectors, which start at ``rank0``."""
+    for view in views.values():
+        view.fill(0)
+    views["rank"][:] = rank0
+    views["last_sent"][:] = rank0
+    return views
 
 
 def parallel_pagerank(

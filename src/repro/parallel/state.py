@@ -1,16 +1,16 @@
 """Shared-memory arena backing the multi-process sharded engine.
 
 One :class:`multiprocessing.shared_memory.SharedMemory` block carries
-everything the parties of a parallel run exchange (§4.2's pass
-simulation run across OS processes): the immutable forward CSR of the
-link graph plus the placement assignment (zero-copy worker reads), the
-live rank / last-sent / active arrays, the per-shard published-ids
-regions and the per-shard statistics matrix.  The layout is a flat
-list of named array specs with 8-byte-aligned offsets computed up
+the arrays the parties of a parallel run write (§4.2's pass simulation
+run across OS processes): the live rank / last-sent / active arrays,
+the per-shard published-ids regions and the per-shard statistics
+matrix.  The graph and everything derived from it reach the workers
+once, as a process argument, not through the arena.  The layout is a
+flat list of named array specs with 8-byte-aligned offsets computed up
 front; parent and workers map numpy views over the same bytes, and the
-pass protocol's two barriers guarantee no view is written while
-another party reads it (docs/PERFORMANCE.md "Sharded execution
-model").
+syncs of the one pass loop every party runs guarantee no view is
+written while another party reads it (docs/PERFORMANCE.md "Sharded
+execution model").
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
 from repro.core.distributed import AvailabilityModel
 from repro.core.kernels import expand_rows
 from repro.core.pagerank import DEFAULT_DAMPING
+from repro.core.shard import check_run_budget, live_mask, starvation_error
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import (
     ReliabilityConfig,
@@ -319,12 +320,7 @@ class P2PPagerankSimulation:
         ``max_dead_passes`` consecutive dead passes raise a
         ``RuntimeError`` rather than silently stalling to the cap.
         """
-        if max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-        if max_dead_passes < 1:
-            raise ValueError(
-                f"max_dead_passes must be >= 1, got {max_dead_passes}"
-            )
+        check_run_budget(max_passes, max_dead_passes)
         tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
         num_peers = self.network.num_peers
 
@@ -354,11 +350,7 @@ class P2PPagerankSimulation:
                 if availability is None:
                     live = np.ones(num_peers, dtype=bool)
                 else:
-                    live = np.asarray(availability.sample(t), dtype=bool)
-                    if live.shape != (num_peers,):
-                        raise ValueError(
-                            f"availability.sample must return shape ({num_peers},)"
-                        )
+                    live = live_mask(availability, t, num_peers)
                 if faulted:
                     # Crash-with-state-loss: wipe volatile queues and the
                     # retransmit buffer; the peer reboots after a spell.
@@ -408,12 +400,7 @@ class P2PPagerankSimulation:
                         )
                     )
                     if dead_streak >= max_dead_passes:
-                        raise RuntimeError(
-                            f"no live peers for {dead_streak} consecutive "
-                            f"passes (pass {t}); the availability model "
-                            "starves the computation — raise availability or "
-                            "max_dead_passes"
-                        )
+                        raise starvation_error(dead_streak, t)
                     continue
                 dead_streak = 0
 

@@ -14,8 +14,9 @@ from repro.core.shard import (
     starvation_error,
 )
 from repro.graphs import broder_graph
-from repro.p2p import DocumentPlacement
+from repro.p2p import DocumentPlacement, P2PNetwork
 from repro.parallel import ParallelPagerank
+from repro.simulation.engine import P2PPagerankSimulation
 
 DOCS = 120
 PEERS = 6
@@ -33,6 +34,9 @@ def _engines(workload):
         ChaoticPagerank(graph, assignment),
         ParallelPagerank(graph, assignment, backend="in-process"),
         ParallelPagerank(graph, assignment, workers=2, backend="process"),
+        P2PPagerankSimulation(graph, P2PNetwork(
+            PEERS, DocumentPlacement(assignment, PEERS), build_ring=False
+        )),
     ]
 
 
@@ -50,9 +54,24 @@ def test_every_engine_rejects_bad_availability_shape(workload):
         def sample(self, t):
             return np.ones(PEERS + 1, dtype=bool)
 
-    for engine in _engines(workload)[:2]:
+    for engine in _engines(workload):
         with pytest.raises(ValueError, match="availability.sample must return"):
             engine.run(availability=WrongShape())
+
+
+@pytest.mark.parametrize(
+    "geometry, message",
+    [
+        ({"shards": 0}, "shards must be in"),
+        ({"shards": PEERS + 1}, "shards must be in"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"backend": "threads"}, "backend must be one of"),
+    ],
+)
+def test_parallel_engine_rejects_bad_geometry(workload, geometry, message):
+    graph, assignment = workload
+    with pytest.raises(ValueError, match=message):
+        ParallelPagerank(graph, assignment, **geometry)
 
 
 class TestResolveAssignment:

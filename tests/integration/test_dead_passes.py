@@ -1,4 +1,5 @@
-"""All-peers-down passes: skipped, counted, and capped in both engines."""
+"""All-peers-down passes: skipped, counted, and capped in every engine
+and parallel backend."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from repro import obs
 from repro.core.distributed import ChaoticPagerank
 from repro.graphs import gnp_random_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
+from repro.parallel import ParallelPagerank
 from repro.simulation.engine import P2PPagerankSimulation
 
 DOCS = 60
@@ -71,38 +73,79 @@ class TestSimulatorDeadPasses:
             sim.run(availability=Blackout(PEERS, dark=1), max_dead_passes=0)
 
 
+ENGINES = {
+    "serial": lambda graph, assign: ChaoticPagerank(graph, assign, epsilon=1e-4),
+    "in-process": lambda graph, assign: ParallelPagerank(
+        graph, assign, shards=2, epsilon=1e-4, backend="in-process"
+    ),
+    "process": lambda graph, assign: ParallelPagerank(
+        graph, assign, workers=2, shards=3, epsilon=1e-4, backend="process"
+    ),
+}
+
+
+def make_engine(kind, graph):
+    assign = DocumentPlacement.random(DOCS, PEERS, seed=1).assignment
+    return ENGINES[kind](graph, assign)
+
+
 class TestVectorizedDeadPasses:
+    """The serial engine; each subclass reruns every case on one
+    ``ParallelPagerank`` backend."""
+
+    kind = "serial"
+
     def test_blackout_is_skipped_not_converged(self, graph):
-        assign = DocumentPlacement.random(DOCS, PEERS, seed=1).assignment
         with obs.use_registry() as reg:
-            report = ChaoticPagerank(graph, assign, epsilon=1e-4).run(
+            report = make_engine(self.kind, graph).run(
                 availability=Blackout(PEERS, dark=4)
             )
             snap = reg.snapshot()
         assert report.converged
         assert report.passes > 4
-        assert snap["core.dead_passes"]["value"] == 4
+        if self.kind == "serial":
+            assert snap["core.dead_passes"]["value"] == 4
         dead = [s for s in report.history if s.live_peers == 0]
         assert len(dead) == 4
         assert all(s.messages == 0 for s in dead)
 
+    def test_blackout_run_equals_serial_bitwise(self, graph):
+        # Every party skips the same dead passes, so the sharded runs
+        # replay the serial one exactly.
+        serial = make_engine("serial", graph).run(availability=Blackout(PEERS, dark=4))
+        report = make_engine(self.kind, graph).run(
+            availability=Blackout(PEERS, dark=4)
+        )
+        assert np.array_equal(report.ranks, serial.ranks)
+        assert report.passes == serial.passes
+        assert report.total_messages == serial.total_messages
+
     def test_blackout_matches_always_up_result(self, graph):
         # Dead passes delay the run but must not change the fixed point.
-        assign = DocumentPlacement.random(DOCS, PEERS, seed=1).assignment
-        base = ChaoticPagerank(graph, assign, epsilon=1e-4).run()
-        delayed = ChaoticPagerank(graph, assign, epsilon=1e-4).run(
+        base = make_engine(self.kind, graph).run()
+        delayed = make_engine(self.kind, graph).run(
             availability=Blackout(PEERS, dark=2)
         )
         assert np.array_equal(base.ranks, delayed.ranks)
 
     def test_permanent_blackout_raises_at_cap(self, graph):
-        assign = DocumentPlacement.random(DOCS, PEERS, seed=1).assignment
-        engine = ChaoticPagerank(graph, assign, epsilon=1e-4)
-        with pytest.raises(RuntimeError, match="no live peers for 4 consecutive"):
+        # Workers stand down quietly at the cap; only the cap's own
+        # error reaches the caller, never a worker failure report.
+        engine = make_engine(self.kind, graph)
+        with pytest.raises(RuntimeError) as exc:
             engine.run(availability=PermanentBlackout(PEERS), max_dead_passes=4)
+        assert "no live peers for 4 consecutive" in str(exc.value)
+        assert "worker" not in str(exc.value)
 
     def test_max_dead_passes_validated(self, graph):
-        assign = DocumentPlacement.random(DOCS, PEERS, seed=1).assignment
-        engine = ChaoticPagerank(graph, assign, epsilon=1e-4)
+        engine = make_engine(self.kind, graph)
         with pytest.raises(ValueError, match="max_dead_passes"):
             engine.run(availability=Blackout(PEERS, dark=1), max_dead_passes=0)
+
+
+class TestInProcessDeadPasses(TestVectorizedDeadPasses):
+    kind = "in-process"
+
+
+class TestProcessDeadPasses(TestVectorizedDeadPasses):
+    kind = "process"
