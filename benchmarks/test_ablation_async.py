@@ -1,23 +1,29 @@
 """Ablation: asynchronous deployment hazards (extends paper §6).
 
 The paper simulates batched synchronous passes; its future work is a
-real asynchronous deployment.  Reproducing the protocol at message
-granularity surfaced three design choices the paper's simulation could
-not evaluate, each quantified here on the same workload:
+real asynchronous deployment.  Running the protocol at message
+granularity on the concurrent runtime (``AsyncPeerRuntime`` in its
+deterministic virtual-clock mode, exponential latency jitter) surfaces
+three design choices the paper's simulation could not evaluate, each
+quantified here on the same workload:
 
 1. **Update versioning** (the load-bearing one).  The paper's 24-byte
    message carries no ordering; under latency jitter an old update can
-   arrive after — and permanently overwrite — a newer one.  Unversioned
-   runs both corrupt the result (≈0.6-1.2 max relative error in our
-   runs) and, in the fully literal mode, send an order of magnitude
-   more messages as stale values keep re-perturbing the system.
+   arrive after — and permanently overwrite — a newer one, and every
+   retransmitted batch is such an old update.  Unversioned runs
+   corrupt the result (≈1.1-2.5 max relative error in our runs), and
+   without receiver batching the stale values keep re-perturbing the
+   system so the run makes little virtual-time progress: unversioned
+   runs are therefore cut at a round budget.
 2. **Receiver batching.**  Coalescing arrivals per document before
    recomputing (``batch_window``) saves a further constant factor over
-   per-message recomputes.
+   recomputing within the wake-up that received them.
 3. **Publish gating.**  Gating sends on the last *published* value
    bounds consumer staleness by ε; the Figure-1-literal gate on the
    last computed rank admits unbounded sub-ε drift.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -26,7 +32,11 @@ from repro.analysis import format_table
 from repro.core import pagerank_reference
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.simulation import AsyncEventSimulation, ExponentialLatency
+from repro.runtime import AsyncPeerRuntime, ExponentialLatency
+
+#: Scheduler-round budget of the unversioned runs (versioned runs
+#: quiesce in ~5-7k rounds and are not budgeted).
+UNVERSIONED_ROUNDS = 4_000
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +47,16 @@ def setting():
     return g, pl, ref
 
 
-def run_async(g, pl, **kwargs):
+def run_async(g, pl, *, versioned_updates=True, **kwargs):
     net = P2PNetwork(pl.num_peers, pl, build_ring=False)
     kwargs.setdefault("latency", ExponentialLatency(1.0))
-    sim = AsyncEventSimulation(g, net, **kwargs)
-    return sim.run(max_events=2_000_000)
+    runtime = AsyncPeerRuntime(g, net, **kwargs)
+    max_rounds = 1_000_000
+    if not versioned_updates:
+        for node in runtime.nodes:
+            node.peer.honor_versions = False
+        max_rounds = UNVERSIONED_ROUNDS
+    return asyncio.run(runtime.run(max_rounds=max_rounds))
 
 
 def max_err(report, ref):
@@ -54,15 +69,16 @@ def test_ablation_versioning(benchmark, setting, record_table):
 
     def run_all():
         return {
-            "versioned (library default)": run_async(
+            "versioned (runtime default)": run_async(
                 g, pl, epsilon=eps, seed=2
             ),
             "unversioned, batched": run_async(
-                g, pl, epsilon=eps, versioned_updates=False, seed=2
+                g, pl, epsilon=eps, versioned_updates=False,
+                batch_window=0.5, seed=2,
             ),
             "unversioned, fully literal": run_async(
                 g, pl, epsilon=eps, versioned_updates=False,
-                batch_window=0.0, publish_gate="rank", seed=2,
+                gate="rank", seed=2,
             ),
         }
 
@@ -82,14 +98,15 @@ def test_ablation_versioning(benchmark, setting, record_table):
         ),
     )
 
-    good = results["versioned (library default)"]
+    good = results["versioned (runtime default)"]
     stale = results["unversioned, batched"]
     blowup = results["unversioned, fully literal"]
     # Versioned runs are accurate.
     assert max_err(good, ref) < 0.05
     # Dropping versions corrupts the result even with batching...
     assert max_err(stale, ref) > 0.1
-    # ...and in the literal mode also multiplies the traffic.
+    # ...and in the literal mode either never settles within the round
+    # budget or multiplies the traffic.
     assert (not blowup.quiesced) or blowup.messages > 5 * good.messages
 
 
@@ -107,7 +124,7 @@ def test_ablation_receiver_batching(benchmark, setting, record_table):
     rows = [
         ("batched (window=0.5)", batched.messages, batched.recomputes,
          "yes" if batched.quiesced else "budget hit"),
-        ("per-message (window=0)", per_msg.messages, per_msg.recomputes,
+        ("per-wake-up (window=0)", per_msg.messages, per_msg.recomputes,
          "yes" if per_msg.quiesced else "budget hit"),
     ]
     record_table(
@@ -132,12 +149,8 @@ def test_ablation_publish_gate(benchmark, setting, record_table):
     eps = 1e-4
 
     def run_both():
-        robust = run_async(
-            g, pl, epsilon=eps, publish_gate="published", seed=3
-        )
-        literal = run_async(
-            g, pl, epsilon=eps, publish_gate="rank", seed=3
-        )
+        robust = run_async(g, pl, epsilon=eps, gate="published", seed=3)
+        literal = run_async(g, pl, epsilon=eps, gate="rank", seed=3)
         return robust, literal
 
     robust, literal = benchmark.pedantic(run_both, rounds=1, iterations=1)

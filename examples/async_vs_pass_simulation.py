@@ -1,26 +1,29 @@
 #!/usr/bin/env python
-"""Three simulators, one algorithm — and two protocol hazards.
+"""Pass engines vs the asynchronous runtime — and two protocol hazards.
 
-The library implements the distributed pagerank at three fidelity
-levels:
+The library runs the distributed pagerank at three fidelity levels:
 
 * the vectorized pass engine (the paper's §4.2 methodology);
 * the protocol-level pass simulator (explicit peers + message objects,
   bit-identical to the vectorized engine);
-* the discrete-event asynchronous simulator (real latencies, per-
-  message processing — the paper's §6 "future work" deployment model).
+* the concurrent peer runtime (one asyncio task per peer, real
+  latencies, per-arrival processing — the paper's §6 "future work"
+  deployment model), here in its seeded virtual-clock mode.
 
 This script runs all three on one graph and then demonstrates the two
-protocol hazards the asynchronous simulator surfaced during this
+protocol hazards asynchronous execution surfaced during this
 reproduction (both documented in DESIGN.md):
 
-1. without receiver-side batching, the literal per-message recompute
-   rule of Figure 1 sends dramatically more messages;
+1. without receiver-side batching (``batch_window``), the literal
+   recompute-on-arrival rule of Figure 1 sends noticeably more
+   messages and recomputes far more often;
 2. without per-source versioning, latency reordering can leave peers
    permanently stale.
 
 Run:  python examples/async_vs_pass_simulation.py
 """
+
+import asyncio
 
 import numpy as np
 
@@ -29,11 +32,8 @@ from repro.analysis import format_table
 from repro.core import ChaoticPagerank, pagerank_reference
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.simulation import (
-    AsyncEventSimulation,
-    ExponentialLatency,
-    P2PPagerankSimulation,
-)
+from repro.runtime import AsyncPeerRuntime, ExponentialLatency
+from repro.simulation import P2PPagerankSimulation
 
 
 def main() -> None:
@@ -46,6 +46,17 @@ def main() -> None:
         rel = np.abs(ranks - reference) / reference
         return float(np.percentile(rel, 99))
 
+    def run_async(epsilon, seed, **kwargs):
+        runtime = AsyncPeerRuntime(
+            graph,
+            P2PNetwork(num_peers, placement, build_ring=False),
+            epsilon=epsilon,
+            latency=ExponentialLatency(1.0),
+            seed=seed,
+            **kwargs,
+        )
+        return asyncio.run(runtime.run())
+
     print(f"{num_docs} documents, {num_peers} peers, eps={eps:g}\n")
 
     vec = ChaoticPagerank(
@@ -54,18 +65,12 @@ def main() -> None:
     obj = P2PPagerankSimulation(
         graph, P2PNetwork(num_peers, placement, build_ring=False), epsilon=eps
     ).run()
-    evt = AsyncEventSimulation(
-        graph,
-        P2PNetwork(num_peers, placement, build_ring=False),
-        epsilon=eps,
-        latency=ExponentialLatency(1.0),
-        seed=2,
-    ).run()
+    evt = run_async(eps, seed=2)
 
     rows = [
         ("vectorized pass engine", vec.passes, vec.total_messages, f"{quality(vec.ranks):.2e}"),
         ("protocol pass simulator", obj.passes, obj.total_messages, f"{quality(obj.ranks):.2e}"),
-        ("async event simulator", "-", evt.messages, f"{quality(evt.ranks):.2e}"),
+        ("async peer runtime", "-", evt.messages, f"{quality(evt.ranks):.2e}"),
     ]
     print(format_table(
         ["Engine", "passes", "messages", "p99 err vs R_c"],
@@ -75,18 +80,11 @@ def main() -> None:
     print(f"\npass engines bit-identical: "
           f"{np.array_equal(vec.ranks, obj.ranks)}")
 
-    # ---- hazard 1: unbatched per-message recompute -------------------
-    print("\nHazard 1 — message blow-up without receiver batching:")
+    # ---- hazard 1: recompute on every arrival ------------------------
+    print("\nHazard 1 — traffic without receiver batching:")
     rows = []
     for window, label in [(0.5, "batched (window=0.5)"), (0.0, "paper-literal (window=0)")]:
-        sim = AsyncEventSimulation(
-            graph,
-            P2PNetwork(num_peers, placement, build_ring=False),
-            epsilon=1e-3,
-            batch_window=window,
-            seed=3,
-        )
-        r = sim.run(max_events=3_000_000)
+        r = run_async(1e-3, seed=3, batch_window=window)
         rows.append((label, r.messages, r.recomputes,
                      "yes" if r.quiesced else "budget hit"))
     print(format_table(

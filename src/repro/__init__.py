@@ -11,8 +11,10 @@ A from-scratch implementation of the paper's full system:
   finger routing, peer state machines, churn models with
   store-and-resend, and location caching.
 * **Simulation** (:mod:`repro.simulation`): the §4.2 pass-based
-  simulator on explicit peers, a discrete-event truly-asynchronous
-  simulator, and the Eq. 4 execution-time model.
+  simulator on explicit peers and the Eq. 4 execution-time model.
+* **Runtime** (:mod:`repro.runtime`): the protocol run truly
+  asynchronously, one asyncio task per peer, with seeded latency,
+  churn and receiver batching.
 * **Search** (:mod:`repro.search`): the synthetic corpus, distributed
   inverted index with pagerank column, incremental top-x% search,
   Bloom-assisted intersection, and the FASD scoring variant.
@@ -49,7 +51,7 @@ from repro.search import (
     incremental_search,
     synthesize_corpus,
 )
-from repro.simulation import AsyncEventSimulation, P2PPagerankSimulation
+from repro.simulation import P2PPagerankSimulation
 
 __version__ = "1.0.0"
 
@@ -69,7 +71,6 @@ __all__ = [
     "ChordRing",
     "FixedFractionChurn",
     "P2PPagerankSimulation",
-    "AsyncEventSimulation",
     "synthesize_corpus",
     "DistributedIndex",
     "generate_queries",

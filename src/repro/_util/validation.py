@@ -21,12 +21,13 @@ def check_positive(name: str, value, *, strict: bool = True) -> None:
         The value to check.
     strict:
         When true (default) require ``value > 0``; otherwise allow 0.
+        NaN is rejected either way.
     """
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     if strict and not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and value < 0:
+    if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 

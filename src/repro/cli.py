@@ -493,8 +493,12 @@ def _cmd_runtime(args) -> int:
     from repro.faults.plan import FaultPlan, FaultSpec
     from repro.graphs import broder_graph
     from repro.p2p import DocumentPlacement, P2PNetwork
-    from repro.runtime import AsyncPeerRuntime, TcpTransport
-    from repro.simulation.events import FixedLatency, OnOffSchedule
+    from repro.runtime import (
+        AsyncPeerRuntime,
+        FixedLatency,
+        OnOffSchedule,
+        TcpTransport,
+    )
 
     graph = broder_graph(args.docs, seed=args.seed)
     placement = DocumentPlacement.random(args.docs, args.peers, seed=args.seed + 1)

@@ -16,8 +16,8 @@ one segment-sum, gates publishes with one vectorized ε-mask, and stages
 the whole pass's remote updates as :class:`~repro.p2p.messages.
 UpdateColumns`; :meth:`Peer.receive_batch` folds such columns in with
 a vectorized version dedup that reproduces the one-at-a-time
-:meth:`Peer.receive` exactly.  The discrete-event simulator and the
-asynchronous runtime drive the per-document path instead
+:meth:`Peer.receive` exactly.  The asynchronous runtime
+(:mod:`repro.runtime`) drives the per-document path instead
 (:meth:`Peer.recompute_document`, :meth:`Peer.receive` on
 :class:`~repro.p2p.messages.PagerankUpdate` objects), where batches are
 a handful of updates and per-call array overhead would dominate.  Every
@@ -516,8 +516,8 @@ class Peer:
         exceeds ε publish it and stage updates for remote out-links.
 
         Returns ``(relative_change, published)``.  Used by the
-        discrete-event asynchronous simulator, where recomputation is
-        triggered per received message rather than per global pass.
+        asynchronous runtime, where recomputation is triggered by
+        received messages rather than by a global pass.
 
         ``gate`` selects what the change is measured against:
 

@@ -1,13 +1,17 @@
 """Concurrent peer runtime: the paper's protocol as live asyncio tasks.
 
 Where :mod:`repro.p2p` executes the Distributed Pagerank protocol in
-synchronised passes and :mod:`repro.simulation.events` replays it
-through a discrete-event queue, this package *runs* it: every peer is
-an asyncio task behind a :class:`Mailbox`, exchanging the same priced
-wire messages (:mod:`repro.p2p.messages`) over a pluggable
-:class:`Transport` with reliable delivery — acks, capped backoff, a
-retry budget — matching :class:`repro.faults.ReliableTransport`
-semantics (docs/PROTOCOL.md §13, §14).
+synchronised passes, this package *runs* it asynchronously — the
+repo's one asynchronous engine: every peer is an asyncio task behind a
+:class:`Mailbox`, exchanging the same priced wire messages
+(:mod:`repro.p2p.messages`) over a pluggable :class:`Transport` with
+reliable delivery — acks, capped backoff, a retry budget — matching
+:class:`repro.faults.ReliableTransport` semantics (docs/PROTOCOL.md
+§13, §14).  Seeded latency models (:class:`FixedLatency`,
+:class:`UniformLatency`, :class:`ExponentialLatency`), continuous-time
+:class:`OnOffSchedule` churn and the receiver ``batch_window`` vary
+the delivery schedule; asynchronous iteration reaches the same fixed
+point under any of them.
 
 Entry point is :class:`AsyncPeerRuntime`, with two scheduler modes:
 
@@ -30,8 +34,13 @@ from repro.runtime.runtime import AsyncPeerRuntime, RuntimeReport
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import (
     Envelope,
+    ExponentialLatency,
+    FixedLatency,
     InMemoryTransport,
+    LatencyModel,
+    OnOffSchedule,
     Transport,
+    UniformLatency,
     decode_envelope,
     encode_envelope,
 )
@@ -43,6 +52,11 @@ __all__ = [
     "InMemoryTransport",
     "TcpTransport",
     "Envelope",
+    "LatencyModel",
+    "FixedLatency",
+    "UniformLatency",
+    "ExponentialLatency",
+    "OnOffSchedule",
     "Mailbox",
     "WorkTracker",
     "PeerNode",

@@ -12,20 +12,26 @@ The node owns its :class:`~repro.runtime.mailbox.Mailbox` and its
 sender-side :class:`~repro.runtime.reliability.FlightTracker`; the
 transport and the clock are shared runtime plumbing.  Draining is
 *batched per wake-up*: all queued envelopes are applied first, then
-the dirty documents recompute (coalesced, each at most once per local
-cascade step), then all staged updates flush as one batch per
-destination — the §4.6.1 batching convention, applied per drain
-instead of per pass.  Intra-peer link updates cascade immediately
-through a local worklist (chaotic relaxation at zero network cost),
-exactly as in the discrete-event simulator
-(:mod:`repro.simulation.events`).
+the due documents recompute, then all staged updates flush as one
+batch per destination — the §4.6.1 batching convention, applied per
+drain instead of per pass.
+
+Recomputes go through one schedule: an applied arrival schedules its
+target document at ``now + batch_window``, a publish schedules its
+co-located out-link targets the same way (intra-peer propagation is
+free, §2.3), and at most one recompute per document is pending.  With
+the default ``batch_window=0`` the whole local cascade runs inside the
+wake-up that caused it — chaotic relaxation at zero network cost.  A
+positive window coalesces a document's arrivals over that span before
+it recomputes once: the receiver-side batching that keeps
+asynchronous traffic near the pass engines' (DESIGN.md §7, finding 2).
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Deque, Iterable, Optional, Set
+from typing import Deque, Optional, Set, Tuple
 
 import numpy as np
 
@@ -66,6 +72,10 @@ class PeerNode:
         :class:`repro.faults.ReliableTransport`).
     pass_time:
         Clock units per pass-equivalent (scales reliability timeouts).
+    batch_window:
+        Delay between the arrival or co-located publish that dirties a
+        document and its scheduled recompute (0 recomputes within the
+        same wake-up).
     instruments:
         Optional runtime metrics handle (``_RuntimeInstruments``).
     journal:
@@ -94,6 +104,7 @@ class PeerNode:
         gate: str = "published",
         reliability: Optional[ReliabilityConfig] = None,
         pass_time: float = 1.0,
+        batch_window: float = 0.0,
         instruments=None,
         journal=None,
         sanitizer=None,
@@ -110,6 +121,13 @@ class PeerNode:
             reliability if reliability is not None else ReliabilityConfig(),
             pass_time=pass_time,
         )
+        self.batch_window = float(batch_window)
+        # The recompute schedule: (due, doc) in insertion order, at most
+        # one entry per document (``_pending``).  Every entry is due at
+        # the scheduling wake-up's clock reading plus the same window and
+        # the clock never goes back, so insertion order is due order.
+        self._worklist: Deque[Tuple[float, int]] = deque()
+        self._pending: Set[int] = set()
         self._instruments = instruments
         self._journal = journal
         self._san = sanitizer
@@ -117,6 +135,7 @@ class PeerNode:
         self._signal = asyncio.Event()
         self._drained = asyncio.Event()
         self._stop = False
+        self._failed = False
         self._started = False
         self.task: Optional[asyncio.Task] = None
         # Plain counters, aggregated by the runtime into report/metrics.
@@ -136,20 +155,36 @@ class PeerNode:
 
     async def step(self) -> None:
         """Deterministic-scheduler handshake: wake the task and wait
-        until it has fully drained its mailbox and serviced timers."""
+        until it has fully drained its mailbox and serviced timers.
+        Re-raises the exception if the task died instead."""
         self._drained.clear()
         self._signal.set()
         await self._drained.wait()
+        if self._failed:
+            await self.task
 
     def request_stop(self) -> None:
         """Ask the task to exit after one final apply-only drain."""
         self._stop = True
         self._signal.set()
 
+    def next_due(self) -> Optional[float]:
+        """Earliest retry deadline or scheduled recompute, if any."""
+        flight = self.tracker.next_due()
+        if not self._worklist:
+            return flight
+        recompute = self._worklist[0][0]
+        return recompute if flight is None else min(flight, recompute)
+
     def timer_due(self, now: float) -> bool:
-        """True when an unacked flight's retry deadline has expired."""
-        due = self.tracker.next_due()
+        """True when a retry deadline or a scheduled recompute is due."""
+        due = self.next_due()
         return due is not None and due <= now
+
+    @property
+    def pending_recomputes(self) -> int:
+        """Documents with a scheduled, not yet run, recompute."""
+        return len(self._worklist)
 
     @property
     def started(self) -> bool:
@@ -170,37 +205,55 @@ class PeerNode:
     # ------------------------------------------------------------------
     async def run(self) -> None:
         """The peer's event loop (one asyncio task per peer)."""
-        while True:
-            await self._signal.wait()
-            self._signal.clear()
-            if self._san is not None:
-                self._san.begin_step(self._task_name)
-            if self._stop:
-                self._final_drain()
+        try:
+            while True:
+                await self._signal.wait()
+                self._signal.clear()
+                if self._san is not None:
+                    self._san.begin_step(self._task_name)
+                if self._stop:
+                    self._final_drain()
+                    self._drained.set()
+                    return
+                now = float(self.clock.now())
+                if not self._started:
+                    self._started = True
+                    self._initial_pass(now)
+                self._drain(now)
+                self._service_timers(now)
                 self._drained.set()
-                return
-            now = float(self.clock.now())
-            if not self._started:
-                self._started = True
-                self._initial_pass(now)
-            self._drain(now)
-            self._service_timers(now)
+        except BaseException:
+            # Release a waiting step() so it can re-raise from the task.
+            self._failed = True
             self._drained.set()
+            raise
 
     # ------------------------------------------------------------------
     # Protocol steps (synchronous within one wake-up)
     # ------------------------------------------------------------------
     def _initial_pass(self, now: float) -> None:
         """Fig. 1 "At time = 0": every local document computes once and
-        announces itself; the local cascade runs to its fixpoint."""
-        self._run_worklist(int(d) for d in self.peer.documents)
+        announces itself."""
+        for doc in self.peer.documents:
+            self._schedule_recompute(int(doc), now)
+        self._run_worklist(now)
         self._flush(now)
 
     def _drain(self, now: float) -> None:
-        """Apply every queued envelope, recompute, flush staged sends."""
+        """Apply every queued envelope, run the due recomputes, flush
+        staged sends."""
         envelopes = self.mailbox.drain()
-        if not envelopes:
-            return
+        if envelopes:
+            self._apply(envelopes, now)
+        if self._recompute_due(now):
+            self._run_worklist(now)
+            self._flush(now)
+        if envelopes:
+            self.mailbox.done(len(envelopes))
+
+    def _apply(self, envelopes, now: float) -> None:
+        """Fold in batches (acking each) and acks; schedule the
+        addressed documents' recomputes."""
         if self._instruments is not None:
             self._instruments.backlog.observe(len(envelopes))
         dirty: Set[int] = set()
@@ -230,27 +283,36 @@ class PeerNode:
                 self.tracker.on_ack(envelope.payload)
             else:  # pragma: no cover - transport constructs the kinds
                 raise ValueError(f"unknown envelope kind {envelope.kind!r}")
-        if dirty:
-            self._run_worklist(sorted(dirty))
-            self._flush(now)
-        self.mailbox.done(len(envelopes))
+        due = now + self.batch_window
+        for doc in sorted(dirty):
+            self._schedule_recompute(doc, due)
 
-    def _run_worklist(self, docs: Iterable[int]) -> None:
-        """Coalesced event-driven recompute with local cascade.
+    def _schedule_recompute(self, doc: int, due: float) -> None:
+        if doc not in self._pending:
+            self._pending.add(doc)
+            self._worklist.append((due, doc))
 
-        Each document recomputes at most once per worklist membership;
-        a publish re-enqueues co-located out-link targets (intra-peer
-        propagation is free, §2.3).  Termination follows from the ε
-        gate: every re-enqueue is caused by a > ε publish, and the
-        damped iteration's changes shrink geometrically.
+    def _recompute_due(self, now: float) -> bool:
+        return bool(self._worklist) and self._worklist[0][0] <= now
+
+    def _run_worklist(self, now: float) -> None:
+        """Run every recompute due by ``now``, in (due, insertion) order.
+
+        A publish schedules the co-located out-link targets at
+        ``now + batch_window``; with a zero window they are due at once
+        and the local cascade runs to its fixpoint here.  Termination
+        follows from the ε gate: every re-schedule is caused by a > ε
+        publish, and the damped iteration's changes shrink
+        geometrically.
         """
-        work: Deque[int] = deque(int(d) for d in docs)
-        queued: Set[int] = set(work)
+        work = self._worklist
+        pending = self._pending
         peer = self.peer
         peer_id = peer.peer_id
-        while work:
-            doc = work.popleft()
-            queued.discard(doc)
+        due = now + self.batch_window
+        while work and work[0][0] <= now:
+            doc = work.popleft()[1]
+            pending.discard(doc)
             if self._journal is not None:
                 _, published = self._journal.apply_recompute(doc)
             else:
@@ -262,9 +324,9 @@ class PeerNode:
                 continue
             for target in peer.graph.out_links(doc):
                 target = int(target)
-                if int(self.peer_of[target]) == peer_id and target not in queued:
-                    work.append(target)
-                    queued.add(target)
+                if int(self.peer_of[target]) == peer_id and target not in pending:
+                    work.append((due, target))
+                    pending.add(target)
 
     def _flush(self, now: float) -> None:
         """Launch every staged batch as a tracked flight."""

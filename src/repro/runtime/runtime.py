@@ -54,8 +54,7 @@ from repro.p2p.peer import Peer
 from repro.runtime.clock import RealClock, VirtualClock
 from repro.runtime.mailbox import Mailbox, WorkTracker
 from repro.runtime.node import PeerNode
-from repro.runtime.transport import InMemoryTransport, Transport
-from repro.simulation.events import OnOffSchedule
+from repro.runtime.transport import InMemoryTransport, OnOffSchedule, Transport
 
 __all__ = ["RuntimeReport", "AsyncPeerRuntime"]
 
@@ -220,7 +219,7 @@ class AsyncPeerRuntime:
         Seeded :class:`~repro.faults.plan.FaultPlan` for the default
         transport (loss / duplication / delay / partitions).
     availability:
-        :class:`~repro.simulation.events.OnOffSchedule` churn for the
+        :class:`~repro.runtime.transport.OnOffSchedule` churn for the
         default transport (down peers receive on return, §3.1).
     reliability:
         Ack/retry/backoff parameters shared with the pass engines'
@@ -230,6 +229,13 @@ class AsyncPeerRuntime:
     pass_time:
         Clock units per pass-equivalent; scales reliability timeouts
         and the fault plan's pass-denominated delays.
+    batch_window:
+        Receiver-side coalescing window (clock units).  An arrival or a
+        co-located publish schedules the addressed document's recompute
+        this far ahead, at most one pending per document; 0 (default)
+        recomputes within the same wake-up, the Figure 1 literal.  A
+        positive window cannot be combined with ``recovery``: a crash
+        would silently drop the pending recomputes.
     seed:
         Seed for the default transport's latency sampling.
     registry:
@@ -281,6 +287,7 @@ class AsyncPeerRuntime:
         reliability: Optional[ReliabilityConfig] = None,
         gate: str = "published",
         pass_time: float = 1.0,
+        batch_window: float = 0.0,
         seed: SeedLike = None,
         registry=None,
         recovery=None,
@@ -292,6 +299,12 @@ class AsyncPeerRuntime:
         check_threshold("epsilon", epsilon)
         check_positive("init_rank", init_rank)
         check_positive("pass_time", pass_time)
+        check_positive("batch_window", batch_window, strict=False)
+        if batch_window > 0 and recovery is not None:
+            raise ValueError(
+                "batch_window > 0 cannot be combined with recovery: a crash "
+                "would drop the pending recomputes"
+            )
         if network.placement is None:
             raise ValueError("network must have a document placement attached")
         if network.placement.num_docs != graph.num_nodes:
@@ -318,6 +331,7 @@ class AsyncPeerRuntime:
         self.init_rank = float(init_rank)
         self.gate = gate
         self.pass_time = float(pass_time)
+        self.batch_window = float(batch_window)
         # Keep the derived-stream convention: latency sampling gets its
         # own generator so the fault plan's stream is untouched.
         if transport is None:
@@ -407,6 +421,7 @@ class AsyncPeerRuntime:
                     gate=gate,
                     reliability=reliability,
                     pass_time=pass_time,
+                    batch_window=self.batch_window,
                     instruments=self._obs,
                     journal=journal,
                     sanitizer=sanitizer,
@@ -429,14 +444,16 @@ class AsyncPeerRuntime:
 
         One round: apply due supervised crashes, deliver due envelopes
         (seeded total order), wake each live peer task in ascending id
-        to drain and service timers, heartbeat the survivors, run the
-        failure detector and any due supervised restarts, then advance
-        the clock to the next scheduled event.  Returns the report
-        once nothing is scheduled anywhere (natural quiescence) or a
-        budget is exhausted.
+        to drain, run its due recomputes and service its retry timers,
+        heartbeat the survivors, run the failure detector and any due
+        supervised restarts, then advance the clock to the next
+        scheduled event.  Returns the report once nothing is scheduled
+        anywhere (natural quiescence) or a budget is exhausted.
 
-        ``round_hook(rounds, runtime)``, if given, is called after
-        every round — the soak harness's continuous invariant probe.
+        ``max_time`` (virtual units, >= 0) stops the run before the
+        clock would pass it.  ``round_hook(rounds, runtime)``, if given,
+        is called after every round — the soak harness's continuous
+        invariant probe.
         """
         if self._ran:
             raise RuntimeError("a runtime instance is single-shot; build a new one")
@@ -448,6 +465,8 @@ class AsyncPeerRuntime:
             )
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+        if max_time is not None and not max_time >= 0:
+            raise ValueError(f"max_time must be >= 0, got {max_time!r}")
         sup = self._supervisor
         san = self.sanitizer
         for node in self.nodes:
@@ -492,7 +511,7 @@ class AsyncPeerRuntime:
             if round_hook is not None:
                 round_hook(rounds, self)
             candidates = [self.transport.next_due()]
-            candidates.extend(node.tracker.next_due() for node in self.nodes)
+            candidates.extend(node.next_due() for node in self.nodes)
             if sup is not None:
                 candidates.append(sup.next_event(now))
             times = [t for t in candidates if t is not None]
@@ -681,14 +700,16 @@ class AsyncPeerRuntime:
         return self._report(quiesced=quiesced, rounds=0)
 
     def _idle(self) -> bool:
-        """Nothing queued, nothing in flight, nothing unacknowledged."""
+        """Nothing queued, in flight, unacknowledged or scheduled."""
         if self._tracker.outstanding:
             return False
         in_flight = getattr(self.transport, "pending", 0)
         if in_flight:
             return False
         return all(
-            node.started and node.tracker.unacked_flights == 0
+            node.started
+            and node.tracker.unacked_flights == 0
+            and node.pending_recomputes == 0
             for node in self.nodes
         )
 

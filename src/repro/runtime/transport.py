@@ -22,25 +22,34 @@ Two transports ship:
   :func:`decode_envelope`), for free-running real-clock mode.
 
 Both implement the small :class:`Transport` interface so the runtime
-and its tests treat them interchangeably.
+and its tests treat them interchangeably.  The in-memory transport's
+delay and churn models live here too: :class:`FixedLatency`,
+:class:`UniformLatency` and :class:`ExponentialLatency` (any
+:data:`LatencyModel` callable works), and the continuous-time
+:class:`OnOffSchedule` availability.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro._util import as_generator
+from repro._util import as_generator, check_positive
 from repro._util.rng import SeedLike
 from repro.faults.plan import FaultPlan
 from repro.p2p.messages import BatchAck, MessageBatch, PagerankUpdate
-from repro.simulation.events import FixedLatency, OnOffSchedule
 
 __all__ = [
+    "LatencyModel",
+    "FixedLatency",
+    "UniformLatency",
+    "ExponentialLatency",
+    "OnOffSchedule",
     "Envelope",
     "Transport",
     "InMemoryTransport",
@@ -48,8 +57,127 @@ __all__ = [
     "decode_envelope",
 ]
 
-#: Latency model signature shared with the discrete-event simulator.
+#: Latency model signature: ``(rng, src_peer, dst_peer) -> time units``.
 LatencyModel = Callable[[np.random.Generator, int, int], float]
+
+
+def _check_finite_positive(name: str, value) -> None:
+    check_positive(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+class FixedLatency:
+    """Constant network latency between any pair of peers."""
+
+    def __init__(self, latency: float) -> None:
+        _check_finite_positive("latency", latency)
+        self.latency = float(latency)
+
+    def __call__(self, rng: np.random.Generator, src_peer: int, dst_peer: int) -> float:
+        return self.latency
+
+
+class UniformLatency:
+    """Latency uniform in ``[low, high]`` — the simplest jitter model."""
+
+    def __init__(self, low: float, high: float) -> None:
+        _check_finite_positive("low", low)
+        _check_finite_positive("high", high)
+        if high < low:
+            raise ValueError(f"high must be >= low, got low={low}, high={high}")
+        self.low = float(low)
+        self.high = float(high)
+
+    def __call__(self, rng: np.random.Generator, src_peer: int, dst_peer: int) -> float:
+        return float(rng.uniform(self.low, self.high))
+
+
+class ExponentialLatency:
+    """Heavy-ish tailed latency with the given mean (memoryless model,
+    a common stand-in for wide-area P2P delivery times)."""
+
+    def __init__(self, mean: float) -> None:
+        _check_finite_positive("mean", mean)
+        self.mean = float(mean)
+
+    def __call__(self, rng: np.random.Generator, src_peer: int, dst_peer: int) -> float:
+        return float(rng.exponential(self.mean))
+
+
+class OnOffSchedule:
+    """Continuous-time peer availability: alternating up/down spells.
+
+    The pass engines model churn per pass (§3.1/§4.3); the runtime
+    needs availability over continuous time.  Each peer alternates
+    exponentially-distributed up and down spells; a message arriving
+    during a down spell is held and delivered when the peer returns
+    (the §3.1 store-and-resend behaviour, expressed as delayed
+    delivery).
+
+    Parameters
+    ----------
+    num_peers:
+        Peer population.
+    mean_up, mean_down:
+        Mean spell lengths (stationary availability is
+        ``mean_up / (mean_up + mean_down)``).
+    horizon:
+        Schedules are materialised up to this finite virtual time;
+        peers are considered permanently up afterwards (runs should
+        quiesce well before it).
+    seed:
+        Deterministic seed.
+    """
+
+    def __init__(
+        self,
+        num_peers: int,
+        *,
+        mean_up: float = 20.0,
+        mean_down: float = 5.0,
+        horizon: float = 10_000.0,
+        seed: SeedLike = None,
+    ) -> None:
+        if num_peers < 1:
+            raise ValueError(f"num_peers must be >= 1, got {num_peers}")
+        check_positive("mean_up", mean_up)
+        check_positive("mean_down", mean_down)
+        _check_finite_positive("horizon", horizon)
+        rng = as_generator(seed)
+        self.num_peers = num_peers
+        self.mean_up = float(mean_up)
+        self.mean_down = float(mean_down)
+        self.horizon = float(horizon)
+        #: per peer: sorted list of (down_start, down_end) intervals
+        self._downtimes: List[List[tuple]] = []
+        for _ in range(num_peers):
+            t = float(rng.exponential(mean_up))  # first down spell start
+            spans = []
+            while t < horizon:
+                d = float(rng.exponential(mean_down))
+                spans.append((t, t + d))
+                t += d + float(rng.exponential(mean_up))
+            self._downtimes.append(spans)
+
+    @property
+    def stationary_availability(self) -> float:
+        return self.mean_up / (self.mean_up + self.mean_down)
+
+    def is_up(self, peer: int, t: float) -> bool:
+        """Whether ``peer`` is present at virtual time ``t``."""
+        return self.next_up(peer, t) == t
+
+    def next_up(self, peer: int, t: float) -> float:
+        """Earliest time >= ``t`` at which ``peer`` is present."""
+        if not 0 <= peer < self.num_peers:
+            raise IndexError(f"peer {peer} out of range")
+        for start, end in self._downtimes[peer]:
+            if t < start:
+                return t
+            if t < end:
+                return end
+        return t
 
 KIND_BATCH = "batch"
 KIND_ACK = "ack"
@@ -139,7 +267,7 @@ class InMemoryTransport(Transport):
         exactly as in the pass-based reliable transport; injected
         crash schedules are pass-engine-only and ignored here.
     availability:
-        Optional :class:`~repro.simulation.events.OnOffSchedule`.  A
+        Optional :class:`OnOffSchedule`.  A
         delivery addressed to a peer in a down spell is held and
         re-scheduled for the peer's return (§3.1 store-and-resend).
     pass_time:
@@ -316,8 +444,7 @@ class InMemoryTransport(Transport):
 
         Returns the number of envelopes delivered.  A receiver in a
         down spell holds the delivery until its return instead
-        (continuous-time §3.1 store-and-resend, as in the
-        discrete-event simulator).
+        (continuous-time §3.1 store-and-resend).
         """
         delivered = 0
         while self._heap and self._heap[0][0] <= now:

@@ -71,8 +71,7 @@ def _make_factory(
         from repro.faults.plan import FaultPlan, FaultSpec
         from repro.graphs import broder_graph
         from repro.p2p import DocumentPlacement, P2PNetwork
-        from repro.runtime import AsyncPeerRuntime
-        from repro.simulation.events import OnOffSchedule
+        from repro.runtime import AsyncPeerRuntime, OnOffSchedule
 
         graph = broder_graph(args.docs, seed=args.seed)
         placement = DocumentPlacement.random(

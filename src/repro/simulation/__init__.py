@@ -2,22 +2,15 @@
 
 * :class:`~repro.simulation.engine.P2PPagerankSimulation` — the
   protocol-level pass simulator on explicit peer state machines;
-* :class:`~repro.simulation.events.AsyncEventSimulation` — the
-  discrete-event, true-chaotic-iteration simulator (the §6 future-work
-  deployment model);
 * :mod:`~repro.simulation.timing` — Eq. 4 execution-time estimation
   and the §4.6.2 Internet-scale extrapolation.
+
+The asynchronous deployment model (paper §6) is not simulated here:
+:class:`repro.runtime.AsyncPeerRuntime` runs it, with seeded latency,
+churn and receiver batching.
 """
 
 from repro.simulation.engine import P2PPagerankSimulation, TrafficSummary
-from repro.simulation.events import (
-    AsyncEventSimulation,
-    AsyncReport,
-    ExponentialLatency,
-    FixedLatency,
-    OnOffSchedule,
-    UniformLatency,
-)
 from repro.simulation.timing import (
     RATE_32KBPS,
     RATE_200KBPS,
@@ -31,12 +24,6 @@ from repro.simulation.timing import (
 __all__ = [
     "P2PPagerankSimulation",
     "TrafficSummary",
-    "AsyncEventSimulation",
-    "AsyncReport",
-    "FixedLatency",
-    "UniformLatency",
-    "ExponentialLatency",
-    "OnOffSchedule",
     "TransferModel",
     "RATE_32KBPS",
     "RATE_200KBPS",

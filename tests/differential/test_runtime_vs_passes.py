@@ -19,9 +19,8 @@ import pytest
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.runtime import AsyncPeerRuntime
+from repro.runtime import AsyncPeerRuntime, OnOffSchedule
 from repro.simulation import P2PPagerankSimulation
-from repro.simulation.events import OnOffSchedule
 
 SEEDS = (0, 1, 2)
 SIZES = (120, 300)

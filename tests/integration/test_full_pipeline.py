@@ -1,5 +1,8 @@
 """End-to-end integration: graph → placement → distributed pagerank →
-index → search, plus engine agreement across all three simulators."""
+index → search, plus engine agreement across the two pass engines and
+the asynchronous runtime."""
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from repro.core import ChaoticPagerank, pagerank_reference
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
+from repro.runtime import AsyncPeerRuntime
 from repro.search import (
     CorpusConfig,
     DistributedIndex,
@@ -15,7 +19,7 @@ from repro.search import (
     incremental_search,
     synthesize_corpus,
 )
-from repro.simulation import AsyncEventSimulation, P2PPagerankSimulation
+from repro.simulation import P2PPagerankSimulation
 
 
 class TestSearchPipeline:
@@ -63,8 +67,8 @@ class TestSearchPipeline:
 
 
 class TestThreeEnginesAgree:
-    """Vectorized pass engine, protocol simulator, and async event
-    simulator must land on the same fixed point."""
+    """Vectorized pass engine, protocol simulator, and asynchronous
+    runtime must land on the same fixed point."""
 
     @pytest.fixture(scope="class")
     def common(self):
@@ -81,7 +85,7 @@ class TestThreeEnginesAgree:
         net = P2PNetwork(8, pl, build_ring=False)
         obj = P2PPagerankSimulation(g, net, epsilon=eps).run()
         net2 = P2PNetwork(8, pl, build_ring=False)
-        evt = AsyncEventSimulation(g, net2, epsilon=eps, seed=0).run()
+        evt = asyncio.run(AsyncPeerRuntime(g, net2, epsilon=eps, seed=0).run())
 
         assert np.array_equal(vec.ranks, obj.ranks)
         for ranks in (vec.ranks, evt.ranks):
@@ -91,5 +95,6 @@ class TestThreeEnginesAgree:
     def test_async_quiesces(self, common):
         g, pl = common
         net = P2PNetwork(8, pl, build_ring=False)
-        report = AsyncEventSimulation(g, net, epsilon=1e-4, seed=1).run()
-        assert report.quiesced
+        runtime = AsyncPeerRuntime(g, net, epsilon=1e-4, batch_window=0.5, seed=1)
+        report = asyncio.run(runtime.run())
+        assert report.quiesced and report.converged

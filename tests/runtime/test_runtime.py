@@ -9,8 +9,13 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.transport import ReliabilityConfig
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.runtime import AsyncPeerRuntime, InMemoryTransport, TcpTransport
-from repro.simulation.events import FixedLatency, OnOffSchedule
+from repro.runtime import (
+    AsyncPeerRuntime,
+    FixedLatency,
+    InMemoryTransport,
+    OnOffSchedule,
+    TcpTransport,
+)
 
 
 def make_runtime(docs=200, peers=8, seed=5, transport_seed=None, **kwargs):

@@ -9,11 +9,12 @@ from repro.runtime.transport import (
     KIND_ACK,
     KIND_BATCH,
     Envelope,
+    FixedLatency,
     InMemoryTransport,
+    OnOffSchedule,
     decode_envelope,
     encode_envelope,
 )
-from repro.simulation.events import FixedLatency, OnOffSchedule
 
 
 def batch(sender=0, receiver=1, n=2) -> MessageBatch:
@@ -55,7 +56,7 @@ class TestInMemoryTransport:
         assert [e.flight_id for e in boxes[1].drain()] == [0, 1, 2, 3]
 
     def test_zero_latency_rejected(self):
-        transport, _ = wired(latency=FixedLatency(0.0))
+        transport, _ = wired(latency=lambda rng, src, dst: 0.0)
         with pytest.raises(ValueError, match="strictly positive"):
             transport.send_batch(batch(), flight_id=0, attempt=1, now=0.0)
 

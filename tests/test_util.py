@@ -62,6 +62,9 @@ class TestValidation:
             check_positive("x", 0.0)
         with pytest.raises(ValueError):
             check_positive("x", -1.0, strict=False)
+        for strict in (True, False):
+            with pytest.raises(ValueError):
+                check_positive("x", float("nan"), strict=strict)
         with pytest.raises(TypeError):
             check_positive("x", "one")
 
