@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro._util import check_threshold
-from repro.core.kernels import expand_rows
+from repro.core.kernels import expand_rows, segment_sum
 from repro.core.pagerank import DEFAULT_DAMPING
 from repro.graphs.linkgraph import LinkGraph
 
@@ -259,7 +259,7 @@ def _run_propagation(
         received[targets] = True
 
         # Accumulate per-target increments arriving this level.
-        acc = np.bincount(targets, weights=shares, minlength=n)
+        acc = segment_sum(targets, shares, n)
         uniq_targets = np.unique(targets)
         arrived = acc[uniq_targets]
         rank_delta[uniq_targets] += arrived

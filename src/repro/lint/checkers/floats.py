@@ -5,7 +5,7 @@ The convergence machinery is built on relative-change thresholds
 those paths silently encodes "these two binary64 values are
 bit-identical", which survives refactors only by luck — a fused
 multiply-add, a different summation order, or a numpy upgrade changes
-the low bits and flips the branch.  Two rules:
+the low bits and flips the branch.  Three rules:
 
 * FLT001 — ``==``/``!=`` against a float *literal* (``x == 0.0``,
   ``res != 1e-3``).  Exact-zero sentinels are occasionally legitimate
@@ -16,6 +16,8 @@ the low bits and flips the branch.  Two rules:
   name (``residual``, ``epsilon``, ``rank`` …) inside the convergence-
   critical layers.  There is no legitimate reading of
   ``residual == epsilon``; the fix is a tolerance or an inequality.
+* FLT003 — ``np.bincount`` with weights outside ``repro.core.kernels``:
+  a second pull, summing in an order of its own.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import re
 from typing import Iterable, Iterator, List, Optional
 
 from repro.lint.base import Checker, FileContext, register
+from repro.lint.checkers.determinism import _collect_import_aliases, _dotted
 from repro.lint.findings import Finding, Rule
 
 __all__ = ["FloatSafetyChecker"]
@@ -43,6 +46,13 @@ FLT002 = Rule(
     "(residual, epsilon, rank, ...)",
     hint="use an inequality or a tolerance-based check "
     "(math.isclose / abs diff)",
+)
+FLT003 = Rule(
+    id="FLT003",
+    name="weighted-bincount-outside-kernels",
+    summary="np.bincount with weights outside repro.core.kernels "
+    "(a second pull implementation)",
+    hint="pull through CSRWorkspace or sum with repro.core.kernels.segment_sum",
 )
 
 #: Layers whose float comparisons decide convergence (FLT002 scope).
@@ -78,14 +88,30 @@ def _eq_comparisons(tree: ast.Module) -> Iterator[ast.Compare]:
 
 @register
 class FloatSafetyChecker(Checker):
-    """FLT001-FLT002: tolerance-based comparison in convergence paths."""
+    """FLT001-FLT003: tolerance-based comparison in convergence paths,
+    one summation order."""
 
-    rules = (FLT001, FLT002)
+    rules = (FLT001, FLT002, FLT003)
     scope = "file"
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         in_convergence_layer = ctx.module.startswith(CONVERGENCE_PREFIXES)
         findings: List[Finding] = []
+        if ctx.module != "repro.core.kernels":
+            aliases = _collect_import_aliases(ctx.tree)
+            findings += [
+                self.finding(
+                    FLT003,
+                    ctx.path,
+                    node.lineno,
+                    "weighted np.bincount outside repro.core.kernels",
+                    col=node.col_offset,
+                )
+                for node in ast.walk(ctx.tree)
+                if isinstance(node, ast.Call)
+                and _dotted(node.func, aliases) == "numpy.bincount"
+                and (len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords))
+            ]
         for cmp in _eq_comparisons(ctx.tree):
             operands = [cmp.left] + list(cmp.comparators)
             literal = next(

@@ -10,9 +10,10 @@ network message — but note that, per the pseudocode, publishing too is
 gated by ε: a document that did not change significantly exposes its
 previous value everywhere.
 
-A peer works at two grains.  The pass simulator calls
-:meth:`Peer.compute_pass`, which recomputes every local document with
-one segment-sum, gates publishes with one vectorized ε-mask, and stages
+A peer works at two grains.  The pass simulator
+(:mod:`repro.simulation.engine`) pulls every document's new rank at
+once and hands each peer its rows: :meth:`Peer.compute_pass` gates
+publishes with one vectorized ε-mask and stages
 the whole pass's remote updates as :class:`~repro.p2p.messages.
 UpdateColumns`; :meth:`Peer.receive_batch` folds such columns in with
 a vectorized version dedup that reproduces the one-at-a-time
@@ -107,7 +108,9 @@ class Peer:
         self.init_rank = float(init_rank)
         self.honor_versions = bool(honor_versions)
         self._local = set(int(d) for d in self.documents)
-        #: Current rank of each local document.
+        #: Current rank of each local document, keyed in
+        #: :attr:`documents` order (:meth:`compute_pass` reads the values
+        #: as one array).
         self.rank: Dict[int, float] = {int(d): self.init_rank for d in self.documents}
         #: Last value each local document exposed to its consumers.
         self.published: Dict[int, float] = dict(self.rank)
@@ -125,77 +128,6 @@ class Peer:
         # operations match the vectorized engine bit for bit (the
         # integration tests assert exact rank equality).
         self._inv_out = graph.inv_out_degrees()
-        # Per-peer reverse sub-CSR shard.  Built lazily from the global
-        # reverse graph; invalidated when the local document set
-        # changes (surrender/adopt).  The shard accumulates with
-        # np.bincount, whose sequential accumulation order over
-        # ``in_links(doc)`` is bit-identical to the per-document loop
-        # in :meth:`_fresh_rank`.
-        self._lsrc: Optional[np.ndarray] = None  # flat in-link sources
-        self._lrow: Optional[np.ndarray] = None  # local row id per in-link
-        self._lslot: Optional[np.ndarray] = None  # visible-slot per in-link
-        self._lw: Optional[np.ndarray] = None  # 1/outdeg per in-link
-        self._rank_arr: Optional[np.ndarray] = None  # rank, documents order
-        self._vis_ids: Optional[np.ndarray] = None  # global ids, sorted
-        self._vis_index: Optional[Dict[int, int]] = None  # global id -> slot
-        self._vis_remote: Optional[np.ndarray] = None  # slot is not local
-        self._vis_floor: Optional[np.ndarray] = None  # _version_floor per slot
-        self._visible: Optional[np.ndarray] = None  # compact visible values
-
-    # ------------------------------------------------------------------
-    def _invalidate_shard(self) -> None:
-        """Drop the vectorized shard; the next pass rebuilds it."""
-        self._lsrc = None
-        self._lrow = None
-        self._lslot = None
-        self._lw = None
-        self._rank_arr = None
-        self._vis_ids = None
-        self._vis_index = None
-        self._vis_remote = None
-        self._vis_floor = None
-        self._visible = None
-
-    def _ensure_shard(self) -> None:
-        """Build the per-peer reverse sub-CSR over the local documents.
-
-        The shard is the flattened concatenation of
-        ``graph.in_links(doc)`` for the sorted local documents, plus a
-        *compact* visible-value array covering exactly the global ids
-        this peer ever reads (its in-link sources and its own docs) —
-        O(local in-edges) memory rather than O(N) per peer.
-        """
-        if self._lsrc is not None:
-            return
-        docs = self.documents
-        rev = self.graph.reverse()
-        pos, lens = expand_rows(rev.indptr, docs)
-        lsrc = rev.indices[pos]
-        self._lsrc = lsrc
-        self._lrow = np.repeat(np.arange(docs.size, dtype=np.int64), lens)
-        self._lw = self._inv_out[lsrc]
-        need = np.unique(np.concatenate([lsrc, docs])) if docs.size else docs
-        index = dict(zip(need.tolist(), range(need.size)))
-        self._vis_ids = need
-        self._vis_index = index
-        local = np.searchsorted(need, docs)
-        self._vis_remote = np.ones(need.size, dtype=bool)
-        self._vis_remote[local] = False
-        # Never-heard sources sit at the protocol defaults; fill in what
-        # the peer knows (its own documents' published values win).
-        visible = np.full(need.size, self.init_rank, dtype=np.float64)
-        floor = np.full(need.size, -2, dtype=np.int64)
-        for src in self.remote_values.keys() | self._remote_versions.keys():
-            slot = index.get(src)
-            if slot is not None:
-                visible[slot] = self.remote_values.get(src, self.init_rank)
-                floor[slot] = self._version_floor(src)
-        keys = docs.tolist()
-        visible[local] = [self.published[d] for d in keys]
-        self._visible = visible
-        self._vis_floor = floor
-        self._lslot = np.searchsorted(need, lsrc)
-        self._rank_arr = np.array([self.rank[d] for d in keys], dtype=np.float64)
 
     # ------------------------------------------------------------------
     def owns(self, doc: int) -> bool:
@@ -231,13 +163,6 @@ class Peer:
                 return False
             self._remote_versions[update.source_doc] = update.version
         self.remote_values[update.source_doc] = update.value
-        if self._visible is not None:
-            slot = self._vis_index.get(update.source_doc)  # type: ignore[union-attr]
-            if slot is not None:
-                if self.honor_versions:
-                    self._vis_floor[slot] = update.version  # type: ignore[index]
-                if update.source_doc not in self._local:
-                    self._visible[slot] = update.value
         return True
 
     def receive_batch(
@@ -257,16 +182,6 @@ class Peer:
                 applied += 1
         return applied
 
-    def _version_floor(self, source: int) -> int:
-        """The version an update from ``source`` must exceed to apply.
-
-        :meth:`receive` rejects ``version < held`` and, once a value is
-        held, ``version == held``; with integer versions both are
-        ``version <= floor``.
-        """
-        held = self._remote_versions.get(source, -1)
-        return held if source in self.remote_values else held - 1
-
     def _receive_columns(self, updates: UpdateColumns) -> int:
         """Vectorized :meth:`receive` over a run of updates.
 
@@ -285,18 +200,15 @@ class Peer:
         src = updates.source[order]
         repeat = src[1:] == src[:-1]  # row i + 1 repeats row i's source
         repeats = bool(repeat.any())
-        # Shard slot of every row's source, where it has one.
-        vis_ids = self._vis_ids
-        if vis_ids is not None and vis_ids.size:
-            slot = np.searchsorted(vis_ids, src)
-            np.minimum(slot, vis_ids.size - 1, out=slot)
-            found = vis_ids[slot] == src
-        else:
-            slot = np.zeros(n, dtype=np.int64)
-            found = np.zeros(n, dtype=bool)
         if self.honor_versions:
             ver = updates.version[order]
-            floor = self._floors(src, slot, found)
+            # An update applies iff its version exceeds the floor:
+            # :meth:`receive` rejects ``version < held`` and, once a
+            # value is held, ``version == held``.
+            held, heard = self._remote_versions.get, self.remote_values
+            floor = np.array(
+                [held(s, -1) - (s not in heard) for s in src.tolist()], dtype=np.int64
+            )
             if repeats:
                 # Running maximum within each source group, seeded with
                 # the group's floor: offset group g by g * span so one
@@ -335,46 +247,27 @@ class Peer:
         if self.honor_versions:
             win_ver = updates.version[win]
             self._remote_versions.update(zip(win_src.tolist(), win_ver.tolist()))
-            if self._vis_floor is not None:
-                hit = found[rows]
-                self._vis_floor[slot[rows[hit]]] = win_ver[hit]
-        if self._visible is not None:
-            assert self._vis_remote is not None
-            hit = found[rows]
-            hit &= self._vis_remote[slot[rows]]
-            self._visible[slot[rows[hit]]] = win_val[hit]
         return applied
-
-    def _floors(self, sources: np.ndarray, slot: np.ndarray, found: np.ndarray) -> np.ndarray:
-        """:meth:`_version_floor` of every source, read from the shard
-        cache where a source has a slot."""
-        if self._vis_floor is None:
-            return np.array(
-                [self._version_floor(s) for s in sources.tolist()], dtype=np.int64
-            )
-        floor = self._vis_floor[slot]
-        if not found.all():
-            for i in np.flatnonzero(~found).tolist():
-                floor[i] = self._version_floor(int(sources[i]))
-        return floor
 
     # ------------------------------------------------------------------
     def compute_pass(
         self,
-        damping: float,
+        new_ranks: np.ndarray,
         epsilon: float,
         peer_of: np.ndarray,
     ) -> PassOutcome:
-        """Recompute every local document; stage updates for changes > ε.
+        """Take one pass's recomputed ranks; stage updates for changes > ε.
 
-        Two-phase: every local document reads the *previous* published
-        values (synchronous-pass semantics, matching the vectorized
-        engine), then the significant ones publish together.
+        Two-phase: the caller computed every local document from the
+        *previous* published values (synchronous-pass semantics,
+        matching the vectorized engine), then the significant ones
+        publish together.
 
         Parameters
         ----------
-        damping, epsilon:
-            Algorithm parameters.
+        new_ranks, epsilon:
+            New rank of every local document, in :attr:`documents`
+            order (what :meth:`_fresh_rank` gives each), and ε.
         peer_of:
             Document → peer array, used to split each document's
             out-links into local (free) and remote (message) targets.
@@ -383,42 +276,22 @@ class Peer:
         -------
         PassOutcome
         """
-        new = self._pull_csr(damping)
-        old = self._rank_arr
-        self._rank_arr = new
-        assert old is not None
         docs_arr = self.documents
-        rel = relative_change(old, new)
+        old = np.fromiter(self.rank.values(), np.float64, docs_arr.size)
+        rel = relative_change(old, new_ranks)
         max_change = float(rel.max()) if docs_arr.size else 0.0
         # Sync the rank dict only where the bits actually changed.
-        changed = np.flatnonzero(new != old)
-        self.rank.update(zip(docs_arr[changed].tolist(), new[changed].tolist()))
+        changed = np.flatnonzero(new_ranks != old)
+        self.rank.update(zip(docs_arr[changed].tolist(), new_ranks[changed].tolist()))
         active = np.flatnonzero(rel > epsilon)
         published = docs_arr[active]
-        staged = self._publish(published, new[active], peer_of) if active.size else 0
+        staged = self._publish(published, new_ranks[active], peer_of) if active.size else 0
         return PassOutcome(
             active_documents=int(active.size),
             max_rel_change=max_change,
             staged_updates=staged,
             published_docs=tuple(published.tolist()),
         )
-
-    def _pull_csr(self, damping: float) -> np.ndarray:
-        """New ranks of the local documents: one bincount segment-sum
-        over the local in-link shard instead of a per-edge Python loop.
-
-        Bit-identical to :meth:`_fresh_rank`: bincount accumulates each
-        row's contributions sequentially in ``in_links(doc)`` order, and
-        ``damping * total + (1 - damping)`` commutes with the scalar
-        expression.
-        """
-        self._ensure_shard()
-        assert self._visible is not None
-        contrib = self._visible[self._lslot] * self._lw
-        sums = np.bincount(self._lrow, weights=contrib, minlength=self.documents.size)
-        new = sums * damping
-        new += 1.0 - damping
-        return new
 
     # ------------------------------------------------------------------
     def _fresh_rank(self, doc: int, damping: float) -> float:
@@ -439,9 +312,6 @@ class Peer:
         get = self._publish_version.get
         versions = [get(d, 0) + 1 for d in keys]
         self._publish_version.update(zip(keys, versions))
-        if self._visible is not None:
-            assert self._vis_ids is not None
-            self._visible[np.searchsorted(self._vis_ids, docs)] = values
         return self._stage_out_links(
             docs, values, np.array(versions, dtype=np.int64), peer_of
         )
@@ -539,13 +409,8 @@ class Peer:
         old = self.published[doc] if gate == "published" else self.rank[doc]
         rel = abs(old - new) / new if new != 0 else 0.0
         self.rank[doc] = new
-        if self._rank_arr is not None:
-            self._rank_arr[int(np.searchsorted(self.documents, doc))] = new
         if rel > epsilon:
             self.published[doc] = new
-            if self._visible is not None:
-                assert self._vis_index is not None
-                self._visible[self._vis_index[doc]] = new
             self._stage_updates(doc, new, peer_of)
             return rel, True
         return rel, False
@@ -676,7 +541,6 @@ class Peer:
             )
             self._local.discard(doc)
         self.documents = np.asarray(sorted(self._local), dtype=np.int64)
-        self._invalidate_shard()
         return state
 
     def export_inlink_knowledge(self, docs) -> List[PagerankUpdate]:
@@ -725,4 +589,4 @@ class Peer:
             if version:
                 self._publish_version[doc] = int(version)
         self.documents = np.asarray(sorted(self._local), dtype=np.int64)
-        self._invalidate_shard()
+        self.rank = {d: self.rank[d] for d in self.documents.tolist()}

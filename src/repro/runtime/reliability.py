@@ -22,8 +22,9 @@ mirroring the pass engines' graceful degradation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.transport import ReliabilityConfig
 from repro.p2p.messages import BatchAck, MessageBatch
@@ -76,6 +77,9 @@ class FlightTracker:
         self.config = config
         self.pass_time = float(pass_time)
         self._flights: Dict[int, AsyncFlight] = {}
+        # ``(next_retry, flight_id)`` per unacked flight; acked ones' are
+        # skipped when they surface.
+        self._deadlines: List[Tuple[float, int]] = []
         self._next_fid = 0
         self.retries = 0
         self.abandoned_updates = 0
@@ -117,6 +121,7 @@ class FlightTracker:
         )
         self._next_fid += 1
         self._flights[flight.flight_id] = flight
+        heapq.heappush(self._deadlines, (flight.next_retry, flight.flight_id))
         return flight
 
     def on_ack(self, ack: BatchAck) -> bool:
@@ -125,18 +130,23 @@ class FlightTracker:
         return self._flights.pop(ack.flight_id, None) is not None
 
     def due(self, now: float) -> List[AsyncFlight]:
-        """Flights whose ack timeout has expired at ``now``.
+        """Flights whose ack timeout has expired at ``now``, in
+        ascending flight id.
 
         Flights still within their retry budget are returned for
         retransmission with ``attempts`` incremented and their next
         timeout re-armed; flights over budget are abandoned (removed,
         their updates counted as undeliverable) and *not* returned.
         """
+        deadlines = self._deadlines
+        expired: List[int] = []
+        while deadlines and deadlines[0][0] <= now:
+            fid = heapq.heappop(deadlines)[1]
+            if fid in self._flights:
+                expired.append(fid)
         out: List[AsyncFlight] = []
-        for fid in sorted(self._flights):
+        for fid in sorted(expired):
             flight = self._flights[fid]
-            if flight.next_retry > now:
-                continue
             if flight.attempts > self.config.max_retries:
                 receiver = flight.batch.receiver_peer
                 mass = sum(abs(u.value) for u in flight.batch)
@@ -153,15 +163,17 @@ class FlightTracker:
                 continue
             flight.attempts += 1
             flight.next_retry = now + self._timeout(flight.attempts)
+            heapq.heappush(deadlines, (flight.next_retry, fid))
             self.retries += 1
             out.append(flight)
         return out
 
     def next_due(self) -> Optional[float]:
         """Earliest retry/abandon deadline among unacked flights."""
-        if not self._flights:
-            return None
-        return min(f.next_retry for f in self._flights.values())
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][1] not in self._flights:
+            heapq.heappop(deadlines)
+        return deadlines[0][0] if deadlines else None
 
     # ------------------------------------------------------------------
     # Crash-recovery hooks (docs/PROTOCOL.md §15)
@@ -173,6 +185,7 @@ class FlightTracker:
         of updates destroyed, for state-loss bookkeeping."""
         lost = sum(len(f.batch) for f in self._flights.values())
         self._flights.clear()
+        self._deadlines.clear()
         return lost
 
     def forgive(self, receiver: int) -> int:

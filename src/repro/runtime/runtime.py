@@ -680,6 +680,11 @@ class AsyncPeerRuntime:
         start = clock.now()
         while True:
             await asyncio.sleep(tick)
+            for node in self.nodes:
+                if node.task.done():
+                    # A peer task died: surface its exception now,
+                    # not at the timeout or at shutdown.
+                    node.task.result()
             now = clock.now()
             if isinstance(self.transport, InMemoryTransport):
                 self.transport.deliver_due(now)

@@ -7,7 +7,12 @@ pagerank updates in per-(sender, receiver) batches, with §3.1
 store-and-resend for absent peers and an optional §3.2 delivery policy
 pricing DHT routing hops.
 
-The unit of work is the pass.  Each live peer stages its whole pass as
+The unit of work is the pass.  One whole-graph
+:class:`~repro.core.kernels.CSRWorkspace` pull computes every document
+from :attr:`P2PPagerankSimulation.view`, which holds for each in-edge
+``s -> d`` what ``d``'s owner sees of ``s``; the engine rewrites it at
+every publish, applied delivery and §3.1 migration.  Each live peer
+takes its documents' rows, gates them by ε and stages its whole pass as
 :class:`~repro.p2p.messages.UpdateColumns`; the lossless exchange
 concatenates every sender's columns in sender order, stable-sorts them
 by receiver, and hands each receiver one run per pass, so a receiver
@@ -23,6 +28,8 @@ counts and pass counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -30,7 +37,7 @@ import numpy as np
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
 from repro.core.distributed import AvailabilityModel
-from repro.core.kernels import expand_rows
+from repro.core.kernels import CSRWorkspace, expand_rows
 from repro.core.pagerank import DEFAULT_DAMPING
 from repro.core.shard import check_run_budget, live_mask, starvation_error
 from repro.faults.plan import FaultPlan
@@ -289,6 +296,30 @@ class P2PPagerankSimulation:
         # Documents that received an update not yet folded into a
         # recompute (absent owners); blocks premature convergence.
         self._dirty = np.zeros(graph.num_nodes, dtype=bool)
+        #: ``view[e]`` for forward edge ``e = (s -> d)`` (``graph.indices``
+        #: order) is ``peers[owner(d)].visible_value(s)``.
+        self.view = np.full(graph.indices.size, self.init_rank)
+        # ``receiver * N + source`` keys and the receiver's value of the
+        # source, noted at each applied delivery for :meth:`_sync_view`.
+        self._heard_keys: List[int] = []
+        self._heard_values: List[float] = []
+
+    @cached_property
+    def _workspace(self) -> CSRWorkspace:
+        """The whole-graph pull kernel, built at the first run (as the
+        per-run state is, so set-up stays the placement's cost)."""
+        return CSRWorkspace.from_graph(self.graph)
+
+    def _index_cross_edges(self) -> None:
+        """Sort the edges between documents on different peers by
+        ``owner(d) * N + s`` (edge ``s -> d``), so :meth:`_sync_view`
+        finds a receiver's in-edges from a source by binary search."""
+        ws = self._workspace
+        receiver = self._peer_of[ws.dst]
+        cross = np.flatnonzero(receiver != self._peer_of[ws.src])
+        keys = receiver[cross] * self.graph.num_nodes + ws.src[cross]
+        order = np.argsort(keys)
+        self._cross_keys, self._cross_edges = keys[order], cross[order]
 
     # ------------------------------------------------------------------
     def run(
@@ -322,6 +353,7 @@ class P2PPagerankSimulation:
         """
         check_run_budget(max_passes, max_dead_passes)
         tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
+        self._index_cross_edges()
         num_peers = self.network.num_peers
 
         reg = get_registry()
@@ -424,7 +456,9 @@ class P2PPagerankSimulation:
                     else:
                         resent = self._deliver_deferred(live)
 
-                    # (2) concurrent recompute on live peers
+                    # (2) concurrent recompute: one pull, live peers' rows
+                    self._sync_view()
+                    new = self._workspace.pull_edges(self.view, self.damping)
                     active = 0
                     max_change = 0.0
                     computed = 0
@@ -433,7 +467,7 @@ class P2PPagerankSimulation:
                         if not live[peer.peer_id]:
                             continue
                         outcome = peer.compute_pass(
-                            self.damping, self.epsilon, self._peer_of
+                            new[peer.documents], self.epsilon, self._peer_of
                         )
                         active += outcome.active_documents
                         computed += len(peer.documents)
@@ -451,7 +485,9 @@ class P2PPagerankSimulation:
                         pos, lens = expand_rows(self.graph.indptr, pubs)
                         targets = self.graph.indices[pos]
                         owners = np.repeat(self._peer_of[pubs], lens)
-                        self._dirty[targets[self._peer_of[targets] == owners]] = True
+                        local = self._peer_of[targets] == owners
+                        self._dirty[targets[local]] = True
+                        self.view[pos[local]] = np.repeat(new[pubs], lens)[local]
 
                     # (3) drain outboxes: deliver or defer (reliable
                     #     transport: submit each batch as a new flight)
@@ -466,6 +502,7 @@ class P2PPagerankSimulation:
                     else:
                         delivered = self._deliver_outboxes(live)
                         messages = delivered + resent
+                    self._sync_view()
 
                 self.traffic.update_messages += messages
                 self.traffic.resent_messages += resent
@@ -541,7 +578,7 @@ class P2PPagerankSimulation:
         marking, hop charges, batch count).  Returns how many updates
         mutated receiver state (duplicates are suppressed by the
         per-source version dedup)."""
-        applied = self.peers[batch.receiver_peer].receive_batch(batch.updates)
+        applied = self._receive(batch.receiver_peer, batch.updates)
         targets = [u.target_doc for u in batch.updates]
         dirty = self._dirty
         for target in targets:
@@ -549,6 +586,39 @@ class P2PPagerankSimulation:
         self._charge_hops(batch.sender_peer, targets)
         self.traffic.network_batches += 1
         return applied
+
+    def _receive(self, receiver: int, updates) -> int:
+        """:meth:`Peer.receive_batch` on peer ``receiver``, noting its new
+        value of the sources for :meth:`_sync_view` if any applied."""
+        peer = self.peers[receiver]
+        applied = peer.receive_batch(updates)
+        if applied:
+            if isinstance(updates, UpdateColumns):
+                sources = updates.source.tolist()
+            else:
+                sources = [u.source_doc for u in updates]
+            base = receiver * self.graph.num_nodes
+            self._heard_keys.extend([base + s for s in sources])
+            seen = map(peer.remote_values.get, sources, repeat(self.init_rank))
+            self._heard_values.extend(seen)
+        return applied
+
+    def _sync_view(self) -> None:
+        """Write the latest value each receiver noted for a source on
+        *every* cross-peer edge from it into the receiver's documents —
+        a peer sees a source at one value, not only on the edges the
+        updates addressed."""
+        if not self._heard_keys:
+            return
+        keys, self._heard_keys = np.array(self._heard_keys, dtype=np.int64), []
+        values, self._heard_values = np.array(self._heard_values), []
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.r_[keys[1:] != keys[:-1], True]  # latest note per key
+        lo = np.searchsorted(self._cross_keys, keys[last])
+        lens = np.searchsorted(self._cross_keys, keys[last], "right") - lo
+        pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        self.view[self._cross_edges[pos]] = np.repeat(values[order[last]], lens)
 
     # ------------------------------------------------------------------
     def ranks(self) -> np.ndarray:
@@ -633,7 +703,7 @@ class P2PPagerankSimulation:
             return 0
         self.traffic.network_batches += int(np.unique(pairs[delivered]).size)
         for receiver, idx in zip(*_group_rows(dests[delivered])):
-            self.peers[receiver].receive_batch(updates.take(delivered[idx]))
+            self._receive(receiver, updates.take(delivered[idx]))
         self._dirty[updates.target[delivered]] = True
         return int(delivered.size)
 
@@ -644,6 +714,7 @@ class P2PPagerankSimulation:
         ring = self.network.ring
         dead = set(int(p) for p in np.flatnonzero(~live))
         threshold = self.rehoming_after
+        owner_before = self._peer_of.copy()
 
         # Evacuate: peers absent for too long surrender everything —
         # document state plus the in-link knowledge it was computed
@@ -662,7 +733,7 @@ class P2PPagerankSimulation:
             for doc in docs:
                 new_owner = ring.owner_excluding(document_guid(doc), dead)
                 self.peers[new_owner].adopt_documents({doc: state[doc]})
-                self.peers[new_owner].receive_batch(by_doc.get(doc, []))
+                self._receive(new_owner, by_doc.get(doc, []))
                 self._peer_of[doc] = new_owner
                 self._dirty[doc] = True  # new owner owes a recompute
                 self.traffic.migrations += 1
@@ -681,10 +752,21 @@ class P2PPagerankSimulation:
                 knowledge = holder.export_inlink_knowledge([doc])
                 state = holder.surrender_documents([doc])
                 self.peers[pid].adopt_documents(state)
-                self.peers[pid].receive_batch(knowledge)
+                self._receive(pid, knowledge)
                 self._peer_of[doc] = pid
                 self._dirty[doc] = True
                 self.traffic.migrations += 1
+
+        moved = self._peer_of != owner_before
+        if moved.any():  # rewrite the view on every edge touching them
+            self._index_cross_edges()
+            ws = self._workspace
+            pos = np.flatnonzero(moved[ws.src] | moved[ws.dst])
+            owners = self._peer_of[ws.dst[pos]].tolist()
+            self.view[pos] = [
+                self.peers[o].visible_value(src)
+                for o, src in zip(owners, ws.src[pos].tolist())
+            ]
 
     def _charge_hops(self, sender_peer: int, targets: List[int]) -> None:
         if self.delivery_policy is None:

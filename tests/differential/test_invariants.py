@@ -29,6 +29,12 @@ from repro.p2p.peer import Peer
 DAMPING = 0.85
 
 
+def fresh_ranks(peer: Peer) -> np.ndarray:
+    """What the simulator's pull hands ``compute_pass``: every local
+    document recomputed from the values the peer sees."""
+    return np.array([peer._fresh_rank(d, DAMPING) for d in peer.documents])
+
+
 def _no_dangling_graph(n: int, seed: int) -> LinkGraph:
     """Ring + seeded chords: every node has out-degree ≥ 1."""
     rng = np.random.default_rng(seed)
@@ -88,7 +94,7 @@ class TestMigrationPreservesState:
         # A few warm-up passes so ranks/versions are non-trivial.
         for _ in range(3):
             for peer in peers:
-                peer.compute_pass(DAMPING, 1e-4, peer_of)
+                peer.compute_pass(fresh_ranks(peer), 1e-4, peer_of)
             for peer in peers:
                 for batch in peer.outbox.batches():
                     peers[batch.receiver_peer].receive_batch(batch.updates)
@@ -137,7 +143,7 @@ class TestMigrationPreservesState:
             donor.receive_batch(knowledge)
         for group, peer_of in ((peers_a, peer_of_a), (peers_b, peer_of_b)):
             for peer in group:
-                peer.compute_pass(DAMPING, 1e-4, peer_of)
+                peer.compute_pass(fresh_ranks(peer), 1e-4, peer_of)
         assert self._rank_multiset(peers_a) == self._rank_multiset(peers_b)
 
 

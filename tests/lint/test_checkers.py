@@ -132,6 +132,25 @@ class TestFloatSafety:
         assert check(FloatSafetyChecker(), src) == []
 
 
+class TestOneSummationOrder:
+    def test_flt003_weighted_bincount(self):
+        src = "import numpy as np\nacc = np.bincount(rows, weights=w, minlength=n)\n"
+        found = check(FloatSafetyChecker(), src, module="repro.p2p.peer")
+        assert rule_ids(found) == ["FLT003"]
+
+    def test_flt003_positional_weights_and_from_import(self):
+        src = "from numpy import bincount\nacc = bincount(rows, w)\n"
+        assert rule_ids(check(FloatSafetyChecker(), src)) == ["FLT003"]
+
+    def test_unweighted_bincount_clean(self):
+        src = "import numpy as np\ncounts = np.bincount(rows, minlength=n)\n"
+        assert check(FloatSafetyChecker(), src, module="repro.p2p.network") == []
+
+    def test_kernels_module_exempt(self):
+        src = "import numpy as np\nacc = np.bincount(rows, weights=w)\n"
+        assert check(FloatSafetyChecker(), src, module="repro.core.kernels") == []
+
+
 class TestApiAll:
     def test_api001_phantom_export(self):
         src = '__all__ = ["ghost"]\n\n\ndef real():\n    return 1\n'

@@ -18,6 +18,12 @@ def setup():
     return g, peer_of, a, b
 
 
+def fresh(peer, damping=0.85):
+    """The new ranks the simulator's pull hands ``compute_pass``: each
+    local document recomputed from the values the peer sees."""
+    return np.array([peer._fresh_rank(d, damping) for d in peer.documents])
+
+
 class TestVisibility:
     def test_local_values_published(self, setup):
         _, _, a, _ = setup
@@ -38,7 +44,7 @@ class TestComputePass:
     def test_first_pass_matches_manual(self, setup):
         g, peer_of, a, _ = setup
         d = 0.85
-        outcome = a.compute_pass(d, 1e-6, peer_of)
+        outcome = a.compute_pass(fresh(a, d), 1e-6, peer_of)
         out_deg = g.out_degrees()
         for doc in (0, 1, 2):
             expected = (1 - d) + d * sum(
@@ -55,10 +61,10 @@ class TestComputePass:
         # All documents must read the pre-pass published values, so
         # compute order inside the peer cannot matter.
         g, peer_of, a, _ = setup
-        a.compute_pass(0.85, 1e-6, peer_of)
+        a.compute_pass(fresh(a), 1e-6, peer_of)
         first = dict(a.rank)
         b = Peer(0, [2, 1, 0], g)  # same docs, different order
-        b.compute_pass(0.85, 1e-6, peer_of)
+        b.compute_pass(fresh(b), 1e-6, peer_of)
         for doc in (0, 1, 2):
             assert b.rank[doc] == first[doc]
 
@@ -66,7 +72,7 @@ class TestComputePass:
         g, peer_of, a, _ = setup
         # With a huge epsilon nothing is significant: published values
         # stay at the initial rank even though ranks moved.
-        a.compute_pass(0.85, 0.99, peer_of)
+        a.compute_pass(fresh(a), 0.99, peer_of)
         assert all(v == 1.0 for v in a.published.values())
         assert len(a.outbox) == 0
 
@@ -76,10 +82,10 @@ class TestComputePass:
         # sum to 1/3 + 1/2), and doc 1 has no cross links; by the
         # second pass doc 1's change has propagated to doc 2, whose
         # cross link 2->5 must then be staged for peer 1.
-        a.compute_pass(0.85, 1e-6, peer_of)
+        a.compute_pass(fresh(a), 1e-6, peer_of)
         first = {u.target_doc for b in a.outbox.batches() for u in b}
         assert first == set()
-        a.compute_pass(0.85, 1e-6, peer_of)
+        a.compute_pass(fresh(a), 1e-6, peer_of)
         second = {u.target_doc for b in a.outbox.batches() for u in b}
         assert 5 in second
 
@@ -209,7 +215,7 @@ class TestCrashVolatile:
     def test_crash_wipes_outbox_and_deferred_keeps_ranks(self, setup):
         g, peer_of, a, _ = setup
         a.receive(PagerankUpdate(0, 3, 5.0, version=1))
-        a.compute_pass(0.85, 1e-3, peer_of)
+        a.compute_pass(fresh(a), 1e-3, peer_of)
         a.defer(1, [PagerankUpdate(3, 0, 1.5)])
         staged = len(a.outbox)
         assert staged > 0
@@ -224,7 +230,7 @@ class TestCrashVolatile:
     def test_reboot_republish_restages_published_values(self, setup):
         g, peer_of, a, _ = setup
         a.receive(PagerankUpdate(0, 3, 5.0, version=1))
-        a.compute_pass(0.85, 1e-3, peer_of)
+        a.compute_pass(fresh(a), 1e-3, peer_of)
         a.crash_volatile()
         staged = a.reboot_republish(peer_of)
         assert staged > 0
@@ -262,3 +268,15 @@ class TestMigrationDeterminism:
         for doc in (0, 1, 2):
             assert b.rank[doc] == ranks_before[doc]
             assert b.owns(doc) and not a.owns(doc)
+
+    def test_rank_keys_follow_documents_after_migration(self, setup):
+        # compute_pass reads the rank dict's values as one array in
+        # documents order, so migrations must keep that key order.
+        g, peer_of, a, b = setup
+        b.adopt_documents(a.surrender_documents([1]))
+        assert list(b.rank) == b.documents.tolist() == [1, 3, 4, 5]
+        assert list(a.rank) == a.documents.tolist() == [0, 2]
+        peer_of = np.array([0, 1, 0, 1, 1, 1])
+        expected = fresh(b)
+        b.compute_pass(expected, 1e-6, peer_of)
+        assert [b.rank[d] for d in b.documents.tolist()] == expected.tolist()

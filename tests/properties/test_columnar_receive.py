@@ -8,14 +8,13 @@ the same applied count.  Update sequences are drawn with the stdlib
 rule distinguishes: newer versions, equal-version replays, reordered
 stale versions, sources never heard from (inside and outside the
 peer's in-link neighbourhood), local documents as sources, and one
-source repeated across many targets.  Each case runs with and without
-the peer's vectorized shard built (the shard caches version floors
-per slot) and in the unversioned wire mode.
+source repeated across many targets.  Each case runs as one columnar
+run and split into consecutive runs (the way deferred and retransmitted
+batches reach a receiver), and in the unversioned wire mode.
 """
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.graphs import broder_graph
@@ -56,56 +55,48 @@ def draw_run(rng, graph, local, length):
     return run
 
 
-def twin_peers(seed, *, shard, honor_versions):
+def twin_peers(seed, *, honor_versions):
     graph = broder_graph(DOCS, seed=seed)
     rng = random.Random(seed)
     local = sorted(rng.sample(range(DOCS), 12))
     peers = [
         Peer(0, local, graph, honor_versions=honor_versions) for _ in range(2)
     ]
-    if shard:
-        for p in peers:
-            p._ensure_shard()
     return graph, local, peers, rng
 
 
 def assert_same_state(a, b):
     assert a.remote_values == b.remote_values
     assert a._remote_versions == b._remote_versions
-    if a._visible is None:
-        assert b._visible is None
-    else:
-        assert np.array_equal(a._visible, b._visible)
-        # The shard's compact view agrees with the dicts it caches.
-        truth = [b.visible_value(int(g)) for g in b._vis_ids]
-        assert b._visible.tolist() == truth
 
 
 @pytest.mark.parametrize("honor_versions", [True, False])
-@pytest.mark.parametrize("shard", [False, True])
+@pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_columnar_receive_matches_sequential_fold(seed, shard, honor_versions):
-    graph, local, (seq, col), rng = twin_peers(
-        seed, shard=shard, honor_versions=honor_versions
-    )
+def test_columnar_receive_matches_sequential_fold(seed, chunked, honor_versions):
+    graph, local, (seq, col), rng = twin_peers(seed, honor_versions=honor_versions)
     # Several rounds, so held versions from earlier runs gate later ones.
     for length in (rng.randint(1, 8), rng.randint(20, 60), rng.randint(60, 150)):
         run = draw_run(rng, graph, local, length)
         expected = sum(seq.receive(u) for u in run)
-        assert col.receive_batch(UpdateColumns.from_updates(run)) == expected
+        cuts = [0, len(run)]
+        if chunked:
+            cuts[1:1] = sorted(rng.choices(range(len(run) + 1), k=3))
+        got = sum(
+            col.receive_batch(UpdateColumns.from_updates(run[lo:hi]))
+            for lo, hi in zip(cuts, cuts[1:])
+        )
+        assert got == expected
         assert_same_state(seq, col)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_columnar_and_scalar_receives_interleave(seed):
-    """Mixing scalar and columnar receives on one peer keeps the
-    shard's cached version floors consistent with the dicts, including
-    a shard built after the peer already holds values."""
-    graph, local, (seq, mixed), rng = twin_peers(seed, shard=False, honor_versions=True)
-    for round_ in range(4):
-        if round_ == 1:
-            seq._ensure_shard()
-            mixed._ensure_shard()
+    """Mixing scalar and columnar receives on one peer leaves the state
+    the scalar loop leaves: each path reads the version floors the
+    other wrote."""
+    graph, local, (seq, mixed), rng = twin_peers(seed, honor_versions=True)
+    for _ in range(4):
         run = draw_run(rng, graph, local, rng.randint(10, 40))
         cut = rng.randrange(len(run))
         expected = sum(seq.receive(u) for u in run)
@@ -116,6 +107,6 @@ def test_columnar_and_scalar_receives_interleave(seed):
 
 
 def test_empty_run_applies_nothing():
-    _, _, (peer, _), _ = twin_peers(0, shard=True, honor_versions=True)
+    _, _, (peer, _), _ = twin_peers(0, honor_versions=True)
     assert peer.receive_batch(UpdateColumns.empty()) == 0
     assert peer.remote_values == {}

@@ -107,6 +107,19 @@ class TestRunGuards:
         with pytest.raises(ValueError, match="strictly positive"):
             asyncio.run(body())
 
+    def test_dying_peer_task_raises_in_realtime_mode(self):
+        # The same dying task under the free-running clock: the tick
+        # loop must re-raise it at once, well before its 60 s timeout.
+        runtime = make_runtime(latency=lambda rng, src, dst: 0.0)
+
+        async def body():
+            return await asyncio.wait_for(
+                runtime.run_realtime(timeout=60.0, tick=0.005), timeout=5.0
+            )
+
+        with pytest.raises(ValueError, match="strictly positive"):
+            asyncio.run(body())
+
     @pytest.mark.parametrize("bad", [math.nan, -1.0])
     def test_bad_max_time_rejected(self, bad):
         with pytest.raises(ValueError, match="max_time"):

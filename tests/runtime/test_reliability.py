@@ -71,6 +71,23 @@ class TestFlightTracker:
         assert tracker.undeliverable_updates == 3
         assert tracker.next_due() is None
 
+    def test_deadlines_skip_acked_and_come_due_by_flight_id(self):
+        # Later flights can fall due first; due() still answers in
+        # ascending flight id, and acked or wiped flights never surface.
+        tracker = FlightTracker(ReliabilityConfig())
+        late = tracker.launch(batch(), now=5.0)
+        early = [tracker.launch(batch(), now=t) for t in (0.0, 1.0, 2.0)]
+        tracker.on_ack(ack(early[0].flight_id))
+        assert tracker.next_due() == early[1].next_retry
+        due = tracker.due(late.next_retry)
+        assert [f.flight_id for f in due] == [
+            late.flight_id, early[1].flight_id, early[2].flight_id
+        ]
+        assert tracker.next_due() == min(f.next_retry for f in due)
+        tracker.wipe()
+        assert tracker.next_due() is None
+        assert tracker.due(1e9) == []
+
     def test_bad_pass_time_rejected(self):
         with pytest.raises(ValueError, match="pass_time"):
             FlightTracker(ReliabilityConfig(), pass_time=0.0)
