@@ -42,10 +42,12 @@ bench-full:
 
 # The end-to-end benchmark's own tests (perfbench/README.md): tiny runs
 # of all four workloads with their output checks and the seed-7
-# cross-check of counts, digests and convergence.  The CI
-# perfbench-smoke job runs the same line.
+# cross-check of counts, digests and convergence, then one tiny traced
+# lossy run (the layer wrappers on the reliable transport).  The CI
+# perfbench-smoke job runs the same lines.
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) perfbench/run.py --workload sim-10k-lossy-churn --seed 1 --seconds 1 --trace 1 --tiny
 
 # Chaos soak smoke: three seeded crash-storm schedules against the
 # recovery-supervised runtime, zero invariant violations required

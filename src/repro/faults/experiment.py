@@ -102,7 +102,12 @@ class FaultExperimentConfig:
 
 @dataclass(frozen=True)
 class FaultTrial:
-    """One row of the table: the run outcome at one loss rate."""
+    """One row of the table: the run outcome at one loss rate.
+
+    ``abandoned`` counts updates whose flight exhausted its retry
+    budget; ``stop`` says why the run ended: ``"converged"``,
+    ``"stagnation"`` (the residual-stagnation abort) or ``"pass cap"``.
+    """
 
     loss_rate: float
     converged: bool
@@ -113,6 +118,32 @@ class FaultTrial:
     duplicated: int
     crashes: int
     l1_error: float
+    abandoned: int
+    stop: str
+
+    @classmethod
+    def from_run(cls, loss_rate: float, sim, report, l1_error: float) -> "FaultTrial":
+        """The row of one finished faulted simulator run."""
+        stats = sim.transport.stats
+        if report.converged:
+            stop = "converged"
+        elif report.diagnostics is not None:
+            stop = "stagnation"
+        else:
+            stop = "pass cap"
+        return cls(
+            loss_rate=float(loss_rate),
+            converged=report.converged,
+            passes=report.passes,
+            messages=report.total_messages,
+            retries=stats.retries,
+            dropped=stats.dropped_updates,
+            duplicated=stats.duplicated_updates,
+            crashes=stats.crashes,
+            l1_error=l1_error,
+            abandoned=stats.abandoned_updates,
+            stop=stop,
+        )
 
 
 @dataclass(frozen=True)
@@ -137,14 +168,17 @@ class FaultExperimentResult:
                 t.dropped,
                 t.duplicated,
                 t.crashes,
+                t.abandoned,
                 t.l1_error,
+                t.stop,
             )
             for t in self.trials
         ]
         return format_table(
             [
                 "loss", "converged", "passes", "messages", "retries",
-                "dropped", "duplicated", "crashes", "L1 vs reference",
+                "dropped", "duplicated", "crashes", "abandoned",
+                "L1 vs reference", "stop",
             ],
             rows,
             title=(
@@ -193,19 +227,6 @@ def run_fault_experiment(
             faults=plan,
         )
         report = sim.run(max_passes=config.max_passes)
-        stats = sim.transport.stats
         l1 = float(np.abs(report.ranks - reference).sum()) / ref_mass
-        trials.append(
-            FaultTrial(
-                loss_rate=float(rate),
-                converged=report.converged,
-                passes=report.passes,
-                messages=report.total_messages,
-                retries=stats.retries,
-                dropped=stats.dropped_updates,
-                duplicated=stats.duplicated_updates,
-                crashes=stats.crashes,
-                l1_error=l1,
-            )
-        )
+        trials.append(FaultTrial.from_run(rate, sim, report, l1))
     return FaultExperimentResult(config=config, trials=tuple(trials))

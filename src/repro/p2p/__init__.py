@@ -29,6 +29,7 @@ from repro.p2p.messages import (
     ACK_SIZE_BYTES,
     MESSAGE_SIZE_BYTES,
     BatchAck,
+    BatchColumns,
     MessageBatch,
     Outbox,
     PagerankUpdate,
@@ -70,6 +71,7 @@ __all__ = [
     "ACK_SIZE_BYTES",
     "PagerankUpdate",
     "UpdateColumns",
+    "BatchColumns",
     "MessageBatch",
     "BatchAck",
     "Outbox",

@@ -13,8 +13,10 @@ from repro.core.distributed import ChaoticPagerank
 from repro.core.pagerank import pagerank_reference
 from repro.faults import (
     FaultExperimentConfig,
+    FaultExperimentResult,
     FaultPlan,
     FaultSpec,
+    FaultTrial,
     Partition,
     ReliabilityConfig,
     run_fault_experiment,
@@ -221,6 +223,28 @@ class TestFaultExperiment:
             assert trial.crashes == 2
         # More loss costs more retries, never fewer.
         assert result.trials[1].retries >= result.trials[0].retries
+
+    def test_table_says_why_each_row_stopped(self):
+        result = run_fault_experiment(self.CONFIG)
+        assert [t.stop for t in result.trials] == ["converged", "converged"]
+        header = result.render().splitlines()
+        assert any("abandoned" in line and "stop" in line for line in header)
+
+    def test_permanent_partition_prints_stagnation(self, graph):
+        plan = FaultPlan(FaultSpec(partitions=(Partition(peer_a=3),)), seed=2)
+        sim = P2PPagerankSimulation(graph, make_net(), epsilon=1e-3, faults=plan)
+        report = sim.run(max_passes=500)
+        trial = FaultTrial.from_run(0.0, sim, report, 0.0)
+        assert trial.stop == "stagnation"
+        assert trial.abandoned == sim.transport.stats.abandoned_updates > 0
+        table = FaultExperimentResult(self.CONFIG, (trial,)).render()
+        assert "stagnation" in table
+
+    def test_pass_cap_stop(self, graph):
+        plan = FaultPlan(FaultSpec(drop_rate=0.2), seed=2)
+        sim = P2PPagerankSimulation(graph, make_net(), epsilon=1e-3, faults=plan)
+        report = sim.run(max_passes=3)
+        assert FaultTrial.from_run(0.2, sim, report, 0.0).stop == "pass cap"
 
     def test_table_is_deterministic(self):
         a = run_fault_experiment(self.CONFIG).render()

@@ -16,16 +16,28 @@ from repro.faults import (
     ReliabilityConfig,
     ReliableTransport,
 )
-from repro.p2p.messages import MessageBatch, PagerankUpdate
+from repro.p2p.messages import BatchColumns, PagerankUpdate, UpdateColumns
 
 
 def make_batch(sender=0, receiver=1, n=3):
-    batch = MessageBatch(sender, receiver)
-    for i in range(n):
-        batch.add(
-            PagerankUpdate(target_doc=i, source_doc=100 + i, value=1.0, version=0)
-        )
-    return batch
+    """One batch of ``n`` updates, in the shape ``send`` takes."""
+    updates = UpdateColumns.from_updates(
+        [PagerankUpdate(target_doc=i, source_doc=100 + i, value=1.0, version=0)
+         for i in range(n)]
+    )
+    return BatchColumns(
+        np.array([sender]), np.array([receiver]), np.array([0, n]), updates
+    )
+
+
+def copies_of(batch):
+    """Each delivered copy in a ``deliver`` callback's argument, as a
+    list of its updates."""
+    bounds = batch.offsets.tolist()
+    return [
+        list(batch.updates.take(np.arange(lo, hi)))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 class Sink:
@@ -33,8 +45,8 @@ class Sink:
         self.batches = []
 
     def __call__(self, batch):
-        self.batches.append(batch)
-        return len(batch)
+        self.batches.extend(copies_of(batch))
+        return np.ones(len(batch.updates), dtype=bool)
 
 
 def exhaust(tr, live, start=1, end=40):

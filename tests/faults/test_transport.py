@@ -11,14 +11,28 @@ from repro.faults import (
     ReliableTransport,
     StagnationDetector,
 )
-from repro.p2p.messages import MessageBatch, PagerankUpdate
+from repro.p2p.messages import BatchColumns, PagerankUpdate, UpdateColumns
 
 
 def make_batch(sender=0, receiver=1, n=3):
-    batch = MessageBatch(sender, receiver)
-    for i in range(n):
-        batch.add(PagerankUpdate(target_doc=i, source_doc=100 + i, value=1.0, version=0))
-    return batch
+    """One batch of ``n`` updates, in the shape ``send`` takes."""
+    updates = UpdateColumns.from_updates(
+        [PagerankUpdate(target_doc=i, source_doc=100 + i, value=1.0, version=0)
+         for i in range(n)]
+    )
+    return BatchColumns(
+        np.array([sender]), np.array([receiver]), np.array([0, n]), updates
+    )
+
+
+def copies_of(batch):
+    """Each delivered copy in a ``deliver`` callback's argument, as a
+    list of its updates."""
+    bounds = batch.offsets.tolist()
+    return [
+        list(batch.updates.take(np.arange(lo, hi)))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 class Sink:
@@ -28,8 +42,8 @@ class Sink:
         self.batches = []
 
     def __call__(self, batch):
-        self.batches.append(batch)
-        return len(batch)
+        self.batches.extend(copies_of(batch))
+        return np.ones(len(batch.updates), dtype=bool)
 
 
 class TestReliabilityConfig:
@@ -146,26 +160,21 @@ class TestReliableTransport:
 
     def test_ack_drop_forces_suppressed_redelivery(self):
         # Data always arrives; only the first ack is lost.
-        plan = FaultPlan(seed=0)
-        calls = {"n": 0}
-
-        def roll_once(t):
-            calls["n"] += 1
-            return calls["n"] == 1
-
-        plan.roll_ack_drop = roll_once
+        plan = FaultPlan(FaultSpec(ack_drop_rate=1.0), seed=0)
         applied = []
 
         def deliver(batch):
             # Second delivery applies nothing: version dedup.
-            applied.append(batch)
-            return len(batch) if len(applied) == 1 else 0
+            applied.extend(copies_of(batch))
+            return np.full(len(batch.updates), len(applied) == 1)
 
         tr = ReliableTransport(plan, ReliabilityConfig(ack_timeout_passes=1), deliver)
         live = np.ones(2, dtype=bool)
         tr.begin_pass(0)
         tr.send(0, make_batch(n=3), live)
         assert tr.unacked_flights == 1  # delivered but ack lost
+        # Later acks get through: swap in a clean plan.
+        tr.plan = FaultPlan(seed=0)
         for t in range(1, 6):
             tr.begin_pass(t)
             tr.tick(t, live)
