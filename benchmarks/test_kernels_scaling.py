@@ -76,10 +76,10 @@ def test_bench_pull_pass(benchmark, graph100k):
 
 
 def test_bench_pull_rows(benchmark, graph100k):
-    """Selective recompute of a 5% row frontier (the sharded path the
-    chaotic engine takes once activity localises)."""
+    """Selective recompute of a 5% row frontier (the path the chaotic
+    engine takes once activity localises)."""
     ws = CSRWorkspace.from_graph(graph100k)
-    values = np.ones(graph100k.num_nodes)
+    values = np.ones(graph100k.num_nodes)[ws.src]
     rng = np.random.default_rng(1)
     rows = np.unique(rng.integers(0, graph100k.num_nodes, size=5_000))
     benchmark(_timed("pull_rows_5pct_100k", lambda: ws.pull_rows(values, 0.85, rows)))

@@ -15,16 +15,12 @@ The pass itself is the one-shard case of the sharded pass step in
 :class:`~repro.core.shard.ShardRunner` over one whole-graph shard,
 which uses the engine's :class:`~repro.core.kernels.CSRWorkspace` and
 per-edge arrays as they are; the same driver runs any sparse
-``x = Mx + c`` system (:mod:`repro.core.linear`).  The step has two
-modes with the same semantics:
-
-* **static** (no churn, no faults): per-node ``last_sent`` state and
-  frontier-selective pulls — only documents whose inputs changed last
-  pass recompute.  This is what runs the paper's 5,000,000-node graph.
-* **churn** (peer availability or injected loss given): per-*edge*
-  delivered-value state, because §3.1's store-and-resend means
-  different out-edges of one document can hold different vintages of
-  its rank while receiving peers are absent.
+``x = Mx + c`` system (:mod:`repro.core.linear`).  The step keeps
+per-*edge* delivered-value state, because §3.1's store-and-resend
+means different out-edges of one document can hold different vintages
+of its rank while receiving peers are absent, and recomputes only the
+frontier — the documents whose delivered inputs changed — so a run
+with every peer up is the same step with nothing ever deferred.
 
 Document-to-peer placement is an integer array ``assignment`` mapping
 each document to its peer; only cross-peer deliveries count as network
@@ -216,11 +212,8 @@ class ChaoticPagerank:
             else preference_shift(preference, graph.num_nodes, self.damping)
         )
         self.workspace = CSRWorkspace.from_graph(graph)
-        # Per-edge cross-peer mask and per-node remote out-degree: only
-        # cross-peer deliveries are counted as network messages.
-        self._cross_edge, self._remote_outdeg = cross_peer_edges(
-            self.workspace, self.assignment
-        )
+        # Only cross-peer deliveries are counted as network messages.
+        self._cross_edge = cross_peer_edges(self.workspace, self.assignment)
 
     # ------------------------------------------------------------------
     def run(
@@ -256,8 +249,6 @@ class ChaoticPagerank:
             idempotent per-edge state, and crash/partition faults need
             the message-level simulator
             (:class:`repro.simulation.engine.P2PPagerankSimulation`).
-            Passing a plan routes the run through the per-edge churn
-            path (with an all-live shim when ``availability`` is None).
         max_dead_passes:
             Cap on *consecutive* passes with zero live peers; exceeded
             → ``RuntimeError`` instead of a silent stall (dead passes
@@ -292,6 +283,7 @@ class ChaoticPagerank:
         )
 
     # ------------------------------------------------------------------
+    # Two entry points of one step: profilers time them apart.
     def _run_static(
         self,
         max_passes: int,
@@ -299,7 +291,7 @@ class ChaoticPagerank:
         keep_history: bool,
         on_pass: Optional[PassObserver] = None,
     ) -> RunReport:
-        """All peers always present: the static pass step."""
+        """All peers always present: the pass step under :class:`AllLive`."""
         return self._solve(
             initial_ranks, max_passes=max_passes, keep_history=keep_history,
             on_pass=on_pass,
@@ -316,7 +308,7 @@ class ChaoticPagerank:
         fault_plan: Optional[FaultPlan] = None,
         max_dead_passes: int = 50,
     ) -> RunReport:
-        """Peers leave and join between passes (§3.1): the churn step."""
+        """Peers leave and join between passes (§3.1)."""
         return self._solve(
             initial_ranks, max_passes=max_passes, availability=availability,
             keep_history=keep_history, on_pass=on_pass,
@@ -327,8 +319,8 @@ class ChaoticPagerank:
         """:func:`run_whole_graph` on this graph; ``run`` is run control."""
         g = self.graph
         return run_whole_graph(
-            self.workspace, g.indptr, g.indices, self.assignment, self.num_peers,
-            self._cross_edge, self._remote_outdeg,
+            self.workspace, g.indptr, self.assignment, self.num_peers,
+            self._cross_edge,
             damping=self.damping, epsilon=self.epsilon, shift=self._shift,
             initial=initial_rank_vector(g.num_nodes, self.init_rank, initial_ranks),
             **run,
@@ -338,11 +330,9 @@ class ChaoticPagerank:
 def run_whole_graph(
     workspace: CSRWorkspace,
     indptr: np.ndarray,
-    indices: np.ndarray,
     assignment: np.ndarray,
     num_peers: int,
     cross_edge: np.ndarray,
-    remote_outdeg: np.ndarray,
     *,
     damping: float,
     epsilon: float,
@@ -355,29 +345,26 @@ def run_whole_graph(
     fault_plan: Optional[FaultPlan] = None,
     max_dead_passes: int = 50,
 ) -> RunReport:
-    """Run the pass step over one whole-graph shard (the churn step when
-    ``availability`` is given) from ``initial``, which becomes the rank
-    array, and report every pass through the ``core.*`` metrics, the
-    trace and the tracker.  ``indptr``/``indices`` are the forward
-    adjacency the static frontier expands through."""
+    """Run the pass step over one whole-graph shard from ``initial``,
+    which becomes the rank array, with every peer up unless
+    ``availability`` says otherwise, and report every pass through the
+    ``core.*`` metrics, the trace and the tracker.  ``indptr`` is the
+    forward adjacency's row pointer, which indexes the workspace's
+    edges by source."""
     check_run_budget(max_passes, max_dead_passes)
     n = workspace.num_nodes
     tracker = ConvergenceTracker(epsilon, keep_history=keep_history)
     if n == 0:
         return tracker.finish(np.zeros(0), True)
-    churn = availability is not None
+    if availability is None:
+        availability = AllLive(num_peers)
     rank = initial
     stats = np.zeros((1, N_STAT_COLS), dtype=np.float64)
-    views = {"rank": rank, "stats": stats}
-    if churn:
-        views["active"] = np.zeros(n, dtype=bool)
-    else:
-        views["last_sent"] = rank.copy()
     state = WorkerState(
-        damping=damping, epsilon=epsilon, churn=churn, views=views,
-        workspace=workspace, indptr=indptr, indices=indices,
-        assignment=assignment, cross_edge=cross_edge,
-        remote_outdeg=remote_outdeg, fault_plans=[fault_plan], shift=shift,
+        damping=damping, epsilon=epsilon,
+        views={"rank": rank, "active": np.zeros(n, dtype=bool), "stats": stats},
+        workspace=workspace, indptr=indptr, assignment=assignment,
+        cross_edge=cross_edge, fault_plans=[fault_plan], shift=shift,
     )
     runner = ShardRunner(state)
     obs = _CoreInstruments(get_registry())
@@ -390,7 +377,7 @@ def run_whole_graph(
             obs.dead_passes.inc()
             tracker.record(pass_stats(stats, t, 0))
             return
-        ps = pass_stats(stats, t, live_peers, None if churn else n)
+        ps = pass_stats(stats, t, live_peers)
         resent = int(stats[:, COL_RESENT].sum())
         obs.updates.inc(ps.active_documents)
         obs.messages.inc(ps.messages)
@@ -400,22 +387,15 @@ def run_whole_graph(
         obs.residual.set(ps.max_rel_change)
         obs.active.set(ps.active_documents)
         if sink.enabled:
-            extra = (
-                {"deferred": ps.deferred_messages, "resent": resent,
-                 "live_peers": live_peers}
-                if churn else {}
-            )
             sink.event(
                 "core.pass", pass_index=t, residual=ps.max_rel_change,
                 active_documents=ps.active_documents,
-                messages=ps.messages, **extra,
+                messages=ps.messages, deferred=ps.deferred_messages,
+                resent=resent, live_peers=live_peers,
             )
         tracker.record(ps)
 
-    with sink.span(
-        "core.run", mode="churn" if churn else "static", documents=n,
-        peers=num_peers, epsilon=epsilon,
-    ):
+    with sink.span("core.run", documents=n, peers=num_peers, epsilon=epsilon):
         converged = run_shards(
             [runner], state=state, max_passes=max_passes, num_peers=num_peers,
             record=record, availability=availability,

@@ -10,12 +10,13 @@ are data (:meth:`CSRWorkspace.from_edges`), so the same kernels pull
 any sparse ``x = Mx + c`` system.  One kernel class
 implements that contract: :class:`CSRWorkspace`, a precomputed
 reverse-CSR (in-adjacency) layout of flat numpy ``indptr``/``indices``/
-``data`` arrays (no scipy), plus the forward per-edge arrays.  Besides
-the full pull it supports **selective row recomputation**
-(:meth:`CSRWorkspace.pull_rows`): only the rows whose in-edge inputs
-changed since the last pass are re-summed.  A row whose inputs are
-untouched would re-sum to bit-identical values, so skipping it cannot
-change any result — the speedup is mechanical, not semantic.  The same
+``data`` arrays (no scipy), plus the forward per-edge arrays and the
+permutation between the two.  Besides the full pulls it supports
+**selective row recomputation** (:meth:`CSRWorkspace.pull_rows`): only
+the rows whose in-edge values changed since the last pass are
+re-summed.  A row whose inputs are untouched would re-sum to
+bit-identical values, so skipping it cannot change any result — the
+speedup is mechanical, not semantic.  The same
 class covers the whole graph (:meth:`CSRWorkspace.from_graph`) or a
 row subset of it (:meth:`CSRWorkspace.restrict`, one shard of the
 sharded pass in :mod:`repro.core.shard`).
@@ -67,18 +68,23 @@ def expand_rows(
     Returns ``(pos, lens)`` where ``pos`` indexes the CSR data/indices
     arrays and ``lens[k]`` is the entry count of ``rows[k]``; entries of
     one row are contiguous in ``pos`` and keep their CSR order.  Pure
-    vectorized index arithmetic, O(total entries) — shared by the
-    selective pull kernel, the engines' frontier expansion, and the
-    incremental-update propagation.
+    vectorized index arithmetic, O(total entries) with one array of
+    that length — shared by the selective pull kernel, the engines'
+    frontier expansion, and the incremental-update propagation.
     """
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
     total = int(lens.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), lens
-    cum = np.cumsum(lens)
-    pos = np.repeat(starts, lens) + np.arange(total, dtype=np.int64)
-    pos -= np.repeat(cum - lens, lens)
+    # Steps of one within a row; the first entry of each non-empty row
+    # steps from the previous row's last entry to its own start.
+    nz = lens > 0
+    starts_nz, lens_nz = starts[nz], lens[nz]
+    pos = np.ones(total, dtype=np.int64)
+    pos[0] = starts_nz[0]
+    pos[np.cumsum(lens_nz[:-1])] = starts_nz[1:] - (starts_nz[:-1] + lens_nz[:-1] - 1)
+    np.cumsum(pos, out=pos)
     return pos, lens
 
 
@@ -97,8 +103,10 @@ class CSRWorkspace:
     per-edge pull.
 
     The forward per-edge arrays (``src``/``dst``/``edge_weight``) are
-    kept too: the churn step's §3.1 per-edge delivered-value state
-    needs them.
+    kept too: the pass step's §3.1 per-edge delivered-value state is
+    indexed by forward edge, and ``rperm`` maps every reverse-CSR
+    entry to its forward edge, so :meth:`pull_rows` reads per-edge
+    values row by row.
 
     A workspace covers a set of *rows* (target documents): every
     document for :meth:`from_graph`, a sorted subset for
@@ -119,6 +127,9 @@ class CSRWorkspace:
     rdata:
         ``edge_weight`` in reverse-CSR order — the weight of each
         in-edge.
+    rperm:
+        Forward edge id of every reverse-CSR entry (``rindices ==
+        src[rperm]``).
     """
 
     num_nodes: int
@@ -128,8 +139,9 @@ class CSRWorkspace:
     rindptr: np.ndarray
     rindices: np.ndarray
     rdata: np.ndarray
+    rperm: np.ndarray
     _contrib: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _rev_rowids: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    _rowids: Optional[np.ndarray] = field(repr=False, default=None)
 
     @classmethod
     def from_graph(cls, graph: LinkGraph) -> "CSRWorkspace":
@@ -146,15 +158,31 @@ class CSRWorkspace:
     def from_edges(
         cls, n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
     ) -> "CSRWorkspace":
-        """Build forward + reverse layouts (O(E) setup) for ``n`` rows
-        from weighted edges ``src -> dst`` listed source-major."""
-        # Reverse CSR: stable sort of the forward edge list by target
-        # keeps, within each target, the ascending-source order the
-        # forward bincount accumulates in.
-        order = np.argsort(dst, kind="stable")
+        """Build forward + reverse layouts (O(E log E) setup) for ``n``
+        rows from weighted edges ``src -> dst`` listed source-major.
+
+        Raises ``ValueError`` when ``n * E`` reaches ``2**63``: the
+        reverse layout is sorted on int64 keys below that product.
+        """
+        # Reverse CSR: order the forward edges by target, ties by edge
+        # id, which keeps within each target the ascending-source order
+        # the forward bincount accumulates in.  The keys ``dst * E +
+        # edge id`` are unique, so any sort yields that order — the
+        # stable argsort of ``dst`` — and an unstable one is faster.
+        e = int(dst.size)
+        if n * e >= 2**63:
+            raise ValueError(
+                f"{n} rows x {e} edges overflows the int64 reverse-CSR sort key"
+            )
+        keys = dst.astype(np.int64) * e
+        keys += np.arange(e, dtype=np.int64)
+        order = np.argsort(keys)
+        del keys
         rindptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(dst, minlength=n), out=rindptr[1:])
-        return cls._build(src, dst, weight, rindptr, src[order], weight[order])
+        return cls._build(
+            src, dst, weight, rindptr, src[order], weight[order], order
+        )
 
     def restrict(self, rows: np.ndarray) -> "CSRWorkspace":
         """The same kernels over ``rows`` (sorted, unique document ids)
@@ -163,7 +191,9 @@ class CSRWorkspace:
         Every row keeps its complete in-edge list in ascending-source
         order, in both layouts, so the values computed for ``rows`` are
         bit-identical to what the whole-graph kernels put there — the
-        partition cannot change any result, only who computes it.
+        partition cannot change any result, only who computes it.  The
+        view's forward edges are this workspace's edges into ``rows``,
+        in order, and its ``rperm`` indexes them.
         """
         rows = np.asarray(rows, dtype=np.int64)
         pos, lens = expand_rows(self.rindptr, rows)
@@ -179,6 +209,7 @@ class CSRWorkspace:
             rindptr,
             self.rindices[pos],
             self.rdata[pos],
+            np.searchsorted(sel, self.rperm[pos]),
         )
 
     @classmethod
@@ -190,6 +221,7 @@ class CSRWorkspace:
         rindptr: np.ndarray,
         rindices: np.ndarray,
         rdata: np.ndarray,
+        rperm: np.ndarray,
     ) -> "CSRWorkspace":
         rows = rindptr.size - 1
         ws = cls(
@@ -200,12 +232,20 @@ class CSRWorkspace:
             rindptr=rindptr,
             rindices=rindices,
             rdata=rdata,
+            rperm=rperm,
         )
         ws._contrib = np.empty(src.size, dtype=np.float64)
-        ws._rev_rowids = np.repeat(
-            np.arange(rows, dtype=np.int64), np.diff(rindptr)
-        )
         return ws
+
+    @property
+    def _rev_rowids(self) -> np.ndarray:
+        """Row id of every reverse-CSR entry, which :meth:`pull` bins
+        by; built on first use, since the pass step never needs it."""
+        if self._rowids is None:
+            self._rowids = np.repeat(
+                np.arange(self.num_nodes, dtype=np.int64), np.diff(self.rindptr)
+            )
+        return self._rowids
 
     # ------------------------------------------------------------------
     def row_edges(self, rows: np.ndarray) -> int:
@@ -220,8 +260,8 @@ class CSRWorkspace:
         Parameters
         ----------
         values:
-            Per-node values visible to receivers (current ranks for the
-            synchronous solver; last-*sent* ranks for the chaotic one).
+            Per-node values visible to receivers (the current ranks of
+            the synchronous solver).
         damping:
             The damping factor ``d``.
         out:
@@ -236,20 +276,21 @@ class CSRWorkspace:
         return out
 
     def pull_rows(
-        self, values: np.ndarray, damping: float, rows: np.ndarray
+        self, edge_values: np.ndarray, damping: float, rows: np.ndarray
     ) -> np.ndarray:
-        """Selective pull: recompute only ``rows`` (sorted row ids).
+        """Selective :meth:`pull_edges`: recompute only ``rows`` (sorted
+        row ids) from per-edge values in forward edge order.
 
         Returns the new rank of each requested row, bit-identical to
-        what a full pull would produce there: each row's in-edges are
-        walked in the same ascending-source order and summed by the
-        same sequential ``bincount``.
+        ``pull_edges(edge_values, damping)[rows]``: each row's in-edges
+        are walked in the same forward order and summed by the same
+        sequential ``bincount``.
         """
         pos, lens = expand_rows(self.rindptr, rows)
         k = rows.size
         if pos.size == 0:
             return np.full(k, 1.0 - damping, dtype=np.float64)
-        contrib = values[self.rindices[pos]]
+        contrib = edge_values[self.rperm[pos]]
         contrib *= self.rdata[pos]
         local = np.repeat(np.arange(k, dtype=np.int64), lens)
         acc = segment_sum(local, contrib, k)
@@ -265,7 +306,7 @@ class CSRWorkspace:
     ) -> np.ndarray:
         """Pull pass where each edge carries its own delivered value.
 
-        Used by the churn step: ``edge_values[e]`` is the last value
+        Used by the pass step: ``edge_values[e]`` is the last value
         actually *delivered* along forward edge ``e`` (deliveries fail
         while the receiving peer is absent), so different out-edges of
         the same document may carry different vintages of its rank —

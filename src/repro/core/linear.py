@@ -139,12 +139,11 @@ class ChaoticLinearSolver:
         # Source-major edges j -> i of weight M_ij: the columns of M.
         by_col = system.matrix.tocsc()
         self._indptr = by_col.indptr.astype(np.int64)
-        self._indices = by_col.indices.astype(np.int64)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-        self.workspace = CSRWorkspace.from_edges(n, src, self._indices, by_col.data)
-        self._cross_edge, self._remote_outdeg = cross_peer_edges(
-            self.workspace, self.assignment
+        self.workspace = CSRWorkspace.from_edges(
+            n, src, by_col.indices.astype(np.int64), by_col.data
         )
+        self._cross_edge = cross_peer_edges(self.workspace, self.assignment)
 
     def run(self, *, max_passes: int = 100_000, keep_history: bool = True) -> RunReport:
         """Iterate to the strong convergence criterion.
@@ -154,8 +153,7 @@ class ChaoticLinearSolver:
         """
         c = self.system.constant
         return run_whole_graph(
-            self.workspace, self._indptr, self._indices, self.assignment,
-            self.num_peers, self._cross_edge, self._remote_outdeg,
-            damping=1.0, epsilon=self.epsilon, shift=c, initial=c.copy(),
+            self.workspace, self._indptr, self.assignment, self.num_peers,
+            self._cross_edge, damping=1.0, epsilon=self.epsilon, shift=c, initial=c.copy(),
             max_passes=max_passes, keep_history=keep_history,
         )

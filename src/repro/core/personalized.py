@@ -14,9 +14,9 @@ term changes, so both solvers take ``v`` as input data:
   (:func:`repro.core.pagerank.pagerank_reference`);
 * ``ChaoticPagerank(graph, assignment, preference=v)`` — the
   distributed chaotic engine (:class:`repro.core.distributed.
-  ChaoticPagerank`), static, churn and loss paths alike.  The teleport
-  term is local state at each document's owner, so topic-sensitive
-  ranking needs no extra messages.
+  ChaoticPagerank`), with every peer up, under churn and under loss
+  alike.  The teleport term is local state at each document's owner,
+  so topic-sensitive ranking needs no extra messages.
 
 This module builds preference vectors (:func:`topic_vector`) and turns
 one into the per-document constant-term shift both solvers add after

@@ -1,58 +1,64 @@
 """The chaotic pass step, one shard at a time (§2.3, Figure 1; §3.1).
 
 This module holds the one implementation of the paper's pass: the
-ε-gate, the frontier-selective static pull, and the churn step's
-per-edge §3.1 store-and-resend state (resend, deliver, defer, park on
-loss).  A :class:`ShardRunner` executes it for one *shard* — a set of
-peers and their documents.  :class:`~repro.core.distributed.
-ChaoticPagerank` runs the whole graph as a single shard;
+ε-gate, the frontier-selective pull and the per-edge §3.1
+store-and-resend state (resend, deliver, defer, park on loss).  A
+:class:`ShardRunner` executes it for one *shard* — a set of peers and
+their documents.  :class:`~repro.core.distributed.ChaoticPagerank`
+runs the whole graph as a single shard;
 :class:`repro.parallel.ParallelPagerank` splits the peers into several
 shards (:func:`build_shard_plan`) and drives them from worker OS
-processes or on one thread.
+processes or on one thread.  A run with every peer up is the
+:class:`AllLive` case of the same step.
 
 Every pass splits into phases a multi-process run separates with
 barriers:
 
-* **compute** — read the shared inputs (last-sent values on the static
-  path; the shard-private delivered-value edge state on the churn
-  path), recompute the shard's rows, and stage the results;
-* **publish/deliver** — write the staged results into the shard's own
-  disjoint regions of the shared arrays (static), or fold the freshly
-  published values of every shard into the private edge state
-  (churn), then write the shard's row of the statistics matrix.
+* **compute** — fold §3.1 stored updates whose endpoints are back,
+  recompute the shard's *frontier* from its private per-edge delivered
+  values, and stage the results;
+* **publish** — write the staged ranks and publisher flags into the
+  shard's own disjoint regions of the shared arrays;
+* **deliver** — walk the out-edges of every shard's publishers into
+  the shard's private edge state (deliver, defer, lose and park), then
+  write the shard's row of the statistics matrix.
+
+The frontier is the live rows that received a delivery since they
+last computed, plus the live rows that never computed.  Any other row
+would recompute to the very same bits, so skipping it changes no
+result and no statistic.
 
 All cross-shard writes go to disjoint index ranges, and all
 cross-shard reads happen on the far side of a barrier from the writes
-they observe.  Each row's in-edges are walked in the same
-ascending-source order and summed by the same sequential ``bincount``
-whatever the partition, so the static path's values do not depend on
-the shard count (docs/PERFORMANCE.md "Sharded execution model").  A
-whole-graph shard uses the engine's :class:`CSRWorkspace` and
-per-edge arrays as they are, without copies, and its row ids are
+they observe.  Each row's in-edges are walked in the same forward
+order and summed by the same sequential ``bincount`` whatever the
+partition, so an all-live run's values do not depend on the shard
+count (docs/PERFORMANCE.md "Sharded execution model").  A whole-graph
+shard uses the engine's :class:`CSRWorkspace`, per-edge arrays and
+forward ``indptr`` as they are, without copies, and its row ids are
 document ids.  A teleport preference vector (topic-sensitive ranking,
 §7) is data of the step: its per-document shift is added to every
-pulled row, on the static and churn paths alike.
+pulled row.
 
-The per-pass control decisions (dense or selective pass, stop or go,
-starved or not) are pure functions of the statistics matrix and the
-availability sample, so every party of a parallel run takes them
-independently from the same bytes: no control messages, no
-coordinator.  :func:`run_shards` is the one pass loop: every party —
-the serial engine's whole-graph shard, the in-thread sharded backend,
-each worker process and the parent that only watches — runs it over
-its own shards, with a ``sync`` rendezvous between phases.
+The per-pass control decisions (stop or go, starved or not) are pure
+functions of the statistics matrix and the availability sample, so
+every party of a parallel run takes them independently from the same
+bytes: no control messages, no coordinator.  :func:`run_shards` is the
+one pass loop: every party — the serial engine's whole-graph shard,
+the in-thread sharded backend, each worker process and the parent that
+only watches — runs it over its own shards, with a ``sync`` rendezvous
+between phases.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import (
     Callable,
     ContextManager,
     Dict,
-    List,
     Optional,
     Protocol,
     Sequence,
@@ -82,7 +88,6 @@ __all__ = [
     "COL_MESSAGES",
     "COL_MAX_CHANGE",
     "COL_COMPUTED",
-    "COL_PUBLISHED",
     "COL_DEFERRED",
     "COL_RESENT",
     "COL_DROPPED",
@@ -91,9 +96,7 @@ __all__ = [
     "COL_CUT",
     "COL_COMPUTE_S",
     "N_STAT_COLS",
-    "static_pass_is_dense",
-    "static_should_stop",
-    "churn_should_stop",
+    "should_stop",
     "pass_stats",
     "ShardPlan",
     "build_shard_plan",
@@ -128,9 +131,9 @@ class AvailabilityModel(Protocol):
 
 
 class AllLive:
-    """Availability model with every peer present every pass.  Routes
-    fault-only runs through the churn step; picklable and RNG-free, so
-    every party of a parallel run trivially agrees."""
+    """Availability model with every peer present every pass: what a
+    run without one uses.  Picklable and RNG-free, so every party of a
+    parallel run trivially agrees."""
 
     def __init__(self, num_peers: int) -> None:
         self._mask = np.ones(num_peers, dtype=bool)
@@ -232,39 +235,20 @@ def starvation_error(dead_streak: int, pass_index: int) -> StarvationError:
 COL_ACTIVE = 0      #: documents above epsilon this pass
 COL_MESSAGES = 1    #: cross-peer update messages (Table 3 accounting)
 COL_MAX_CHANGE = 2  #: max per-document relative change in the shard
-COL_COMPUTED = 3    #: documents recomputed (live documents, churn path)
-COL_PUBLISHED = 4   #: documents the shard published (static path)
-COL_DEFERRED = 5    #: updates stored for absent receivers (§3.1)
-COL_RESENT = 6      #: store-and-resend deliveries completed
-COL_DROPPED = 7     #: deliveries lost to injected faults
-COL_PENDING = 8     #: 1.0 if any edge still holds a parked update
-COL_DIRTY = 9       #: 1.0 if any document has an unfolded delivery
-COL_CUT = 10        #: published-row out-edges crossing a shard boundary
-COL_COMPUTE_S = 11  #: shard compute seconds this pass (metrics only)
-N_STAT_COLS = 12
+COL_COMPUTED = 3    #: live documents (a skipped one recomputes to its bits)
+COL_DEFERRED = 4    #: updates stored for absent receivers (§3.1)
+COL_RESENT = 5      #: store-and-resend deliveries completed
+COL_DROPPED = 6     #: deliveries lost to injected faults
+COL_PENDING = 7     #: 1.0 if any edge still holds a parked update
+COL_DIRTY = 8       #: 1.0 if any document has an unfolded delivery
+COL_CUT = 9         #: deliveries whose sender lives in another shard
+COL_COMPUTE_S = 10  #: shard compute seconds this pass (metrics only)
+N_STAT_COLS = 11
 
 
-def static_pass_is_dense(
-    pass_index: int, prev_published_total: int, num_docs: int
-) -> bool:
-    """Whether pass ``pass_index`` recomputes every document.
-
-    The first pass is always dense; later passes fall back to dense
-    while the previous pass's publisher set would make the selective
-    frontier cover most of the graph.
-    """
-    return pass_index == 0 or 4 * prev_published_total > num_docs
-
-
-def static_should_stop(stats: np.ndarray) -> bool:
-    """Strong convergence on the static path: no document anywhere
-    crossed epsilon this pass."""
-    return int(stats[:, COL_ACTIVE].sum()) == 0
-
-
-def churn_should_stop(stats: np.ndarray) -> bool:
-    """Strong convergence on the churn path: nothing active, nothing
-    parked for an absent peer, nothing delivered-but-not-recomputed."""
+def should_stop(stats: np.ndarray) -> bool:
+    """Strong convergence: nothing active, nothing parked for an absent
+    peer, nothing delivered-but-not-recomputed."""
     return (
         int(stats[:, COL_ACTIVE].sum()) == 0
         and int(stats[:, COL_PENDING].sum()) == 0
@@ -272,18 +256,8 @@ def churn_should_stop(stats: np.ndarray) -> bool:
     )
 
 
-def pass_stats(
-    stats: np.ndarray,
-    pass_index: int,
-    live_peers: int,
-    computed_documents: Optional[int] = None,
-) -> PassStats:
-    """One pass's record, summed over every shard's statistics row.
-    ``computed_documents`` overrides the recomputed-row count: the
-    static path reports every document, since a skipped row would have
-    recomputed to the same bits."""
-    if computed_documents is None:
-        computed_documents = int(stats[:, COL_COMPUTED].sum())
+def pass_stats(stats: np.ndarray, pass_index: int, live_peers: int) -> PassStats:
+    """One pass's record, summed over every shard's statistics row."""
     return PassStats(
         pass_index=pass_index,
         max_rel_change=float(stats[:, COL_MAX_CHANGE].max()),
@@ -291,7 +265,7 @@ def pass_stats(
         messages=int(stats[:, COL_MESSAGES].sum()),
         deferred_messages=int(stats[:, COL_DEFERRED].sum()),
         live_peers=live_peers,
-        computed_documents=computed_documents,
+        computed_documents=int(stats[:, COL_COMPUTED].sum()),
     )
 
 
@@ -328,8 +302,7 @@ class ShardPlan:
         covers every document).
     row_offsets:
         Exclusive prefix sums of per-shard row counts (length
-        ``shards + 1``) — the per-shard regions of a shared
-        published-ids array.
+        ``shards + 1``).
     """
 
     num_docs: int
@@ -384,77 +357,43 @@ def build_shard_plan(
 # ----------------------------------------------------------------------
 # The pass step
 # ----------------------------------------------------------------------
-def cross_peer_edges(
-    workspace: CSRWorkspace, assignment: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-edge cross-peer mask and per-document remote out-degree of a
-    whole-graph workspace: only cross-peer deliveries count as network
-    messages (intra-peer updates are free, §2.3 step 2)."""
-    src = workspace.src
-    cross = assignment[src] != assignment[workspace.dst]
-    remote_outdeg = np.bincount(src[cross], minlength=workspace.num_nodes)
-    return cross, remote_outdeg.astype(np.int64)
+def cross_peer_edges(workspace: CSRWorkspace, assignment: np.ndarray) -> np.ndarray:
+    """Per-edge cross-peer mask of a whole-graph workspace: only
+    cross-peer deliveries count as network messages (intra-peer updates
+    are free, §2.3 step 2)."""
+    return assignment[workspace.src] != assignment[workspace.dst]
 
 
 @dataclass
 class WorkerState:
     """The per-run context every shard runner of one party shares.
 
-    ``views`` holds the arrays shards exchange through: ``rank`` and
-    ``stats`` always, ``last_sent`` on the static path and ``active``
-    on the churn path.  A sharded run's views also hold ``published``,
-    whose per-shard regions (``plan.row_offsets``) carry each shard's
-    publishers of the latest static pass.  ``plan`` is ``None`` (or
+    ``views`` holds the arrays shards exchange through: ``rank``,
+    ``active`` (the publishers of the latest pass) and ``stats``.
+    ``indptr`` is the forward adjacency's row pointer, the whole-graph
+    shard's index of its edges by source.  ``plan`` is ``None`` (or
     has one shard) when the whole graph is a single shard.
     ``fault_plans[s]`` is shard ``s``'s seeded loss stream, if any.
     ``shift`` is the per-document teleport shift of a preference
     vector (:func:`repro.core.personalized.preference_shift`), added
     to every pulled row; ``None`` keeps the uniform teleport.
-    ``cut_outdeg`` (cross-shard out-degree per document) is derived
-    from the plan when not given.
     """
 
     damping: float
     epsilon: float
-    churn: bool
     views: Dict[str, np.ndarray]
     workspace: CSRWorkspace
     indptr: np.ndarray
-    indices: np.ndarray
     assignment: np.ndarray
     cross_edge: np.ndarray
-    remote_outdeg: np.ndarray
     fault_plans: Sequence[Optional[FaultPlan]]
     plan: Optional[ShardPlan] = None
     shift: Optional[np.ndarray] = None
-    cut_outdeg: Optional[np.ndarray] = None
-    frontier_buf: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        ws = self.workspace
-        if self.cut_outdeg is None and self.plan is not None and self.plan.shards > 1:
-            shard_of = self.plan.doc_shard
-            cut = shard_of[ws.src] != shard_of[ws.dst]
-            self.cut_outdeg = np.bincount(
-                ws.src[cut], minlength=ws.num_nodes
-            ).astype(np.int64)
-        self.frontier_buf = np.empty(ws.num_nodes, dtype=bool)
-
-    def published_regions(self) -> List[np.ndarray]:
-        """Every shard's publishers of the latest static pass, read from
-        its region of the shared ``published`` array."""
-        assert self.plan is not None
-        published = self.views["published"]
-        stats = self.views["stats"]
-        offsets = self.plan.row_offsets
-        return [
-            published[offsets[s]: offsets[s] + int(stats[s, COL_PUBLISHED])]
-            for s in range(self.plan.shards)
-        ]
 
 
 class ShardRunner:
-    """One shard's compute/publish state machine (see module docstring)."""
+    """One shard's compute/publish/deliver state machine (see module
+    docstring)."""
 
     def __init__(self, state: WorkerState, shard: int = 0) -> None:
         self.state = state
@@ -465,10 +404,23 @@ class ShardRunner:
         plan = state.plan
         #: Document ids of the shard's rows; ``None`` = every document.
         self.rows: Optional[np.ndarray] = None
-        self.view = state.workspace
+        view = state.workspace
+        # The view's edges by source document: a whole-graph view's
+        # edges are the forward edges themselves.
+        self._out_ptr = state.indptr
+        self.ecross = state.cross_edge
+        self.ecut: Optional[np.ndarray] = None
         if plan is not None and plan.shards > 1:
             self.rows = plan.rows[shard]
-            self.view = state.workspace.restrict(self.rows)
+            view = view.restrict(self.rows)
+            self._out_ptr = np.zeros(plan.num_docs + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(view.src, minlength=plan.num_docs),
+                out=self._out_ptr[1:],
+            )
+            self.ecross = state.assignment[view.src] != state.assignment[self.rows][view.dst]
+            self.ecut = plan.doc_shard[view.src] != shard
+        self.view = view
         # Selects the shard's rows of a document-length array: a
         # whole-graph shard indexes with a slice, i.e. no gather.
         self._sel: Union[slice, np.ndarray] = (
@@ -476,255 +428,207 @@ class ShardRunner:
         )
         #: The teleport shift of the shard's rows (``None``: uniform).
         self._shift = None if state.shift is None else state.shift[self._sel]
-        k = self.view.num_nodes
+        k = view.num_nodes
         self._vals_buf = np.empty(k, dtype=np.float64)
-        self._err_buf = np.empty(k, dtype=np.float64)
         self.compute_seconds = 0.0
-        #: Documents the latest static pass published (ascending ids).
+
+        # Per-edge state over the in-edges of the shard's rows, in
+        # forward order (``view.src`` global sources, ``view.dst``
+        # local rows): the receiver-side view of each source's rank,
+        # initialized to the globally known initial value, and the
+        # §3.1 updates stored for a later resend.
+        self.delivered = state.views["rank"][view.src]
+        self.pending = np.zeros(view.src.size, dtype=bool)
+        self.pending_val = np.zeros(view.src.size, dtype=np.float64)
+        self._n_pending = 0
+        # dirty[i]: row i received a delivery it has not yet folded
+        # into a recompute (prevents declaring convergence while an
+        # absent peer still owes a recompute).  fresh[i]: row i never
+        # computed.  Together they are the frontier.
+        self.dirty = np.zeros(k, dtype=bool)
+        self.fresh = np.ones(k, dtype=bool)
+        # The latest availability mask and what it selects, reused
+        # while the mask repeats (every pass of an all-live run).
+        self._live_peer: Optional[np.ndarray] = None
+        self._live_doc = np.empty(0, dtype=bool)
+        self._live_rows = np.empty(0, dtype=bool)
+        self._n_live = 0
+        #: Documents the latest computed pass published (ascending).
         self.published = np.empty(0, dtype=np.int64)
-        # Staged compute-phase results (written in the publish phase):
-        # the recomputed documents (``None`` = every row), their values
-        # and epsilon mask.
-        self._stage_ids: Optional[np.ndarray] = None
-        self._stage_vals = self._vals_buf
-        self._stage_act = np.empty(0, dtype=bool)
+        # Staged compute-phase results, consumed by the publish phase:
+        # the recomputed documents, their values and epsilon mask.
+        self._staged: Tuple[np.ndarray, ...] = ()
         self._stage_max_change = 0.0
-        if state.churn:
-            self._init_churn_state()
+        self._n_resent = 0
+        self._n_dropped = 0
 
     def _doc_ids(self, local: np.ndarray) -> np.ndarray:
         return local if self.rows is None else self.rows[local]
 
-    # ------------------------------------------------------------------
-    # Static path (no churn, no faults)
-    # ------------------------------------------------------------------
-    def static_compute(
-        self, t: int, dense: bool, published_global: Optional[np.ndarray]
-    ) -> None:
-        """Recompute this shard's rows — all of them, or the frontier of
-        ``published_global`` — from the shared last-sent values; stage
-        the results for :meth:`static_publish`."""
-        t0 = perf_counter()
-        st = self.state
-        view = self.view
-        last_sent = st.views["last_sent"]
-        rank = st.views["rank"]
-        ids: Optional[np.ndarray] = None
-        if dense:
-            vals = view.pull(last_sent, self.damping, out=self._vals_buf)
-            if self._shift is not None:
-                vals += self._shift
-            err = relative_change(rank[self._sel], vals, out=self._err_buf)
-        else:
-            assert published_global is not None
-            # Selective recomputation: a row whose in-edge inputs (its
-            # sources' last-*sent* values) did not change since the
-            # previous pass would recompute to the very same bits, so
-            # only the out-targets of the last pass's publishers — the
-            # frontier — recompute.
-            frontier = st.frontier_buf
-            frontier[:] = False
-            tpos, _ = expand_rows(st.indptr, published_global)
-            frontier[st.indices[tpos]] = True
-            local = np.flatnonzero(frontier[self._sel])
-            ids = self._doc_ids(local)
-            # Row-gathered bookkeeping costs ~2.5x per edge vs the flat
-            # kernel, so past ~0.4E frontier in-edges pull every row
-            # and gather the frontier out of the dense result — either
-            # way only the frontier rows can differ from their old bits.
-            if 5 * view.row_edges(local) >= 2 * view.rindices.size:
-                vals = view.pull(last_sent, self.damping, out=self._vals_buf)[local]
-            else:
-                vals = view.pull_rows(last_sent, self.damping, local)
-            if st.shift is not None:
-                vals += st.shift[ids]
-            err = relative_change(rank[ids], vals)
-        act = err > self.epsilon
-        self.published = self._doc_ids(np.flatnonzero(act)) if ids is None else ids[act]
-        self._stage_ids = ids
-        self._stage_vals = vals
-        self._stage_act = act
-        self._stage_max_change = float(err.max()) if err.size else 0.0
-        self.compute_seconds = perf_counter() - t0
+    def _sample(self, live_peer: np.ndarray) -> None:
+        """Select the live documents of ``live_peer``, reusing the last
+        selection while the mask repeats."""
+        if self._live_peer is not None and np.array_equal(live_peer, self._live_peer):
+            return
+        self._live_peer = live_peer.copy()
+        self._live_doc = live_peer[self.state.assignment]
+        self._live_rows = self._live_doc[self._sel]
+        self._n_live = int(self._live_rows.sum())
 
-    def static_publish(self) -> None:
-        """Write the staged values into this shard's disjoint regions
-        of the shared arrays, plus the statistics row.  Documents that
-        crossed epsilon propagate their fresh value; quiet documents'
-        last-sent value stays stale — the chaotic rule."""
-        t0 = perf_counter()
-        st = self.state
-        published = self.published
-        vals = self._stage_vals
-        if published.size:
-            st.views["last_sent"][published] = vals[self._stage_act]
-        region = st.views.get("published")
-        if region is not None:
-            assert st.plan is not None
-            start = int(st.plan.row_offsets[self.shard])
-            region[start: start + published.size] = published
-        ids = self._stage_ids
-        st.views["rank"][self._sel if ids is None else ids] = vals
-        row = st.views["stats"][self.shard]
-        row[:] = 0.0
-        row[COL_ACTIVE] = published.size
-        row[COL_MESSAGES] = int(st.remote_outdeg[published].sum())
-        row[COL_MAX_CHANGE] = self._stage_max_change
-        row[COL_COMPUTED] = vals.size
-        row[COL_PUBLISHED] = published.size
-        if st.cut_outdeg is not None:
-            row[COL_CUT] = int(st.cut_outdeg[published].sum())
-        row[COL_COMPUTE_S] = self.compute_seconds + (perf_counter() - t0)
+    def _park(self, edges: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values`` on ``edges`` for a later resend."""
+        self.pending_val[edges] = values
+        self._n_pending += int(edges.size - self.pending[edges].sum())
+        self.pending[edges] = True
 
-    # ------------------------------------------------------------------
-    # Churn path (availability and/or injected loss, §3.1)
-    # ------------------------------------------------------------------
-    def _init_churn_state(self) -> None:
-        st = self.state
-        view = self.view
-        # Per-edge state over the in-edges of the shard's rows, in
-        # forward order (``view.src`` global sources, ``view.dst``
-        # local rows): the receiver-side view of each source's rank,
-        # initialized to the globally known initial value.
-        self.ecross = st.cross_edge
-        self.ecut: Optional[np.ndarray] = None
-        if self.rows is not None:
-            assert st.plan is not None
-            self.ecross = st.assignment[view.src] != st.assignment[self.rows][view.dst]
-            self.ecut = st.plan.doc_shard[view.src] != self.shard
-        self.delivered = st.views["rank"][view.src]
-        self.pending = np.zeros(view.src.size, dtype=bool)
-        self.pending_val = np.zeros(view.src.size, dtype=np.float64)
-        # dirty[i]: row i received a delivery it has not yet folded
-        # into a recompute (prevents declaring convergence while an
-        # absent peer still owes a recompute).
-        self.dirty = np.zeros(view.num_nodes, dtype=bool)
-        self._dst_live = np.empty(0, dtype=bool)
-        self._n_resent = 0
-        self._n_dropped = 0
-        self._n_active = 0
-        self._n_computed = 0
-
-    def churn_compute(self, t: int, live_peer: np.ndarray) -> None:
+    def compute(self, t: int, live_peer: np.ndarray) -> None:
         """Resend + recompute phase, all private state: fold §3.1
-        stored updates whose endpoints returned and pull this shard's
-        rows from the per-edge delivered values.  Writes nothing shared
-        — another party may still be reading the previous pass's
-        results — results are staged for :meth:`churn_publish`."""
+        stored updates whose endpoints returned and pull the shard's
+        frontier rows from the per-edge delivered values.  Writes
+        nothing shared — another party may still be reading the
+        previous pass's results — results are staged for
+        :meth:`publish`."""
         t0 = perf_counter()
-        st = self.state
         view = self.view
-        live_doc = live_peer[st.assignment]
-        live_rows = live_doc[self._sel]
-        dst_live = live_rows[view.dst]
+        self._sample(live_peer)
+        live_rows = self._live_rows
 
         # 1) Store-and-resend: stored updates whose sender and receiver
         #    are both now present get delivered.  Retransmissions travel
         #    the same lossy links (resend draws come before this pass's
-        #    send draws); a dropped one simply stays pending.
-        resend = self.pending & live_doc[view.src] & dst_live
+        #    send draws, in ascending edge order); a dropped one simply
+        #    stays pending.
         self._n_dropped = 0
-        if self.fault_plan is not None and resend.any():
-            cand = np.flatnonzero(resend)
-            kept = self.fault_plan.edge_delivery_mask(t, cand.size)
-            if not kept.all():
-                resend[cand[~kept]] = False
-                self._n_dropped += int((~kept).sum())
-        self._n_resent = int(resend.sum())
-        if self._n_resent:
-            self.delivered[resend] = self.pending_val[resend]
-            self.pending[resend] = False
-            self.dirty[view.dst[resend]] = True
+        resend = np.empty(0, dtype=np.int64)
+        if self._n_pending:
+            resend = np.flatnonzero(self.pending)
+            resend = resend[self._live_doc[view.src[resend]] & live_rows[view.dst[resend]]]
+            if self.fault_plan is not None and resend.size:
+                kept = self.fault_plan.edge_delivery_mask(t, resend.size)
+                if not kept.all():
+                    self._n_dropped = int(resend.size - kept.sum())
+                    resend = resend[kept]
+            if resend.size:
+                self.delivered[resend] = self.pending_val[resend]
+                self.pending[resend] = False
+                self._n_pending -= resend.size
+                self.dirty[view.dst[resend]] = True
+        self._n_resent = int(resend.size)
 
-        # 2) Live rows recompute from their delivered in-edge values.
-        new = view.pull_edges(self.delivered, self.damping, out=self._vals_buf)
-        if self._shift is not None:
-            new += self._shift
-        old = st.views["rank"][self._sel]
-        np.copyto(new, old, where=~live_rows)
-        err = relative_change(old, new, out=self._err_buf)
-        err[~live_rows] = 0.0
-        self.dirty[live_rows] = False
-        act = live_rows & (err > self.epsilon)
+        # 2) The frontier's live rows recompute from their delivered
+        #    in-edge values.  Once the frontier holds 0.4 E in-edges
+        #    the flat kernel over every edge beats the row gather, and
+        #    only the frontier's rows are taken from it.
+        frontier = self.dirty | self.fresh
+        if self._n_live < view.num_nodes:
+            frontier &= live_rows
+        local = np.flatnonzero(frontier)
+        self.dirty[local] = False
+        self.fresh[local] = False
+        if 5 * view.row_edges(local) >= 2 * view.rperm.size:
+            vals = view.pull_edges(self.delivered, self.damping, out=self._vals_buf)
+            if self._shift is not None:
+                vals += self._shift
+            if local.size < vals.size:
+                vals = vals[local]
+        else:
+            vals = view.pull_rows(self.delivered, self.damping, local)
+            if self._shift is not None:
+                vals += self._shift[local]
+        ids = self._doc_ids(local)
+        err = relative_change(self.state.views["rank"][ids], vals)
+        act = err > self.epsilon
 
-        self._stage_vals = new
-        self._stage_act = act
+        self._staged = (ids, vals, act)
         self._stage_max_change = float(err.max()) if err.size else 0.0
-        self._n_active = int(act.sum())
-        self._n_computed = int(live_rows.sum())
-        self._dst_live = dst_live
         self.compute_seconds = perf_counter() - t0
 
-    def churn_publish(self) -> None:
-        """Write the staged ranks and activity flags for this shard's
+    def publish(self) -> None:
+        """Write the staged ranks and publisher flags for this shard's
         own rows (disjoint regions); every shard reads the full arrays
         only in the delivery phase, on the far side of the barrier."""
         t0 = perf_counter()
+        ids, vals, act = self._staged
+        self._staged = ()
         views = self.state.views
-        views["rank"][self._sel] = self._stage_vals
-        views["active"][self._sel] = self._stage_act
+        active = views["active"]
+        active[self.published] = False
+        views["rank"][ids] = vals
+        self.published = ids[act]
+        active[self.published] = True
         self.compute_seconds += perf_counter() - t0
 
-    def churn_deliver(self, t: int, live_peer: np.ndarray) -> None:
-        """Delivery phase: read every shard's freshly published ranks
-        and activity, update the private per-edge state (deliver /
+    def deliver(self, t: int) -> None:
+        """Delivery phase: walk the out-edges of every shard's freshly
+        published documents into the private per-edge state (deliver /
         defer / lose-and-park), and write the statistics row."""
         t0 = perf_counter()
         st = self.state
-        rank = st.views["rank"]
-        src = self.view.src
-        send_edge = st.views["active"][src]
-        deliver = send_edge & self._dst_live
-        defer = send_edge & ~self._dst_live
+        view = self.view
+        # The out-edges of this pass's publishers that land in this
+        # shard, in ascending edge order (the loss-draw order), and the
+        # value each carries.
+        publishers = np.flatnonzero(st.views["active"])
+        deliver, lens = expand_rows(self._out_ptr, publishers)
+        values = np.repeat(st.views["rank"][publishers], lens)
+        # Edge-length arrays dominate peak memory: drop each one early.
+        del publishers, lens
+        n_deferred = 0
+        if self._n_live < view.num_nodes:
+            # Store updates for absent receivers (§3.1).
+            to_live = self._live_rows[view.dst[deliver]]
+            n_deferred = deliver.size - int(to_live.sum())
+            self._park(deliver[~to_live], values[~to_live])
+            deliver = deliver[to_live]
+            values = values[to_live]
 
         if self.fault_plan is not None:
             # Lossy-send hook: each cross-peer delivery rolls the plan;
             # a lost copy is parked in the store-and-resend state and
             # retried next pass — the pass-granular equivalent of a
             # reliable transport's ack-timeout retransmission.
-            lossy = np.flatnonzero(deliver & self.ecross)
+            lossy = np.flatnonzero(self.ecross[deliver])
             if lossy.size:
                 kept = self.fault_plan.edge_delivery_mask(t, lossy.size)
                 if not kept.all():
                     lost = lossy[~kept]
-                    deliver[lost] = False
-                    self.pending_val[lost] = rank[src[lost]]
-                    self.pending[lost] = True
+                    self._park(deliver[lost], values[lost])
                     self._n_dropped += lost.size
+                    deliver, values = np.delete(deliver, lost), np.delete(values, lost)
+        if self._n_pending:
             # A fresh value that does get through supersedes any staler
             # copy still awaiting retransmission.
-            self.pending[deliver] = False
+            stale = deliver[self.pending[deliver]]
+            self.pending[stale] = False
+            self._n_pending -= stale.size
 
-        # 3) Deliver to present receivers; store for absent ones.
-        if deliver.any():
-            self.delivered[deliver] = rank[src[deliver]]
-            self.dirty[self.view.dst[deliver]] = True
-        if defer.any():
-            self.pending_val[defer] = rank[src[defer]]
-            self.pending[defer] = True
+        # Deliver to present receivers.
+        self.delivered[deliver] = values
+        del values
+        self.dirty[view.dst[deliver]] = True
 
         row = st.views["stats"][self.shard]
         row[:] = 0.0
-        row[COL_ACTIVE] = self._n_active
-        row[COL_MESSAGES] = int((deliver & self.ecross).sum()) + self._n_resent
+        row[COL_ACTIVE] = self.published.size
+        row[COL_MESSAGES] = int(self.ecross[deliver].sum()) + self._n_resent
         row[COL_MAX_CHANGE] = self._stage_max_change
-        row[COL_COMPUTED] = self._n_computed
-        row[COL_DEFERRED] = int(defer.sum())
+        row[COL_COMPUTED] = self._n_live
+        row[COL_DEFERRED] = n_deferred
         row[COL_RESENT] = self._n_resent
         row[COL_DROPPED] = self._n_dropped
-        row[COL_PENDING] = 1.0 if self.pending.any() else 0.0
+        row[COL_PENDING] = 1.0 if self._n_pending else 0.0
         row[COL_DIRTY] = 1.0 if self.dirty.any() else 0.0
         if self.ecut is not None:
-            row[COL_CUT] = int((deliver & self.ecut).sum())
+            row[COL_CUT] = int(self.ecut[deliver].sum())
         row[COL_COMPUTE_S] = self.compute_seconds + (perf_counter() - t0)
 
-    def churn_dead_pass(self, t: int) -> None:
+    def dead_pass(self) -> None:
         """All peers down: nothing recomputes; report the parked-update
         backlog in the pass record."""
         row = self.state.views["stats"][self.shard]
         row[:] = 0.0
-        row[COL_DEFERRED] = int(self.pending.sum())
-        row[COL_PENDING] = 1.0 if self.pending.any() else 0.0
+        row[COL_DEFERRED] = self._n_pending
+        row[COL_PENDING] = 1.0 if self._n_pending else 0.0
         row[COL_DIRTY] = 1.0 if self.dirty.any() else 0.0
 
 
@@ -739,7 +643,7 @@ def run_shards(
     max_passes: int,
     num_peers: int,
     record: PassRecorder,
-    availability: Optional[AvailabilityModel] = None,
+    availability: AvailabilityModel,
     max_dead_passes: int = 50,
     on_pass: Optional[PassObserver] = None,
     pass_timer: Optional[ContextManager[object]] = None,
@@ -749,10 +653,9 @@ def run_shards(
     run ``state`` describes, possibly none — through every pass.
 
     ``sync`` is the rendezvous between phases: a barrier wait across
-    processes, ``None`` when one party runs every shard.  It is
-    called twice per static pass (after compute, after publish) and
-    three times per churn pass, dead or not (after compute, publish
-    and deliver), so every party performs the identical wait sequence;
+    processes, ``None`` when one party runs every shard.  It is called
+    three times per pass, dead or not (after compute, publish and
+    deliver), so every party performs the identical wait sequence;
     shared arrays are written only between a pass's first and last
     sync and read by the next pass's compute, or by ``record``.
     ``record`` sees each pass once its statistics rows are written;
@@ -767,32 +670,6 @@ def run_shards(
     timer = pass_timer if pass_timer is not None else nullcontext()
     if sync is None:
         sync = _no_sync
-    if not state.churn:
-        prev_published = 0
-        for t in range(max_passes):
-            dense = static_pass_is_dense(t, prev_published, rank.size)
-            with timer:
-                published: Optional[np.ndarray] = None
-                if runners and not dense:
-                    published = (
-                        np.concatenate(state.published_regions())
-                        if "published" in state.views else runners[0].published
-                    )
-                for runner in runners:
-                    runner.static_compute(t, dense, published)
-                sync()
-                for runner in runners:
-                    runner.static_publish()
-                sync()
-            prev_published = int(stats[:, COL_PUBLISHED].sum())
-            if on_pass is not None:
-                on_pass(t, rank)
-            record(t, num_peers)
-            if static_should_stop(stats):
-                return True
-        return False
-
-    assert availability is not None
     dead_streak = 0
     for t in range(max_passes):
         live = live_mask(availability, t, num_peers)
@@ -804,7 +681,7 @@ def run_shards(
             sync()
             sync()
             for runner in runners:
-                runner.churn_dead_pass(t)
+                runner.dead_pass()
             sync()
             record(t, 0)
             if dead_streak >= max_dead_passes:
@@ -813,17 +690,17 @@ def run_shards(
         dead_streak = 0
         with timer:
             for runner in runners:
-                runner.churn_compute(t, live)
+                runner.compute(t, live)
             sync()
             for runner in runners:
-                runner.churn_publish()
+                runner.publish()
             sync()
             for runner in runners:
-                runner.churn_deliver(t, live)
+                runner.deliver(t)
             sync()
         if on_pass is not None:
             on_pass(t, rank)
         record(t, int(live.sum()))
-        if churn_should_stop(stats):
+        if should_stop(stats):
             return True
     return False

@@ -11,13 +11,12 @@ contract:
   worker count (shards, not workers, key the per-shard RNG streams);
 * ``workers=1, shards=1`` → bit-for-bit identical to the serial
   engine, including under injected loss and churn;
-* the static (no-churn, no-fault) path is bit-identical to the serial
-  engine at every shard count.
+* a run with every peer up and no faults is bit-identical to the
+  serial engine at every shard count.
 
 Cross-shard exchange is priced like the paper's message accounting
-(§4.6.1's 24-byte updates): each published document contributes one
-delta per out-edge whose target lives in a different shard, and hop
-counts follow the run's :class:`repro.p2p.routing.DeliveryPolicy`.
+(§4.6.1's 24-byte updates): one delta, one hop, per delivery whose
+sender lives in a different shard than its receiver.
 The ``in-process`` backend drives the identical per-shard code on one
 thread (useful for tests and coverage); ``process`` is the real
 multi-process backend; ``auto`` picks ``process`` when ``workers > 1``.
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, RunReport
-from repro.core.kernels import CSRWorkspace, expand_rows
+from repro.core.kernels import CSRWorkspace
 from repro.core.pagerank import DEFAULT_DAMPING
 from repro.core.shard import (
     COL_COMPUTE_S,
@@ -61,7 +60,6 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs.linkgraph import LinkGraph
 from repro.obs import MetricsRegistry, TimerMetric, get_registry
 from repro.p2p.messages import MESSAGE_SIZE_BYTES
-from repro.p2p.routing import DeliveryPolicy
 from repro.parallel.state import ArraySpec, SharedArena
 from repro.parallel.worker import BARRIER_TIMEOUT_S, worker_main
 
@@ -73,8 +71,8 @@ _BACKENDS = ("auto", "in-process", "process")
 @dataclass(frozen=True)
 class ExchangeStats:
     """Cross-shard traffic of one parallel run, priced like Eq. 4's
-    message accounting: one 24-byte delta per published rank crossing a
-    shard boundary."""
+    message accounting: one 24-byte delta, and one hop, per delivered
+    rank crossing a shard boundary."""
 
     messages: int
     bytes_on_wire: int
@@ -86,7 +84,6 @@ class _Tally:
     """Running totals of one run's cross-shard exchange and compute."""
 
     messages: int = 0
-    hops: int = 0
     compute: float = 0.0
 
 
@@ -114,7 +111,7 @@ class _ParallelInstruments:
         )
         self.exchange_hops = reg.counter(
             "parallel.exchange_hops", unit="hops",
-            description="delivery-policy-priced hops of the cross-shard exchange",
+            description="hops of the cross-shard exchange, one per delta",
         )
         self.barrier_wait = reg.timer(
             "parallel.barrier_wait_seconds",
@@ -204,15 +201,13 @@ class ParallelPagerank:
         self.shards = self.plan.shards
         self.workers = min(int(workers), self.shards)
         # The derived per-run context every party shares, built once:
-        # each run copies it with its own mode, fault streams and views.
+        # each run copies it with its own fault streams and views.
         workspace = CSRWorkspace.from_graph(graph)
-        cross_edge, remote_outdeg = cross_peer_edges(workspace, self.assignment)
         self._context = WorkerState(
-            damping=self.damping, epsilon=self.epsilon, churn=False, views={},
-            workspace=workspace, indptr=graph.indptr, indices=graph.indices,
-            assignment=self.assignment, cross_edge=cross_edge,
-            remote_outdeg=remote_outdeg, fault_plans=[None] * self.shards,
-            plan=self.plan,
+            damping=self.damping, epsilon=self.epsilon, views={},
+            workspace=workspace, indptr=graph.indptr, assignment=self.assignment,
+            cross_edge=cross_peer_edges(workspace, self.assignment),
+            fault_plans=[None] * self.shards, plan=self.plan,
         )
         #: Cross-shard exchange of the most recent run.
         self.last_exchange: Optional[ExchangeStats] = None
@@ -231,7 +226,6 @@ class ParallelPagerank:
         fault_spec: Optional[FaultSpec] = None,
         fault_seed: int = 0,
         max_dead_passes: int = 50,
-        delivery_policy: Optional[DeliveryPolicy] = None,
     ) -> RunReport:
         """Iterate to the strong convergence criterion or the budget.
 
@@ -239,9 +233,7 @@ class ParallelPagerank:
         ``fault_seed`` (not a live :class:`~repro.faults.plan.FaultPlan`)
         because every shard derives its own seeded stream: one shard
         replays the serial plan's exact sequence, several shards split
-        the seed via ``SeedSequence.spawn``.  ``delivery_policy``
-        prices cross-shard exchange hops on the static path (direct
-        delivery — one hop per delta — when ``None``).
+        the seed via ``SeedSequence.spawn``.
         """
         check_run_budget(max_passes, max_dead_passes)
         n = self.graph.num_nodes
@@ -250,7 +242,7 @@ class ParallelPagerank:
             self.last_exchange = ExchangeStats(0, 0, 0)
             return tracker.finish(np.zeros(0), True)
 
-        if fault_spec is not None and availability is None:
+        if availability is None:
             availability = AllLive(self.num_peers)
         rank0 = initial_rank_vector(n, self.init_rank, initial_ranks)
         backend = self.backend
@@ -261,8 +253,6 @@ class ParallelPagerank:
         sizes = np.diff(self.plan.row_offsets).astype(np.float64)
         obs.imbalance.set(float(sizes.max() / sizes.mean()) if sizes.mean() else 1.0)
         obs.workers.set(self.workers if backend == "process" else 1)
-        if delivery_policy is not None:
-            delivery_policy.reset()
 
         # Every party runs this loop.  Each holds its own identically
         # seeded copy of the availability model: under fork the
@@ -274,7 +264,6 @@ class ParallelPagerank:
         )
         state = replace(
             self._context,
-            churn=availability is not None,
             fault_plans=_shard_fault_plans(fault_spec, fault_seed, self.shards),
         )
         with ExitStack() as stack:
@@ -298,7 +287,7 @@ class ParallelPagerank:
             tally = _Tally()
 
             def record(t: int, live_peers: int) -> None:
-                self._record(state, tally, tracker, obs, delivery_policy, t, live_peers)
+                self._record(state, tally, tracker, obs, t, live_peers)
 
             t_start = perf_counter()
             converged = loop(
@@ -317,36 +306,10 @@ class ParallelPagerank:
         """The arrays parties write, one region per shard where split."""
         n = self.graph.num_nodes
         return [
-            ("last_sent", "float64", (n,)),
             ("rank", "float64", (n,)),
             ("active", "bool", (n,)),
-            ("published", "int64", (n,)),
             ("stats", "float64", (self.shards, N_STAT_COLS)),
         ]
-
-    def _price_static_exchange(
-        self, policy: Optional[DeliveryPolicy], state: WorkerState
-    ) -> int:
-        """Hops of this pass's cross-shard exchange: direct delivery
-        (one hop per delta) unless a policy prices the routing of every
-        shard's published documents."""
-        cut = int(state.views["stats"][:, COL_CUT].sum())
-        if policy is None:
-            return cut
-        plan = self.plan
-        hops = 0
-        for s, pub in enumerate(state.published_regions()):
-            if not pub.size:
-                continue
-            tpos, lens = expand_rows(state.indptr, pub)
-            targets = state.indices[tpos]
-            cut_targets = targets[
-                plan.doc_shard[targets] != np.repeat(plan.doc_shard[pub], lens)
-            ]
-            if cut_targets.size:
-                sender = int(np.flatnonzero(plan.peer_shard == s)[0])
-                hops += int(policy.delivery_hops_batch(sender, cut_targets))
-        return hops
 
     def _record(
         self,
@@ -354,7 +317,6 @@ class ParallelPagerank:
         tally: _Tally,
         tracker: ConvergenceTracker,
         obs: _ParallelInstruments,
-        policy: Optional[DeliveryPolicy],
         t: int,
         live_peers: int,
     ) -> None:
@@ -364,15 +326,10 @@ class ParallelPagerank:
         cut = int(stats[:, COL_CUT].sum())
         compute = float(stats[:, COL_COMPUTE_S].sum())
         tally.messages += cut
-        tally.hops += cut if state.churn else self._price_static_exchange(policy, state)
         tally.compute += compute
         obs.passes.inc()
         obs.compute.observe(compute)
-        tracker.record(
-            pass_stats(
-                stats, t, live_peers, None if state.churn else self.graph.num_nodes
-            )
-        )
+        tracker.record(pass_stats(stats, t, live_peers))
 
     def _finish(
         self,
@@ -386,7 +343,7 @@ class ParallelPagerank:
         exchange = ExchangeStats(
             messages=tally.messages,
             bytes_on_wire=tally.messages * MESSAGE_SIZE_BYTES,
-            hops=tally.hops,
+            hops=tally.messages,
         )
         self.last_exchange = exchange
         denom = self.workers * wall
@@ -488,12 +445,11 @@ def _shard_fault_plans(
 def _reset_views(
     views: Dict[str, np.ndarray], rank0: np.ndarray
 ) -> Dict[str, np.ndarray]:
-    """A run's starting state: every shared array zero but the rank and
-    last-sent vectors, which start at ``rank0``."""
+    """A run's starting state: every shared array zero but the rank
+    vector, which starts at ``rank0``."""
     for view in views.values():
         view.fill(0)
     views["rank"][:] = rank0
-    views["last_sent"][:] = rank0
     return views
 
 

@@ -2,9 +2,8 @@
 
 One :class:`multiprocessing.shared_memory.SharedMemory` block carries
 the arrays the parties of a parallel run write (§4.2's pass simulation
-run across OS processes): the live rank / last-sent / active arrays,
-the per-shard published-ids regions and the per-shard statistics
-matrix.  The graph and everything derived from it reach the workers
+run across OS processes): the rank vector, the publisher flags of the
+latest pass and the per-shard statistics matrix.  The graph and everything derived from it reach the workers
 once, as a process argument, not through the arena.  The layout is a
 flat list of named array specs with 8-byte-aligned offsets computed up
 front; parent and workers map numpy views over the same bytes, and the

@@ -2,8 +2,8 @@
 
 A worker OS process receives the run's
 :class:`~repro.core.shard.WorkerState` from the parent, which builds
-the derived context (reverse CSR, shard plan, cross-peer and
-cross-shard out-degrees) once per engine: ``fork`` inherits it without
+the derived context (reverse CSR, shard plan, cross-peer edge mask)
+once per engine: ``fork`` inherits it without
 a copy, ``spawn`` pickles it.  The worker attaches the shared arena —
 the arrays parties write — and drives its round-robin share of the
 shards through :func:`repro.core.shard.run_shards`, the pass loop

@@ -94,7 +94,7 @@ class TestMessageAccounting:
         # boundary edges are remote.
         assignment = np.array([0, 0, 0, 1, 1, 1])
         engine = ChaoticPagerank(g, assignment, epsilon=1e-8)
-        assert int(engine._remote_outdeg.sum()) == 2
+        assert int(engine._cross_edge.sum()) == 2
 
     def test_messages_per_document_property(self, small_powerlaw):
         report = ChaoticPagerank(small_powerlaw, epsilon=1e-3).run()

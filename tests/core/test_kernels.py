@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import relative_change
+from repro.core.kernels import CSRWorkspace
 from repro.graphs import LinkGraph, broder_graph
 
 
@@ -61,6 +62,34 @@ class TestEdgeWorkspace:
         assert ws.src.size == small_powerlaw.num_edges
         assert ws.dst.size == small_powerlaw.num_edges
         assert np.allclose(ws.edge_weight, ws.inv_outdeg[ws.src])
+
+
+class TestReverseLayout:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sort_matches_stable_argsort_of_targets(self, seed):
+        """The reverse layout orders edges by target, ties by forward
+        edge id — the stable argsort of ``dst`` — on edge lists with
+        duplicate edges, self-loops and rows without in-edges."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        e = int(rng.integers(0, 400))
+        src = np.sort(rng.integers(0, n, e))
+        # Targets from a few rows only, so most rows stay empty and
+        # edges repeat; every fourth edge is a self-loop.
+        dst = rng.choice(rng.integers(0, n, 3), e)
+        dst[::4] = src[::4]
+        weight = rng.uniform(0.1, 1.0, e)
+        ws = CSRWorkspace.from_edges(n, src, dst, weight)
+        order = np.argsort(dst, kind="stable")
+        assert np.array_equal(ws.rperm, order)
+        assert np.array_equal(ws.rindices, src[order])
+        assert np.array_equal(ws.rdata, weight[order])
+        assert np.array_equal(np.diff(ws.rindptr), np.bincount(dst, minlength=n))
+
+    def test_rejects_sort_key_overflow(self):
+        src = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="overflows"):
+            CSRWorkspace.from_edges(2**62, src, src, np.ones(4))
 
 
 class TestRelativeChange:

@@ -179,18 +179,56 @@ def test_csr_pull_matches_edge_pull_bitwise(seed):
     assert np.array_equal(out_edge, out_csr)
     # Selective rows reproduce the same bits as the dense pass.
     rows = np.unique(rng.integers(0, graph.num_nodes, size=40))
-    assert np.array_equal(csr.pull_rows(values, 0.85, rows), out_csr[rows])
+    assert np.array_equal(csr.pull_rows(values[csr.src], 0.85, rows), out_csr[rows])
     # So does a workspace restricted to those rows, on every kernel.
     sub = csr.restrict(rows)
     assert np.array_equal(sub.pull(values, 0.85), out_csr[rows])
     local = np.arange(0, rows.size, 3)
-    assert np.array_equal(sub.pull_rows(values, 0.85, local), out_csr[rows[local]])
+    assert np.array_equal(sub.pull_rows(values[sub.src], 0.85, local), out_csr[rows[local]])
     edge_values = rng.uniform(0.1, 2.0, size=edge.src.size)
     whole = edge.pull_edges(edge_values, 0.85)
     on_rows = np.isin(edge.dst, rows)
     assert np.array_equal(
         sub.pull_edges(edge_values[on_rows], 0.85), whole[rows]
     )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pull_rows_matches_pull_edges_bitwise(seed):
+    """The selective per-edge pull equals the dense per-edge pull on the
+    selected rows bit for bit, on a whole-graph workspace and on a
+    restricted one (whose ``rperm`` indexes its own edges)."""
+    graph = broder_graph(300, seed=seed)
+    rng = np.random.default_rng(seed)
+    csr = CSRWorkspace.from_graph(graph)
+    rows = np.unique(rng.integers(0, graph.num_nodes, size=60))
+    for ws in (csr, csr.restrict(rows)):
+        edge_values = rng.uniform(0.1, 2.0, size=ws.src.size)
+        dense = ws.pull_edges(edge_values, 0.85)
+        for picked in (np.arange(0, ws.num_nodes, 4), np.arange(ws.num_nodes)):
+            assert np.array_equal(
+                ws.pull_rows(edge_values, 0.85, picked), dense[picked]
+            )
+
+
+def test_one_shard_runner_shares_permutation_and_forward_index(monkeypatch):
+    """The whole-graph shard walks publishers' out-edges through the
+    graph's own ``indptr`` and pulls rows through the workspace's own
+    reverse-CSR permutation: neither is copied."""
+    captured = []
+    real = distributed.run_shards
+
+    def spy(runners, **kwargs):
+        captured.extend(runners)
+        return real(runners, **kwargs)
+
+    monkeypatch.setattr(distributed, "run_shards", spy)
+    graph, assignment, peers = _workload(3, 400)
+    engine = ChaoticPagerank(graph, assignment, num_peers=peers, epsilon=EPSILON)
+    engine.run()
+    (runner,) = captured
+    assert runner._out_ptr is graph.indptr
+    assert runner.view.rperm is engine.workspace.rperm
 
 
 @pytest.mark.parametrize("churn", [False, True])
