@@ -42,11 +42,12 @@ bench-full:
 
 # The end-to-end benchmark's own tests (perfbench/README.md): tiny runs
 # of all four workloads with their output checks and the seed-7
-# cross-check of counts, digests and convergence, then one tiny traced
-# lossy run (the layer wrappers on the reliable transport).  The CI
-# perfbench-smoke job runs the same lines.
+# cross-check of counts, digests and convergence, then two tiny traced
+# simulator runs (the layer wrappers on the lossless exchange and on the
+# reliable transport).  The CI perfbench-smoke job runs the same lines.
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) perfbench/run.py --workload sim-100k --seed 1 --seconds 1 --trace 1 --tiny
 	$(PYTHON) perfbench/run.py --workload sim-10k-lossy-churn --seed 1 --seconds 1 --trace 1 --tiny
 
 # Chaos soak smoke: three seeded crash-storm schedules against the

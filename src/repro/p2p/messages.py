@@ -174,6 +174,16 @@ class BatchColumns:
         """Updates per batch."""
         return np.diff(self.offsets)
 
+    def select(self, keep: np.ndarray) -> "BatchColumns":
+        """The batches a boolean mask keeps, in order."""
+        sizes = self.sizes
+        offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+        np.cumsum(sizes[keep], out=offsets[1:])
+        return BatchColumns(
+            self.senders[keep], self.receivers[keep], offsets,
+            self.updates.take(np.repeat(keep, sizes)),
+        )
+
     @property
     def size_bytes(self) -> int:
         """Wire size under the paper's 24-byte accounting."""

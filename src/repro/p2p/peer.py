@@ -563,7 +563,7 @@ class Peer:
         self.documents = np.asarray(sorted(self._local), dtype=np.int64)
         return state
 
-    def export_inlink_knowledge(self, docs) -> List[PagerankUpdate]:
+    def export_inlink_knowledge(self, docs) -> UpdateColumns:
         """Package this peer's view of ``docs``' in-link sources.
 
         A migrating document is worthless without the contribution
@@ -591,7 +591,7 @@ class Peer:
                         target_doc=doc, source_doc=src, value=value, version=version
                     )
                 )
-        return updates
+        return UpdateColumns.from_updates(updates)
 
     def adopt_documents(self, state: Dict[int, tuple]) -> None:
         """Take over documents surrendered by another peer.

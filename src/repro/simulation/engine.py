@@ -10,28 +10,29 @@ pricing DHT routing hops.
 The unit of work is the pass.  One whole-graph
 :class:`~repro.core.kernels.CSRWorkspace` pull computes every document
 from :attr:`P2PPagerankSimulation.view`, which holds for each in-edge
-``s -> d`` what ``d``'s owner sees of ``s``; the engine rewrites it at
-every publish, applied delivery and §3.1 migration.  Each live peer
-takes its documents' rows, gates them by ε and stages its whole pass as
-:class:`~repro.p2p.messages.UpdateColumns`; the lossless exchange
-concatenates every sender's columns in sender order, stable-sorts them
-by receiver, and hands each receiver one run per pass, so a receiver
-sees exactly the update sequence per-batch delivery in sender order
-would produce.  Traffic is still accounted per (sender, receiver)
-batch.  With a fault plan the exchange instead goes through the
-reliable transport: a pass's fresh updates are grouped into one
-flight per (sender, receiver) pair and submitted together as
-:class:`~repro.p2p.messages.BatchColumns`, and each transport call
-hands its delivered copies back in one callback.  The integration
-suite cross-validates the simulator against the vectorized engine:
-identical ranks, message counts and pass counts.
+``s -> d`` what ``d``'s owner sees of ``s``.  Each live peer takes its
+documents' rows, gates them by ε and stages its whole pass as
+:class:`~repro.p2p.messages.UpdateColumns`; the pass's rows are grouped
+into one :class:`~repro.p2p.messages.BatchColumns` batch per (sender,
+receiver) pair, senders in order.  Lossless, batches for absent
+receivers are stored with their senders and resent in a later pass;
+with a fault plan every batch becomes a flight of the reliable
+transport.  Every update that reaches a peer — a fresh batch, a resend,
+a transport copy, or the knowledge a re-homed document carries — goes
+through one delivery step: each receiver folds its rows in as one run,
+and the last applied row per (receiver, source) is written on every
+cross-peer edge from that source into the receiver's documents.  The
+view therefore changes only at a publish, an applied update or a §3.1
+migration.  Network deliveries add the traffic accounting around that
+step (dirty marks, hop pricing, one §4.6.1 batch per delivered copy).
+The integration suite cross-validates the simulator against the
+vectorized engine: identical ranks, message counts and pass counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -58,24 +59,36 @@ from repro.p2p.routing import DeliveryPolicy
 __all__ = ["P2PPagerankSimulation", "TrafficSummary"]
 
 
-def _group_rows(keys: np.ndarray) -> Tuple[List[int], List[np.ndarray]]:
-    """Split row positions by key.
+Runs = List[Tuple[int, np.ndarray, UpdateColumns]]
 
-    Returns the distinct keys in order of first appearance and, for
-    each, the positions holding it in ascending order.
-    """
-    if not keys.size:
-        return [], []
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    ends = np.r_[starts[1:], keys.size]
-    # A stable sort puts each key's first position at its group's head.
-    by_first = np.argsort(order[starts], kind="stable")
-    bounds = zip(starts[by_first].tolist(), ends[by_first].tolist())
-    return (
-        sorted_keys[starts][by_first].tolist(),
-        [order[a:b] for a, b in bounds],
+
+def _batches(runs: Runs, num_peers: int) -> BatchColumns:
+    """Group ``(sender, dest_peers, updates)`` runs, given in sender
+    order, into one batch per (sender, receiver) pair: senders in order,
+    each sender's receivers in first-staging order and its updates in
+    staging order (the order fault injection draws and location caches
+    price in, so part of a seeded run's identity)."""
+    senders = np.repeat(
+        np.array([pid for pid, _, _ in runs], dtype=np.int64),
+        [len(updates) for _, _, updates in runs],
+    )
+    dests = np.concatenate([d for _, d, _ in runs] or [senders])
+    pairs, first, group = np.unique(
+        senders * num_peers + dests, return_index=True, return_inverse=True
+    )
+    # Number the pairs by first appearance; a stable sort on that
+    # number keeps each batch's rows in staging order.
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    group = rank[group]
+    offsets = np.zeros(pairs.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=pairs.size), out=offsets[1:])
+    pairs = pairs[by_first]
+    updates = UpdateColumns.concat([u for _, _, u in runs])
+    return BatchColumns(
+        pairs // num_peers, pairs % num_peers, offsets,
+        updates.take(np.argsort(group, kind="stable")),
     )
 
 
@@ -91,8 +104,11 @@ class TrafficSummary:
         Of those, deliveries that had been stored for absent peers.
     network_batches:
         (sender, receiver) batch transfers — the unit the §4.6.1
-        transfer model serialises: per pass, the distinct pairs that
-        exchanged updates.
+        transfer model serialises.  Lossless, one per pair that a
+        delivery step hands updates to: step 1's resend and step 3's
+        exchange each count their pairs, so a pass can count a pair
+        twice.  Under a fault plan, one per delivered copy: every
+        retransmit, duplicate and delayed copy that arrives counts.
     routing_hops:
         Total hops charged by the delivery policy (0 with the default
         oracle policy; > messages in Freenet/routed mode).
@@ -302,10 +318,6 @@ class P2PPagerankSimulation:
         #: ``view[e]`` for forward edge ``e = (s -> d)`` (``graph.indices``
         #: order) is ``peers[owner(d)].visible_value(s)``.
         self.view = np.full(graph.indices.size, self.init_rank)
-        # ``receiver * N + source`` keys and the receiver's value of the
-        # source, noted at each applied delivery for :meth:`_sync_view`.
-        self._heard_keys: List[int] = []
-        self._heard_values: List[float] = []
 
     @cached_property
     def _workspace(self) -> CSRWorkspace:
@@ -315,7 +327,7 @@ class P2PPagerankSimulation:
 
     def _index_cross_edges(self) -> None:
         """Sort the edges between documents on different peers by
-        ``owner(d) * N + s`` (edge ``s -> d``), so :meth:`_sync_view`
+        ``owner(d) * N + s`` (edge ``s -> d``), so :meth:`_deliver`
         finds a receiver's in-edges from a source by binary search."""
         ws = self._workspace
         receiver = self._peer_of[ws.dst]
@@ -415,11 +427,7 @@ class P2PPagerankSimulation:
                     # skip the pass rather than evaluating (and trivially
                     # satisfying) the convergence criterion.
                     dead_streak += 1
-                    deferred_now = (
-                        transport.unacked_updates
-                        if faulted
-                        else sum(p.deferred_count for p in self.peers)
-                    )
+                    deferred_now = self._owed()
                     obs.passes.inc()
                     obs.dead_passes.inc()
                     obs.live_peers.set(0)
@@ -460,7 +468,6 @@ class P2PPagerankSimulation:
                         resent = self._deliver_deferred(live)
 
                     # (2) concurrent recompute: one pull, live peers' rows
-                    self._sync_view()
                     new = self._workspace.pull_edges(self.view, self.damping)
                     active = 0
                     max_change = 0.0
@@ -494,27 +501,20 @@ class P2PPagerankSimulation:
 
                     # (3) drain outboxes: deliver or defer (reliable
                     #     transport: submit each batch as a new flight)
+                    batches = _batches(self._drain(live), num_peers)
                     if faulted:
-                        runs = self._drain(live)
-                        if runs:
-                            transport.send(t, self._batches(runs), live)
+                        transport.send(t, batches, live)
                         messages = transport.pass_delivered
                         resent = transport.pass_resent
                     else:
-                        delivered = self._exchange(self._drain(live), live)
-                        messages = delivered + resent
-                    self._sync_view()
+                        messages = self._transfer(batches, live) + resent
 
                 self.traffic.update_messages += messages
                 self.traffic.resent_messages += resent
                 self.traffic.bytes_transferred = (
                     self.traffic.update_messages * MESSAGE_SIZE_BYTES
                 )
-                deferred_now = (
-                    transport.unacked_updates
-                    if faulted
-                    else sum(p.deferred_count for p in self.peers)
-                )
+                deferred_now = self._owed()
                 n_live = int(live.sum())
 
                 obs.passes.inc()
@@ -573,22 +573,58 @@ class P2PPagerankSimulation:
         return tracker.finish(self.ranks(), converged, diagnostics)
 
     # ------------------------------------------------------------------
+    def _owed(self) -> int:
+        """Updates still owed to receivers: the transport's unacked
+        ones under a fault plan, else the §3.1 stored ones."""
+        if self.faults is not None:
+            return self.transport.unacked_updates
+        return sum(p.deferred_count for p in self.peers)
+
+    def _deliver(self, receivers: np.ndarray, updates: UpdateColumns) -> np.ndarray:
+        """Hand each receiver its rows (``receivers[i]`` gets row ``i``)
+        as one run in row order through :meth:`Peer.receive_batch`, and
+        write the view: the last applied row per (receiver, source)
+        goes on every cross-peer edge from the source into the
+        receiver's documents — a peer sees a source at one value, not
+        only on the edges the updates addressed.  Returns which rows
+        mutated receiver state."""
+        n = receivers.size
+        applied = np.zeros(n, dtype=bool)
+        if not n:
+            return applied
+        order = np.argsort(receivers, kind="stable")
+        by_receiver = receivers[order]
+        starts = np.flatnonzero(np.r_[True, by_receiver[1:] != by_receiver[:-1]])
+        bounds = np.r_[starts, n].tolist()
+        out = np.empty(n, dtype=bool)
+        for receiver, lo, hi in zip(by_receiver[starts].tolist(), bounds, bounds[1:]):
+            self.peers[receiver].receive_batch(updates.take(order[lo:hi]), out[lo:hi])
+        applied[order] = out
+        rows = np.flatnonzero(applied)
+        if rows.size:
+            keys = receivers[rows] * self.graph.num_nodes + updates.source[rows]
+            by_key = np.argsort(keys, kind="stable")
+            keys = keys[by_key]
+            last = np.r_[keys[1:] != keys[:-1], True]
+            keys = keys[last]
+            lo = np.searchsorted(self._cross_keys, keys)
+            lens = np.searchsorted(self._cross_keys, keys, "right") - lo
+            pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+            values = updates.value[rows[by_key[last]]]
+            self.view[self._cross_edges[pos]] = np.repeat(values, lens)
+        return applied
+
     def _deliver_copies(self, copies: BatchColumns) -> np.ndarray:
-        """Reliable-transport delivery callback: hand every copy one
-        transport call delivered to its receiver, one run per receiver
-        as :meth:`_exchange` does, and mirror the lossless path's
-        bookkeeping (dirty marking, hop charges, one §4.6.1 batch per
-        copy).  Returns which rows mutated receiver state (duplicates
-        are suppressed by the per-source version dedup)."""
+        """Deliver batches over the network: :meth:`_deliver` every copy
+        to its receiver, with the traffic accounting around it (targets
+        marked dirty, hops priced, one §4.6.1 batch per copy).  The
+        reliable transport's delivery callback.  Returns which rows
+        mutated receiver state (duplicates are suppressed by the
+        per-source version dedup)."""
         updates = copies.updates
-        sizes = copies.sizes
-        applied = np.zeros(len(updates), dtype=bool)
-        for receiver, idx in zip(*_group_rows(np.repeat(copies.receivers, sizes))):
-            out = np.empty(idx.size, dtype=bool)
-            self._receive(receiver, updates.take(idx), out)
-            applied[idx] = out
+        applied = self._deliver(np.repeat(copies.receivers, copies.sizes), updates)
         self._dirty[updates.target] = True
-        if self.delivery_policy is not None:
+        if self.delivery_policy is not None and len(copies):
             # Hop pricing is order-sensitive (location caches, routing
             # state), so price runs of copies from one sender in
             # delivery order.
@@ -600,38 +636,21 @@ class P2PPagerankSimulation:
         self.traffic.network_batches += len(copies)
         return applied
 
-    def _receive(self, receiver: int, updates, out: Optional[np.ndarray] = None) -> int:
-        """:meth:`Peer.receive_batch` on peer ``receiver``, noting its new
-        value of the sources for :meth:`_sync_view` if any applied."""
-        peer = self.peers[receiver]
-        applied = peer.receive_batch(updates, out)
-        if applied:
-            if isinstance(updates, UpdateColumns):
-                sources = updates.source.tolist()
-            else:
-                sources = [u.source_doc for u in updates]
-            base = receiver * self.graph.num_nodes
-            self._heard_keys.extend([base + s for s in sources])
-            seen = map(peer.remote_values.get, sources, repeat(self.init_rank))
-            self._heard_values.extend(seen)
-        return applied
-
-    def _sync_view(self) -> None:
-        """Write the latest value each receiver noted for a source on
-        *every* cross-peer edge from it into the receiver's documents —
-        a peer sees a source at one value, not only on the edges the
-        updates addressed."""
-        if not self._heard_keys:
-            return
-        keys, self._heard_keys = np.array(self._heard_keys, dtype=np.int64), []
-        values, self._heard_values = np.array(self._heard_values), []
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        last = np.r_[keys[1:] != keys[:-1], True]  # latest note per key
-        lo = np.searchsorted(self._cross_keys, keys[last])
-        lens = np.searchsorted(self._cross_keys, keys[last], "right") - lo
-        pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        self.view[self._cross_edges[pos]] = np.repeat(values[order[last]], lens)
+    def _transfer(self, batches: BatchColumns, live: np.ndarray) -> int:
+        """Lossless transfer: store each batch for an absent receiver
+        with its sender (§3.1) and deliver the rest.  Returns the number
+        of updates delivered."""
+        present = live[batches.receivers]
+        if not present.all():
+            bounds = batches.offsets.tolist()
+            for i in np.flatnonzero(~present).tolist():
+                self.peers[int(batches.senders[i])].defer(
+                    int(batches.receivers[i]),
+                    batches.updates.take(slice(bounds[i], bounds[i + 1])),
+                )
+            batches = batches.select(present)
+        self._deliver_copies(batches)
+        return len(batches.updates)
 
     # ------------------------------------------------------------------
     def ranks(self) -> np.ndarray:
@@ -651,27 +670,21 @@ class P2PPagerankSimulation:
         moved, so each update is re-resolved to the document's *current*
         owner before delivery (and stored again if that owner is absent).
         """
-        runs: List[Tuple[int, np.ndarray, UpdateColumns]] = []
+        runs: Runs = []
         for peer in self.peers:
             if not live[peer.peer_id] or not peer.deferred:
                 continue
-            if self.rehoming_after is None:
-                for dest in [d for d in peer.deferred if live[d]]:
-                    updates = peer.take_deferred_columns(dest)
-                    runs.append(
-                        (peer.peer_id, np.full(len(updates), dest, np.int64), updates)
-                    )
-                continue
-            updates = UpdateColumns.concat(
-                [peer.take_deferred_columns(d) for d in list(peer.deferred)]
-            )
+            stores = [
+                d for d in peer.deferred if live[d] or self.rehoming_after is not None
+            ]
+            updates = UpdateColumns.concat([peer.take_deferred_columns(d) for d in stores])
             runs.append((peer.peer_id, self._peer_of[updates.target], updates))
-        return self._exchange(runs, live)
+        return self._transfer(_batches(runs, self.network.num_peers), live)
 
-    def _drain(self, live: np.ndarray) -> List[Tuple[int, np.ndarray, UpdateColumns]]:
+    def _drain(self, live: np.ndarray) -> Runs:
         """Step 3: take every live peer's freshly staged updates as
         ``(sender, dest_peers, updates)`` runs in sender order."""
-        runs: List[Tuple[int, np.ndarray, UpdateColumns]] = []
+        runs: Runs = []
         for peer in self.peers:
             # An absent peer cannot have computed this pass, but it may
             # hold a stale outbox in pathological uses; leave it.
@@ -679,69 +692,6 @@ class P2PPagerankSimulation:
                 dests, updates = peer.outbox.take_columns()
                 runs.append((peer.peer_id, dests, updates))
         return runs
-
-    def _rows(
-        self, runs: List[Tuple[int, np.ndarray, UpdateColumns]]
-    ) -> Tuple[np.ndarray, np.ndarray, UpdateColumns]:
-        """The rows of ``runs`` as (sender, dest_peer, update) columns."""
-        senders = np.concatenate(
-            [np.full(len(updates), pid, np.int64) for pid, _, updates in runs]
-        )
-        dests = np.concatenate([d for _, d, _ in runs])
-        return senders, dests, UpdateColumns.concat([u for _, _, u in runs])
-
-    def _batches(
-        self, runs: List[Tuple[int, np.ndarray, UpdateColumns]]
-    ) -> BatchColumns:
-        """Group ``runs`` into one batch per (sender, receiver) pair:
-        senders in order, each sender's receivers in first-staging order
-        and its updates in staging order (the order fault injection
-        draws in, so part of a seeded run's identity)."""
-        num_peers = self.network.num_peers
-        senders, dests, updates = self._rows(runs)
-        keys, groups = _group_rows(senders * num_peers + dests)
-        pairs = np.array(keys, dtype=np.int64)
-        offsets = np.zeros(len(groups) + 1, dtype=np.int64)
-        np.cumsum([g.size for g in groups], out=offsets[1:])
-        return BatchColumns(
-            pairs // num_peers, pairs % num_peers, offsets,
-            updates.take(np.concatenate(groups)),
-        )
-
-    def _exchange(
-        self, runs: List[Tuple[int, np.ndarray, UpdateColumns]], live: np.ndarray
-    ) -> int:
-        """Deliver ``(sender, dest_peers, updates)`` runs, given in sender
-        order: every present receiver gets one run holding its updates
-        in sender order (staging order within a sender); updates for
-        absent receivers are stored with their senders.  Each distinct
-        (sender, receiver) pair is one §4.6.1 batch transfer.  Returns
-        the number of updates delivered."""
-        if not runs:
-            return 0
-        senders, dests, updates = self._rows(runs)
-        num_peers = self.network.num_peers
-        pairs = senders * num_peers + dests
-        present = live[dests]
-        if self.delivery_policy is not None or not present.all():
-            # Hop pricing and storing are per batch and order-sensitive
-            # (location caches), so walk the batches in the order the
-            # senders staged them.
-            keys, rows = _group_rows(pairs)
-            for key, idx in zip(keys, rows):
-                sender, dest = divmod(key, num_peers)
-                if live[dest]:
-                    self._charge_hops(sender, updates.target[idx].tolist())
-                else:
-                    self.peers[sender].defer(dest, updates.take(idx))
-        delivered = np.flatnonzero(present)
-        if not delivered.size:
-            return 0
-        self.traffic.network_batches += int(np.unique(pairs[delivered]).size)
-        for receiver, idx in zip(*_group_rows(dests[delivered])):
-            self._receive(receiver, updates.take(delivered[idx]))
-        self._dirty[updates.target[delivered]] = True
-        return int(delivered.size)
 
     def _rehome(self, live: np.ndarray) -> None:
         """Move documents off long-absent peers and back home on return."""
@@ -760,19 +710,16 @@ class P2PPagerankSimulation:
             pid = peer.peer_id
             if self._absence[pid] < threshold or peer.documents.size == 0:
                 continue
-            docs = [int(d) for d in peer.documents]
+            docs = peer.documents.tolist()
             knowledge = peer.export_inlink_knowledge(docs)
             state = peer.surrender_documents(docs)
-            by_doc = {u.target_doc: [] for u in knowledge}
-            for u in knowledge:
-                by_doc[u.target_doc].append(u)
             for doc in docs:
                 new_owner = ring.owner_excluding(document_guid(doc), dead)
                 self.peers[new_owner].adopt_documents({doc: state[doc]})
-                self._receive(new_owner, by_doc.get(doc, []))
                 self._peer_of[doc] = new_owner
-                self._dirty[doc] = True  # new owner owes a recompute
-                self.traffic.migrations += 1
+            self._deliver(self._peer_of[knowledge.target], knowledge)
+            self._dirty[docs] = True  # new owners owe a recompute
+            self.traffic.migrations += len(docs)
 
         # Return home: a reappeared peer re-acquires its documents.
         for pid in np.flatnonzero(live):
@@ -788,13 +735,16 @@ class P2PPagerankSimulation:
                 knowledge = holder.export_inlink_knowledge([doc])
                 state = holder.surrender_documents([doc])
                 self.peers[pid].adopt_documents(state)
-                self._receive(pid, knowledge)
+                self._deliver(np.full(len(knowledge), pid), knowledge)
                 self._peer_of[doc] = pid
                 self._dirty[doc] = True
                 self.traffic.migrations += 1
 
         moved = self._peer_of != owner_before
-        if moved.any():  # rewrite the view on every edge touching them
+        # The knowledge deliveries above wrote the view through the
+        # cross-edge index of the old owners; every edge whose owner
+        # pair changed touches a moved document and is rewritten here.
+        if moved.any():
             self._index_cross_edges()
             ws = self._workspace
             pos = np.flatnonzero(moved[ws.src] | moved[ws.dst])

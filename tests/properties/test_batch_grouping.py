@@ -1,0 +1,85 @@
+"""Property sweep: the simulator's batch grouping keeps its order.
+
+``repro.simulation.engine._batches`` groups a pass's ``(sender,
+dest_peers, updates)`` runs into one batch per (sender, receiver) pair
+with array operations.  Its order is part of a seeded run's identity
+(fault injection draws and location caches price batches in it):
+senders in order, each sender's receivers in first-staging order, rows
+in staging order.  The sweep compares it with a plain dict that
+appends rows as they come, over 50 seeds of random runs that mix empty
+runs, several runs from one sender and receivers repeated within a
+sender.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.p2p.messages import UpdateColumns
+from repro.simulation.engine import _batches
+
+PEERS = 7
+
+
+def draw_runs(rng):
+    """Runs in sender order; row ``i`` of a run carries target ``i``
+    of a running count, so every row is identifiable."""
+    runs, row = [], 0
+    senders = sorted(rng.choices(range(PEERS), k=rng.randint(0, 6)))
+    for sender in senders:
+        length = rng.choice([0, 1, rng.randint(2, 30)])
+        fan = rng.sample(range(PEERS), rng.randint(1, 3))
+        dests = np.array([rng.choice(fan) for _ in range(length)], dtype=np.int64)
+        ids = np.arange(row, row + length, dtype=np.int64)
+        row += length
+        runs.append(
+            (sender, dests, UpdateColumns(ids, ids + 1000, ids * 0.5, ids % 4))
+        )
+    return runs
+
+
+def reference(runs):
+    """``{(sender, receiver): [row ids]}`` in first-appearance order."""
+    out = {}
+    for sender, dests, updates in runs:
+        for dest, target in zip(dests.tolist(), updates.target.tolist()):
+            out.setdefault((sender, dest), []).append(target)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_batches_match_dict_grouping(seed):
+    runs = draw_runs(random.Random(seed))
+    batches = _batches(runs, PEERS)
+    expected = reference(runs)
+    assert len(batches) == len(expected)
+    pairs = list(zip(batches.senders.tolist(), batches.receivers.tolist()))
+    assert pairs == list(expected)
+    sizes = [len(rows) for rows in expected.values()]
+    assert batches.offsets.tolist() == np.cumsum([0] + sizes).tolist()
+    assert batches.updates.target.tolist() == [r for rows in expected.values() for r in rows]
+    # Every column moves with its row.
+    target = batches.updates.target
+    assert np.array_equal(batches.updates.source, target + 1000)
+    assert np.array_equal(batches.updates.value, target * 0.5)
+    assert np.array_equal(batches.updates.version, target % 4)
+
+
+def test_no_runs_and_empty_runs_give_no_batches():
+    empty = UpdateColumns.empty()
+    for runs in ([], [(2, np.empty(0, dtype=np.int64), empty)]):
+        batches = _batches(runs, PEERS)
+        assert len(batches) == 0
+        assert batches.offsets.tolist() == [0]
+        assert len(batches.updates) == 0
+
+
+def test_one_sender_keeps_first_staging_order_of_receivers():
+    dests = np.array([5, 2, 5, 0, 2, 5], dtype=np.int64)
+    ids = np.arange(6, dtype=np.int64)
+    batches = _batches([(3, dests, UpdateColumns(ids, ids, ids * 1.0, ids))], PEERS)
+    assert batches.senders.tolist() == [3, 3, 3]
+    assert batches.receivers.tolist() == [5, 2, 0]
+    assert batches.offsets.tolist() == [0, 3, 5, 6]
+    assert batches.updates.target.tolist() == [0, 2, 5, 1, 4, 3]
