@@ -52,9 +52,12 @@ perfbench-smoke:
 
 # Chaos soak smoke: three seeded crash-storm schedules against the
 # recovery-supervised runtime, zero invariant violations required
-# (docs/PROTOCOL.md §15).  The CI soak-smoke job runs the same line.
+# (docs/PROTOCOL.md §15), then the same storms with a partition spell,
+# so peers also restart across a partition.  The CI soak-smoke job runs
+# the same lines.
 soak-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro soak --docs 120 --peers 6 --seeds 0 1 2 --crashes 2 --drop 0.05
+	PYTHONPATH=src $(PYTHON) -m repro soak --docs 120 --peers 6 --seeds 0 1 2 --crashes 2 --partitions 1 --drop 0.05
 
 # Concurrency-sanitizer smoke: the runtime differential suite under the
 # armed happens-before detector, then the packaged scenario with K=3

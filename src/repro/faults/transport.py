@@ -12,8 +12,9 @@ the missing layer, the classic positive-ack protocol:
   lossy links and can itself be dropped;
 * an unacknowledged flight is retransmitted after a timeout, with the
   timeout doubling per attempt (exponential backoff) up to a retry
-  budget; exhausting the budget *abandons* the flight and records the
-  (sender, receiver) link as black-holed;
+  budget; exhausting the budget *abandons* the flight and parks its
+  batch, and the parked batches are the record of which (sender,
+  receiver) links are black-holed and what they still owe;
 * retransmits necessarily produce duplicate deliveries; the receiver's
   per-source version dedup (`Peer.receive`, which rejects equal-or-
   older versions) makes them no-ops, and the transport counts how many
@@ -33,8 +34,9 @@ instead of spinning to the pass cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from collections import Counter
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -63,8 +65,9 @@ class ReliabilityConfig:
         ``ack_timeout_passes * backoff_factor**(k-1)`` passes).
     max_retries:
         Retransmissions allowed per flight.  A flight still unacked
-        after the budget is *abandoned* — recorded as black-holed, its
-        updates counted as undelivered mass for the diagnostics report.
+        after the budget is *abandoned*: its batch is parked, and while
+        parked its updates count as undelivered for the diagnostics
+        report.
     max_retry_delay_passes:
         Backoff ceiling.  Uncapped exponential backoff would park a
         flight for hundreds of passes — longer than the stagnation
@@ -129,33 +132,30 @@ class FaultStats:
 
 class _FaultInstruments:
     """Registry handles for the fault layer's emissions (shared no-op
-    singletons under the default disabled registry).  Catalogued in
+    singletons under the default disabled registry), one per
+    :class:`FaultStats` field and named after it.  Catalogued in
     docs/OBSERVABILITY.md §4."""
 
-    __slots__ = (
-        "dropped", "duplicated", "delayed", "acks", "ack_drops", "retries",
-        "suppressed", "blocked", "abandoned", "parked", "parked_resent",
-        "crashes", "state_loss", "republished", "aborts",
-    )
+    __slots__ = tuple(f.name for f in fields(FaultStats))
 
     def __init__(self, reg) -> None:
-        self.dropped = reg.counter(
+        self.dropped_updates = reg.counter(
             "faults.messages_dropped", unit="messages",
             description="updates lost to injected message drops",
         )
-        self.duplicated = reg.counter(
+        self.duplicated_updates = reg.counter(
             "faults.messages_duplicated", unit="messages",
             description="updates delivered twice by injected duplication",
         )
-        self.delayed = reg.counter(
+        self.delayed_updates = reg.counter(
             "faults.messages_delayed", unit="messages",
             description="updates whose delivery was postponed (reordering)",
         )
-        self.acks = reg.counter(
+        self.acks_sent = reg.counter(
             "faults.ack_messages", unit="acks",
             description="batch acknowledgements sent by receivers",
         )
-        self.ack_drops = reg.counter(
+        self.acks_dropped = reg.counter(
             "faults.acks_dropped", unit="acks",
             description="acknowledgements lost in transit (forces retransmit)",
         )
@@ -163,19 +163,19 @@ class _FaultInstruments:
             "faults.retries", unit="batches",
             description="batch retransmissions after ack timeout",
         )
-        self.suppressed = reg.counter(
+        self.redeliveries_suppressed = reg.counter(
             "faults.redeliveries_suppressed", unit="messages",
             description="duplicate updates absorbed by receiver version dedup",
         )
-        self.blocked = reg.counter(
+        self.partition_blocked_sends = reg.counter(
             "faults.partition_blocked_sends", unit="batches",
             description="send attempts blocked by an active link partition",
         )
-        self.abandoned = reg.counter(
+        self.abandoned_updates = reg.counter(
             "faults.abandoned_updates", unit="messages",
             description="updates whose flight exhausted the retry budget",
         )
-        self.parked = reg.counter(
+        self.parked_updates = reg.counter(
             "faults.parked_updates", unit="messages",
             description="budget-exhausted updates parked into store-and-resend",
         )
@@ -187,15 +187,15 @@ class _FaultInstruments:
             "faults.crashes", unit="peers",
             description="injected peer crashes (volatile state wiped)",
         )
-        self.state_loss = reg.counter(
+        self.crash_state_loss = reg.counter(
             "faults.crash_state_loss", unit="messages",
             description="in-flight updates wiped by peer crashes",
         )
-        self.republished = reg.counter(
+        self.reboot_republished = reg.counter(
             "faults.reboot_republished", unit="messages",
             description="updates re-announced by rebooted peers (crash recovery)",
         )
-        self.aborts = reg.counter(
+        self.stagnation_aborts = reg.counter(
             "faults.stagnation_aborts", unit="runs",
             description="runs aborted by the residual-stagnation detector",
         )
@@ -212,19 +212,25 @@ class FaultDiagnostics:
     stagnant_passes:
         Consecutive quiescent-but-undeliverable passes observed.
     black_holed_links:
-        ``((sender, receiver), undelivered_updates)`` per link whose
-        flights exhausted the retry budget.
+        ``((sender, receiver), undelivered_updates)`` per link still
+        owing updates: its parked batches plus its unacked flights.
     black_holed_peers:
         Likely-culprit peers: those incident to at least half of the
         black-holed links (a fully partitioned peer touches all of its
         links; innocent bystanders touch only the ones to it).
     abandoned_updates:
-        Updates whose flight was abandoned (retry budget exhausted).
+        Updates in parked batches at abort time: flights that spent
+        their retry budget and were neither relaunched nor wiped by
+        their sender's crash.
     unacked_updates:
         Updates still sitting in unacknowledged flights at abort time.
     undelivered_mass:
-        Total ``|value|`` mass of abandoned plus unacked updates — how
+        Total ``|value|`` mass of parked plus unacked updates — how
         much rank contribution never reached its consumers.
+
+    Every field but the first two is read off the transport's parked
+    and flight tables when the report is built; no running tally
+    backs them.
     """
 
     fired_at_pass: int
@@ -334,9 +340,14 @@ def _slots(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.sort(np.r_[2 * np.flatnonzero(first), 2 * np.flatnonzero(second) + 1])
 
 
-def _links(rows: np.ndarray):
-    """``(sender, receiver, lo, hi)`` of each table row, as ints."""
-    return zip(*(rows[c].tolist() for c in ("sender", "receiver", "lo", "hi")))
+def _per_link(rows: np.ndarray) -> Counter:
+    """Updates per ``(sender, receiver)`` link over table rows."""
+    links: Counter = Counter()
+    senders, receivers = rows["sender"].tolist(), rows["receiver"].tolist()
+    sizes = (rows["hi"] - rows["lo"]).tolist()
+    for sender, receiver, n in zip(senders, receivers, sizes):
+        links[sender, receiver] += n
+    return links
 
 
 def _row_positions(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -408,15 +419,10 @@ class ReliableTransport:
         #: ``_delivered[fid]``: a copy of flight ``fid`` has reached its
         #: receiver (later copies count as suppressed redeliveries).
         self._delivered = np.zeros(0, dtype=bool)
-        self._unacked = 0
         self._retry_delay = np.array(
             [0] + [config.retry_delay(a) for a in range(1, config.max_retries + 2)],
             dtype=np.int64,
         )
-        self._black_holed: Dict[Tuple[int, int], int] = {}
-        self._abandoned_mass = 0.0
-        self._healed_updates = 0
-        self._healed_mass = 0.0
         self.pass_delivered = 0
         self.pass_resent = 0
         self.pass_batches = 0
@@ -428,7 +434,7 @@ class ReliableTransport:
     @property
     def unacked_updates(self) -> int:
         """Updates in flights still awaiting acknowledgement."""
-        return self._unacked
+        return int(self._sizes(self._flights).sum())
 
     @property
     def unacked_flights(self) -> int:
@@ -440,14 +446,10 @@ class ReliableTransport:
 
     @property
     def undeliverable_updates(self) -> int:
-        """Abandoned-minus-healed plus still-unacked updates
-        (convergence blockers).  A parked batch counts until its
-        blockage clears and it relaunches."""
-        return (
-            self.stats.abandoned_updates
-            - self._healed_updates
-            + self.unacked_updates
-        )
+        """Parked plus still-unacked updates (convergence blockers).
+        A parked batch counts until its blockage clears and it
+        relaunches, or its sender crashes."""
+        return int(self._sizes(self._parked).sum()) + self.unacked_updates
 
     @property
     def parked_batches(self) -> int:
@@ -455,9 +457,9 @@ class ReliableTransport:
         return int(self._parked.size)
 
     def black_holed_links(self) -> Dict[Tuple[int, int], int]:
-        """Links whose flights exhausted the retry budget, with the
-        number of updates abandoned on each."""
-        return dict(self._black_holed)
+        """Links with parked batches, with the number of parked
+        updates on each."""
+        return dict(_per_link(self._parked))
 
     # ------------------------------------------------------------------
     # Pass lifecycle
@@ -487,8 +489,7 @@ class ReliableTransport:
             if parked.size:
                 self._park(flights[parked], pass_index, live)
             flights["attempts"][retry] += 1
-            self.stats.retries += int(retry.size)
-            self._obs.retries.inc(int(retry.size))
+            self._count("retries", int(retry.size))
             acked = self._walk(pass_index, retry, live, copies)
             self._untrack(np.concatenate([parked, acked]))
         self._service_parked(pass_index, live, copies)
@@ -514,46 +515,40 @@ class ReliableTransport:
     # Crash support
     # ------------------------------------------------------------------
     def wipe_sender(self, peer: int) -> int:
-        """Crash semantics: drop every unacked flight originating at
-        ``peer`` (its retransmit buffer died with it).  Copies already
-        travelling the network are left alone — they physically left
-        the host.  Returns the number of updates wiped."""
+        """Crash semantics: drop every unacked flight and every parked
+        batch originating at ``peer`` (its retransmit buffer and its
+        store-and-resend area died with it; the reboot republish
+        supersedes them).  Copies already travelling the network are
+        left alone — they physically left the host.  Returns the number
+        of updates wiped."""
         gone = np.flatnonzero(self._flights["sender"] == peer)
-        lost = int(self._sizes(self._flights[gone]).sum())
-        self._untrack(gone)
-        # The store-and-resend holding area is volatile too.
         parked = self._parked["sender"] == peer
+        lost = int(self._sizes(self._flights[gone]).sum())
         lost += int(self._sizes(self._parked[parked]).sum())
+        self._untrack(gone)
         self._parked = self._parked[~parked]
         return lost
 
     def note_crash(self, peer: int, state_loss: int) -> None:
         """Record a peer crash and its total volatile-state loss."""
-        self.stats.crashes += 1
-        self.stats.crash_state_loss += state_loss
-        self._obs.crashes.inc()
-        self._obs.state_loss.inc(state_loss)
+        self._count("crashes")
+        self._count("crash_state_loss", state_loss)
 
     def note_reboot_republish(self, staged: int) -> None:
         """Record a rebooted peer's conservative re-announcements."""
-        self.stats.reboot_republished += staged
-        self._obs.republished.inc(staged)
+        self._count("reboot_republished", staged)
 
     def note_stagnation_abort(self) -> None:
-        self.stats.stagnation_aborts += 1
-        self._obs.aborts.inc()
+        self._count("stagnation_aborts")
 
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
     def diagnose(self, pass_index: int, stagnant_passes: int) -> FaultDiagnostics:
-        """Build the graceful-degradation abort report."""
-        links = dict(self._black_holed)
-        unacked_mass = 0.0
-        for sender, receiver, lo, hi in _links(self._flights):
-            key = (sender, receiver)
-            links[key] = links.get(key, 0) + hi - lo
-            unacked_mass += self._mass(lo, hi)
+        """Build the graceful-degradation abort report from the parked
+        and flight tables."""
+        links = _per_link(self._parked)
+        links.update(_per_link(self._flights))
         incidence: Dict[int, int] = {}
         for s, r in links:
             incidence[s] = incidence.get(s, 0) + 1
@@ -565,11 +560,9 @@ class ReliableTransport:
             stagnant_passes=stagnant_passes,
             black_holed_links=tuple(sorted(links.items())),
             black_holed_peers=peers,
-            abandoned_updates=self.stats.abandoned_updates - self._healed_updates,
+            abandoned_updates=int(self._sizes(self._parked).sum()),
             unacked_updates=self.unacked_updates,
-            undelivered_mass=(
-                self._abandoned_mass - self._healed_mass + unacked_mass
-            ),
+            undelivered_mass=self._mass(self._parked) + self._mass(self._flights),
         )
 
     # ------------------------------------------------------------------
@@ -579,9 +572,20 @@ class ReliableTransport:
     def _sizes(rows: np.ndarray) -> np.ndarray:
         return rows["hi"] - rows["lo"]
 
-    def _mass(self, lo: int, hi: int) -> float:
-        """Total ``|value|`` of store rows ``lo:hi``, summed in row order."""
-        return sum(np.abs(self._store.value[lo:hi]).tolist())
+    def _count(self, field: str, n: int = 1) -> None:
+        """Add ``n`` to one :class:`FaultStats` field and to the
+        ``faults.`` counter of the same name."""
+        setattr(self.stats, field, getattr(self.stats, field) + n)
+        getattr(self._obs, field).inc(n)
+
+    def _mass(self, rows: np.ndarray) -> float:
+        """Total ``|value|`` of the table rows' updates, summed in row
+        order within each row's run and run by run in table order."""
+        value = self._store.value
+        mass = 0.0
+        for lo, hi in zip(rows["lo"].tolist(), rows["hi"].tolist()):
+            mass += sum(np.abs(value[lo:hi]).tolist())
+        return mass
 
     def _launch(self, senders, receivers, lo, hi) -> np.ndarray:
         """Append new flights (first attempt pending); returns their
@@ -597,7 +601,6 @@ class ReliableTransport:
             grown = np.zeros(max(2 * self._delivered.size, self._next_fid), dtype=bool)
             grown[: self._delivered.size] = self._delivered
             self._delivered = grown
-        self._unacked += int(self._sizes(rows).sum())
         start = self._flights.size
         self._flights = np.concatenate([self._flights, rows])
         return np.arange(start, start + n)
@@ -605,7 +608,6 @@ class ReliableTransport:
     def _untrack(self, rows: np.ndarray) -> None:
         """Remove the given flight-table rows (acked, parked or wiped)."""
         if rows.size:
-            self._unacked -= int(self._sizes(self._flights[rows]).sum())
             self._flights = np.delete(self._flights, rows)
 
     def _walk(
@@ -623,20 +625,14 @@ class ReliableTransport:
             pass_index, flights["sender"][rows], flights["receiver"][rows]
         )
         if blocked.any():
-            n_blocked = int(blocked.sum())
-            self.stats.partition_blocked_sends += n_blocked
-            self._obs.blocked.inc(n_blocked)
+            self._count("partition_blocked_sends", int(blocked.sum()))
             rows = rows[~blocked]
         f = flights[rows]
         up = live[f["receiver"]]
         fates = self.plan.roll_attempts(pass_index, f["sender"], f["receiver"], up)
         size = self._sizes(f)
-        dropped = int(size[fates.dropped].sum())
-        self.stats.dropped_updates += dropped
-        self._obs.dropped.inc(dropped)
-        duplicated = int(size[fates.duplicated].sum())
-        self.stats.duplicated_updates += duplicated
-        self._obs.duplicated.inc(duplicated)
+        self._count("dropped_updates", int(size[fates.dropped].sum()))
+        self._count("duplicated_updates", int(size[fates.duplicated].sum()))
         kept = ~fates.dropped
         first = kept & (fates.delay > 0)
         second = fates.duplicated & (fates.duplicate_delay > 0)
@@ -657,11 +653,8 @@ class ReliableTransport:
         copies.append((d["sender"], d["receiver"], d["lo"], d["hi"], resent, redelivery))
         acks = int(fates.acks.sum())
         if acks:
-            lost = int(fates.ack_drops.sum())
-            self.stats.acks_sent += acks
-            self._obs.acks.inc(acks)
-            self.stats.acks_dropped += lost
-            self._obs.ack_drops.inc(lost)
+            self._count("acks_sent", acks)
+            self._count("acks_dropped", int(fates.ack_drops.sum()))
         return rows[fates.acked]
 
     def _hold(self, pass_index, f, fates, first, second) -> None:
@@ -678,9 +671,7 @@ class ReliableTransport:
         held["attempt"] = f["attempts"][at]
         for col in ("sender", "receiver", "lo", "hi"):
             held[col] = f[col][at]
-        n = int(self._sizes(held).sum())
-        self.stats.delayed_updates += n
-        self._obs.delayed.inc(n)
+        self._count("delayed_updates", int(self._sizes(held).sum()))
         self._delayed = np.concatenate([self._delayed, held])
 
     def _deliver_delayed(self, pass_index: int, live, copies: list) -> None:
@@ -721,10 +712,8 @@ class ReliableTransport:
             (due["sender"], due["receiver"], due["lo"], due["hi"],
              due["attempt"] > 1, redelivery)
         )
-        self.stats.acks_sent += acks
-        self._obs.acks.inc(acks)
-        self.stats.acks_dropped += lost
-        self._obs.ack_drops.inc(lost)
+        self._count("acks_sent", acks)
+        self._count("acks_dropped", lost)
         self._untrack(np.flatnonzero(np.isin(self._flights["fid"], acked)))
 
     def _hand_over(self, copies: list) -> None:
@@ -750,22 +739,16 @@ class ReliableTransport:
         self.pass_batches += int(size.size)
         self.pass_resent += int(size[resent].sum())
         suppressed = int((size - applied)[redelivery].sum())
-        self.stats.redeliveries_suppressed += suppressed
-        self._obs.suppressed.inc(suppressed)
+        self._count("redeliveries_suppressed", suppressed)
 
     def _park(self, rows: np.ndarray, pass_index: int, live) -> None:
-        """Retry budget exhausted: record the black holes and park the
-        batches into store-and-resend instead of dropping them (§3.1) —
-        if a link heals or its receiver returns, its batch relaunches."""
-        for sender, receiver, lo, hi in _links(rows):
-            key = (sender, receiver)
-            self._black_holed[key] = self._black_holed.get(key, 0) + hi - lo
-            self._abandoned_mass += self._mass(lo, hi)
+        """Retry budget exhausted: park the batches into store-and-
+        resend instead of dropping them (§3.1) — if a link heals or its
+        receiver returns, its batch relaunches.  The parked rows are
+        the only record of the black-holed links."""
         n = int(self._sizes(rows).sum())
-        self.stats.abandoned_updates += n
-        self._obs.abandoned.inc(n)
-        self.stats.parked_updates += n
-        self._obs.parked.inc(n)
+        self._count("abandoned_updates", n)
+        self._count("parked_updates", n)
         parked = np.zeros(rows.size, dtype=_PARKED)
         for col in ("sender", "receiver", "lo", "hi"):
             parked[col] = rows[col]
@@ -792,18 +775,7 @@ class ReliableTransport:
             return
         healed = parked[relaunch]
         self._parked = parked[~relaunch]
-        for sender, receiver, lo, hi in _links(healed):
-            n = hi - lo
-            self._healed_updates += n
-            self._healed_mass += self._mass(lo, hi)
-            self.stats.parked_resent += n
-            self._obs.parked_resent.inc(n)
-            key = (sender, receiver)
-            remaining = self._black_holed.get(key, 0) - n
-            if remaining > 0:
-                self._black_holed[key] = remaining
-            else:
-                self._black_holed.pop(key, None)
+        self._count("parked_resent", int(self._sizes(healed).sum()))
         rows = self._launch(
             healed["sender"], healed["receiver"], healed["lo"], healed["hi"]
         )

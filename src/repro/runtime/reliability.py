@@ -14,10 +14,11 @@ The knobs are the *same* :class:`~repro.faults.ReliabilityConfig` the
 pass engines use; its pass-denominated timeouts are scaled onto the
 runtime clock by ``pass_time`` (time units per pass-equivalent), so a
 config tuned for the simulator behaves identically here.  A flight
-still unacked after ``max_retries`` retransmissions is abandoned and
-its updates counted as undeliverable mass — the runtime's quiescence
-check then reports non-convergence instead of retrying forever,
-mirroring the pass engines' graceful degradation.
+still unacked after ``max_retries`` retransmissions is abandoned: the
+tracker keeps the spent flight, per receiver, and its updates count as
+undeliverable until a supervised restart wipes or forgives it — the
+runtime's quiescence check then reports non-convergence instead of
+retrying forever, mirroring the pass engines' graceful degradation.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ class AsyncFlight:
 class FlightTracker:
     """Per-sender flight table: launch, ack, retry, abandon.
 
+    Unacked flights live in a table by flight id; flights that spent
+    their retry budget move to a table by receiver.  Those spent
+    flights are the only record of abandoned updates:
+    :attr:`abandoned_updates` and :attr:`abandoned_mass` are read off
+    them, :meth:`forgive` pops one receiver's, and :meth:`wipe` drops
+    them all with the unacked ones.
+
     Parameters
     ----------
     config:
@@ -82,12 +90,9 @@ class FlightTracker:
         self._deadlines: List[Tuple[float, int]] = []
         self._next_fid = 0
         self.retries = 0
-        self.abandoned_updates = 0
-        self.abandoned_mass = 0.0
-        # Per-receiver abandonment ledger, so a supervised restart can
-        # forgive exactly the mass its re-publish heals (§15.4).
-        self._abandoned_by_receiver: Dict[int, int] = {}
-        self._abandoned_mass_by_receiver: Dict[int, float] = {}
+        # Spent flights by receiver, so a supervised restart can forgive
+        # exactly the ones its re-publish heals (§15.4).
+        self._spent: Dict[int, List[AsyncFlight]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -100,9 +105,24 @@ class FlightTracker:
         return sum(len(f.batch) for f in self._flights.values())
 
     @property
+    def abandoned_updates(self) -> int:
+        """Updates in flights that spent their retry budget."""
+        return sum(len(f.batch) for f in self._spent_flights())
+
+    @property
+    def abandoned_mass(self) -> float:
+        """Total ``|value|`` of the abandoned updates."""
+        spent = self._spent_flights()
+        return sum((abs(u.value) for f in spent for u in f.batch), 0.0)
+
+    @property
     def undeliverable_updates(self) -> int:
         """Abandoned plus still-unacked updates (convergence blockers)."""
         return self.abandoned_updates + self.unacked_updates
+
+    def _spent_flights(self):
+        """Every spent flight, receiver by receiver."""
+        return (f for flights in self._spent.values() for f in flights)
 
     def _timeout(self, attempts: int) -> float:
         """Clock delay before the next retransmission of a flight that
@@ -135,8 +155,9 @@ class FlightTracker:
 
         Flights still within their retry budget are returned for
         retransmission with ``attempts`` incremented and their next
-        timeout re-armed; flights over budget are abandoned (removed,
-        their updates counted as undeliverable) and *not* returned.
+        timeout re-armed; flights over budget are abandoned (moved to
+        the spent flights, their updates counted as undeliverable) and
+        *not* returned.
         """
         deadlines = self._deadlines
         expired: List[int] = []
@@ -149,16 +170,7 @@ class FlightTracker:
             flight = self._flights[fid]
             if flight.attempts > self.config.max_retries:
                 receiver = flight.batch.receiver_peer
-                mass = sum(abs(u.value) for u in flight.batch)
-                self.abandoned_updates += len(flight.batch)
-                self.abandoned_mass += mass
-                self._abandoned_by_receiver[receiver] = (
-                    self._abandoned_by_receiver.get(receiver, 0)
-                    + len(flight.batch)
-                )
-                self._abandoned_mass_by_receiver[receiver] = (
-                    self._abandoned_mass_by_receiver.get(receiver, 0.0) + mass
-                )
+                self._spent.setdefault(receiver, []).append(flight)
                 del self._flights[fid]
                 continue
             flight.attempts += 1
@@ -179,17 +191,18 @@ class FlightTracker:
     # Crash-recovery hooks (docs/PROTOCOL.md §15)
     # ------------------------------------------------------------------
     def wipe(self) -> int:
-        """Crash-with-state-loss: drop every in-flight batch without
-        abandonment accounting (the flights died *with* the sender;
-        the restarted peer re-publishes instead).  Returns the number
-        of updates destroyed, for state-loss bookkeeping."""
-        lost = sum(len(f.batch) for f in self._flights.values())
+        """Crash-with-state-loss: drop every unacked and every spent
+        flight (they died *with* the sender; the restarted peer's
+        re-publish supersedes them).  Returns the number of updates
+        destroyed, for state-loss bookkeeping."""
+        lost = self.unacked_updates + self.abandoned_updates
         self._flights.clear()
         self._deadlines.clear()
+        self._spent.clear()
         return lost
 
     def forgive(self, receiver: int) -> int:
-        """Clear the abandonment ledger toward one receiver.
+        """Drop the spent flights toward one receiver.
 
         Called after anti-entropy re-publish toward a restarted peer:
         the re-publish stages the current value of every edge into the
@@ -197,8 +210,4 @@ class FlightTracker:
         are superseded, not lost — they stop blocking convergence.
         Returns the number of updates forgiven.
         """
-        count = self._abandoned_by_receiver.pop(receiver, 0)
-        mass = self._abandoned_mass_by_receiver.pop(receiver, 0.0)
-        self.abandoned_updates -= count
-        self.abandoned_mass -= mass
-        return count
+        return sum(len(f.batch) for f in self._spent.pop(receiver, ()))

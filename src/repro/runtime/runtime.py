@@ -409,26 +409,29 @@ class AsyncPeerRuntime:
                     wal=wal,
                 )
                 self._journals[pid] = journal
-            self.nodes.append(
-                PeerNode(
-                    peer,
-                    mailbox,
-                    transport,
-                    self._clock,
-                    damping=self.damping,
-                    epsilon=self.epsilon,
-                    peer_of=self._peer_of,
-                    gate=gate,
-                    reliability=reliability,
-                    pass_time=pass_time,
-                    batch_window=self.batch_window,
-                    instruments=self._obs,
-                    journal=journal,
-                    sanitizer=sanitizer,
-                )
-            )
+            self.nodes.append(self._node(peer, mailbox, journal))
         self._ran = False
         self._shut_down = False
+
+    def _node(self, peer: Peer, mailbox: Mailbox, journal) -> PeerNode:
+        """A peer task's node over the runtime's shared transport,
+        clock, algorithm and reliability parameters."""
+        return PeerNode(
+            peer,
+            mailbox,
+            self.transport,
+            self._clock,
+            damping=self.damping,
+            epsilon=self.epsilon,
+            peer_of=self._peer_of,
+            gate=self.gate,
+            reliability=self._reliability,
+            pass_time=self.pass_time,
+            batch_window=self.batch_window,
+            instruments=self._obs,
+            journal=journal,
+            sanitizer=self.sanitizer,
+        )
 
     # ------------------------------------------------------------------
     # Deterministic scheduler mode
@@ -539,8 +542,8 @@ class AsyncPeerRuntime:
     # ------------------------------------------------------------------
     async def _apply_crash(self, pid: int, now: float) -> None:
         """Kill one peer task with state loss: queued envelopes, the
-        outbox, the deferred store, and in-flight batches all die; the
-        journal (WAL + snapshot) survives."""
+        outbox, the deferred store, and unacked and spent flights all
+        die; the journal (WAL + snapshot) survives."""
         sup = self._supervisor
         assert sup is not None
         node = self.nodes[pid]
@@ -563,8 +566,8 @@ class AsyncPeerRuntime:
         """Resurrect one peer task from bitwise WAL+snapshot replay,
         then heal staleness in both directions: the recovered peer
         re-announces its published values, and live neighbors
-        re-publish toward it (forgiving flights they had abandoned
-        while it was down — anti-entropy catch-up, §15.4)."""
+        re-publish toward it (forgiving the spent flights they hold
+        toward it — anti-entropy catch-up, §15.4)."""
         sup = self._supervisor
         assert sup is not None
         journal = self._journals[pid]
@@ -580,23 +583,10 @@ class AsyncPeerRuntime:
         mailbox = Mailbox(pid, self._tracker, capacity=self.mailbox_capacity)
         mailbox.overflow_dropped = old.mailbox.overflow_dropped
         self.transport.connect(pid, mailbox)
-        node = PeerNode(
-            peer,
-            mailbox,
-            self.transport,
-            self._clock,
-            damping=self.damping,
-            epsilon=self.epsilon,
-            peer_of=self._peer_of,
-            gate=self.gate,
-            reliability=self._reliability,
-            pass_time=self.pass_time,
-            instruments=self._obs,
-            journal=journal,
-            sanitizer=self.sanitizer,
-        )
-        # The crashed node's counters and abandonment ledger carry over
-        # (its flight table was wiped at the crash, so reuse is clean).
+        node = self._node(peer, mailbox, journal)
+        # The crashed node's counters and flight tracker carry over (its
+        # unacked and spent flights were wiped at the crash, so reuse is
+        # clean).
         node.tracker = old.tracker
         node.messages_sent = old.messages_sent
         node.batches_sent = old.batches_sent
