@@ -550,11 +550,15 @@ class P2PPagerankSimulation:
                     # arrive: strong convergence must not be certified
                     # over them, and a quiescent system that still owes
                     # undeliverable updates is stagnant, not converging.
+                    # A crash wipes its sender's flights, so a peer that
+                    # has not yet rebooted and republished still owes
+                    # whatever they carried.
                     quiescent = active == 0 and not self._dirty.any()
                     if (
                         quiescent
                         and transport.undeliverable_updates == 0
                         and deferred_now == 0
+                        and not needs_republish
                     ):
                         converged = True
                         break
