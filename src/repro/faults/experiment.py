@@ -105,7 +105,9 @@ class FaultTrial:
     """One row of the table: the run outcome at one loss rate.
 
     ``abandoned`` counts updates whose flight exhausted its retry
-    budget; ``stop`` says why the run ended: ``"converged"``,
+    budget over the whole run, including batches that later relaunched
+    or died with a crashed sender (cumulative, not what is still
+    held); ``stop`` says why the run ended: ``"converged"``,
     ``"stagnation"`` (the residual-stagnation abort) or ``"pass cap"``.
     """
 

@@ -111,6 +111,10 @@ class FaultStats:
     All message quantities are update counts (the catalogue's
     *messages* unit); ``retries`` and ``partition_blocked_sends`` count
     batch transfers, ``acks``/``ack_drops`` count acknowledgements.
+    Every field is cumulative over the run: ``abandoned_updates``
+    counts each update whose flight ran out of retries, including
+    batches that later relaunched or died with a crashed sender (what
+    is still held is :attr:`FaultDiagnostics.abandoned_updates`).
     """
 
     dropped_updates: int = 0
@@ -439,10 +443,6 @@ class ReliableTransport:
     @property
     def unacked_flights(self) -> int:
         return int(self._flights.size)
-
-    @property
-    def abandoned_updates(self) -> int:
-        return self.stats.abandoned_updates
 
     @property
     def undeliverable_updates(self) -> int:

@@ -34,6 +34,7 @@ import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.base import Checker, FileContext, register
+from repro.lint.checkers.determinism import _collect_import_aliases, _dotted
 from repro.lint.findings import Finding, Rule
 
 __all__ = ["ConcurrencyChecker"]
@@ -128,33 +129,6 @@ _LOOP_PRIMITIVES = {
 }
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
-def _collect_import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> fully qualified module/object path."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                aliases[a.asname or a.name.split(".")[0]] = (
-                    a.name if a.asname else a.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for a in node.names:
-                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-    return aliases
-
-
-def _dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Resolve an attribute chain to a fully-qualified dotted path."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = aliases.get(node.id, node.id)
-    return ".".join([root] + parts[::-1])
 
 
 def _shared_chain(expr: ast.expr, roots: Set[str]) -> Optional[str]:

@@ -10,29 +10,28 @@ network message — but note that, per the pseudocode, publishing too is
 gated by ε: a document that did not change significantly exposes its
 previous value everywhere.
 
-A peer works at two grains.  The pass simulator
-(:mod:`repro.simulation.engine`) pulls every document's new rank at
-once and hands each peer its rows: :meth:`Peer.compute_pass` gates
-publishes with one vectorized ε-mask and stages
-the whole pass's remote updates as :class:`~repro.p2p.messages.
-UpdateColumns`; :meth:`Peer.receive_batch` folds such columns in with
-a vectorized version dedup that reproduces the one-at-a-time
-:meth:`Peer.receive` exactly.  The asynchronous runtime
-(:mod:`repro.runtime`) drives the per-document path instead
-(:meth:`Peer.recompute_document`, :meth:`Peer.receive` on
-:class:`~repro.p2p.messages.PagerankUpdate` objects), where batches are
-a handful of updates and per-call array overhead would dominate.  Every
+The pass simulator (:mod:`repro.simulation.engine`) pulls every
+document's new rank at once and hands each peer its rows:
+:meth:`Peer.compute_pass` gates publishes with one vectorized ε-mask
+and stages the whole pass's remote updates as
+:class:`~repro.p2p.messages.UpdateColumns`.  The simulator owns its
+network's message state: it folds received rows into every peer's
+version maps in one grouped pass and keeps the §3.1 store of updates
+for absent receivers.  The asynchronous runtime (:mod:`repro.runtime`)
+drives the per-document path instead (:meth:`Peer.recompute_document`,
+:meth:`Peer.receive` on :class:`~repro.p2p.messages.PagerankUpdate`
+objects), where batches are a handful of updates.  Every
 multi-document staging (a pass's publishes, the crash-recovery
 republishes) goes through one columnar out-link helper; a single
 document stages its few out-links with a plain loop.  The differential
-suites cross-validate both grains against the vectorized engine bit
-for bit.
+suites cross-validate the simulator and the runtime against the
+vectorized engine bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,13 +65,6 @@ class PassOutcome:
     max_rel_change: float
     staged_updates: int
     published_docs: Tuple[int, ...] = ()
-
-
-#: Shortest run :meth:`Peer.receive_batch` folds with the columnar
-#: receive.  Below it the fold's fixed cost of a dozen-odd array calls
-#: exceeds the per-update loop's (docs/PERFORMANCE.md, "Faulted
-#: exchange").
-_COLUMNAR_MIN_ROWS = 16
 
 
 class Peer:
@@ -127,8 +119,6 @@ class Peer:
         self._remote_versions: Dict[int, int] = {}
         #: Per-local-document publish sequence numbers.
         self._publish_version: Dict[int, int] = {}
-        #: Stored updates awaiting absent receivers: peer -> updates.
-        self.deferred: Dict[int, UpdateColumns] = {}
         self.outbox = Outbox(self.peer_id)
         # Reciprocal out-degrees (one array shared by every peer of the
         # graph), multiplied rather than divided so the floating-point
@@ -172,102 +162,9 @@ class Peer:
         self.remote_values[update.source_doc] = update.value
         return True
 
-    def receive_batch(
-        self,
-        updates: Union[UpdateColumns, Iterable[PagerankUpdate]],
-        out: Optional[np.ndarray] = None,
-    ) -> int:
-        """Receive many updates in order; returns how many mutated state.
-
-        Columns of at least :data:`_COLUMNAR_MIN_ROWS` rows are folded
-        in with :meth:`_receive_columns`, which leaves exactly the state
-        the one-at-a-time :meth:`receive` loop would; shorter runs take
-        that loop.  ``out``, if given, is a boolean array with one entry
-        per update; it is set to which updates mutated state.
-        """
-        columnar = isinstance(updates, UpdateColumns)
-        if columnar and len(updates) >= _COLUMNAR_MIN_ROWS:
-            return self._receive_columns(updates, out)
-        applied = 0
-        for i, u in enumerate(updates):
-            ok = self.receive(u)
-            applied += ok
-            if out is not None:
-                out[i] = ok
-        return applied
-
-    def _receive_columns(
-        self, updates: UpdateColumns, out: Optional[np.ndarray] = None
-    ) -> int:
-        """Vectorized :meth:`receive` over a run of updates.
-
-        Sequentially, an update applies iff its version exceeds both the
-        held version floor and every earlier version from the same
-        source in the run (an applied update raises the floor to its own
-        version; a rejected one is already at or below it).  Rows are
-        grouped by source with a stable sort, the floor is a running
-        maximum within each group, and the last applied row per source
-        is what the loop would leave behind.
-        """
-        n = len(updates)
-        if out is not None:
-            out[:] = False
-        if n == 0:
-            return 0
-        order = np.argsort(updates.source, kind="stable")
-        src = updates.source[order]
-        repeat = src[1:] == src[:-1]  # row i + 1 repeats row i's source
-        repeats = bool(repeat.any())
-        if self.honor_versions:
-            ver = updates.version[order]
-            # An update applies iff its version exceeds the floor:
-            # :meth:`receive` rejects ``version < held`` and, once a
-            # value is held, ``version == held``.
-            held, heard = self._remote_versions.get, self.remote_values
-            floor = np.array(
-                [held(s, -1) - (s not in heard) for s in src.tolist()], dtype=np.int64
-            )
-            if repeats:
-                # Running maximum within each source group, seeded with
-                # the group's floor: offset group g by g * span so one
-                # global maximum.accumulate never carries across groups.
-                head = np.empty(n, dtype=bool)
-                head[0] = True
-                np.logical_not(repeat, out=head[1:])
-                lo = min(int(ver.min()), int(floor.min()))
-                span = max(int(ver.max()), int(floor.max())) - lo + 1
-                offset = (np.cumsum(head) - 1) * span - lo
-                key = ver + offset
-                seed = floor + offset
-                running = np.maximum.accumulate(np.maximum(key, seed))
-                floor = np.empty(n, dtype=np.int64)
-                floor[1:] = running[:-1]
-                floor[head] = seed[head]
-                ver = key
-            rows = np.flatnonzero(ver > floor)
-            applied = int(rows.size)
-            if applied == 0:
-                return 0
-        else:
-            applied = n
-            rows = np.arange(n)
-        if out is not None:
-            out[order[rows]] = True
-        if repeats:
-            # Keep each source's last applied row.
-            g = src[rows]
-            last = np.empty(rows.size, dtype=bool)
-            last[-1] = True
-            np.not_equal(g[1:], g[:-1], out=last[:-1])
-            rows = rows[last]
-        win_src = src[rows]
-        win = order[rows]
-        win_val = updates.value[win]
-        self.remote_values.update(zip(win_src.tolist(), win_val.tolist()))
-        if self.honor_versions:
-            win_ver = updates.version[win]
-            self._remote_versions.update(zip(win_src.tolist(), win_ver.tolist()))
-        return applied
+    def receive_batch(self, updates: Iterable[PagerankUpdate]) -> int:
+        """Receive many updates in order; returns how many mutated state."""
+        return sum(self.receive(u) for u in updates)
 
     # ------------------------------------------------------------------
     def compute_pass(
@@ -436,57 +333,15 @@ class Peer:
         return rel, False
 
     # ------------------------------------------------------------------
-    # Store-and-resend support (§3.1)
+    # Crash recovery
     # ------------------------------------------------------------------
-    def defer(
-        self, dest_peer: int, updates: Union[UpdateColumns, Sequence[PagerankUpdate]]
-    ) -> None:
-        """Store updates whose receiver is currently absent.
-
-        Only the newest value per (source, target) pair is kept — an
-        older stored update is obsolete the moment a fresh one exists.
-        """
-        fresh = (
-            updates
-            if isinstance(updates, UpdateColumns)
-            else UpdateColumns.from_updates(updates)
-        )
-        store = self.deferred.get(dest_peer)
-        if store is not None and len(store):
-            n = self.graph.num_nodes
-            stale = np.isin(
-                store.source * n + store.target, fresh.source * n + fresh.target
-            )
-            fresh = UpdateColumns.concat([store.take(~stale), fresh])
-        self.deferred[dest_peer] = fresh
-
-    def take_deferred_columns(self, dest_peer: int) -> UpdateColumns:
-        """Pop all stored updates for a peer that has reappeared."""
-        return self.deferred.pop(dest_peer, None) or UpdateColumns.empty()
-
-    def take_deferred(self, dest_peer: int) -> List[PagerankUpdate]:
-        """:meth:`take_deferred_columns` as update objects."""
-        return list(self.take_deferred_columns(dest_peer))
-
-    @property
-    def deferred_count(self) -> int:
-        """Total stored updates across destinations (the §3.1 state
-        bound: at most the sum of local documents' out-links)."""
-        return sum(len(v) for v in self.deferred.values())
-
     def crash_volatile(self) -> int:
-        """Crash-with-state-loss: wipe the outbox and the §3.1 deferred
-        store (volatile memory), keeping rank/published/version state
-        (persistent storage survives a crash).
-
-        Distinct from a graceful departure, where deferred updates are
-        preserved for resend on return.  Returns the number of updates
-        destroyed, for the fault layer's state-loss accounting.
+        """Crash-with-state-loss: wipe the outbox (volatile memory),
+        keeping rank/published/version state (persistent storage
+        survives a crash).  Returns the number of updates destroyed, for
+        the fault layer's state-loss accounting.
         """
-        lost = self.outbox.wipe()
-        lost += self.deferred_count
-        self.deferred.clear()
-        return lost
+        return self.outbox.wipe()
 
     def _republish(self, peer_of: np.ndarray, only_to: Optional[int] = None) -> int:
         """Stage every local document's persisted published value at its

@@ -81,12 +81,7 @@ def durable_digest(runtime: "AsyncPeerRuntime") -> str:
             h.update(f"field={attr}\n".encode("ascii"))
             for key in sorted(mapping):
                 value = mapping[key]
-                if isinstance(value, float):
-                    rendered = value.hex()
-                elif isinstance(value, list):
-                    rendered = ";".join(repr(v) for v in value)
-                else:
-                    rendered = repr(value)
+                rendered = value.hex() if isinstance(value, float) else repr(value)
                 h.update(f"{key}={rendered}\n".encode("ascii"))
     return h.hexdigest()
 

@@ -232,7 +232,6 @@ _TRACKED_PEER_FIELDS = (
     "remote_values",
     "_remote_versions",
     "_publish_version",
-    "deferred",
 )
 
 

@@ -14,17 +14,19 @@ from :attr:`P2PPagerankSimulation.view`, which holds for each in-edge
 documents' rows, gates them by ε and stages its whole pass as
 :class:`~repro.p2p.messages.UpdateColumns`; the pass's rows are grouped
 into one :class:`~repro.p2p.messages.BatchColumns` batch per (sender,
-receiver) pair, senders in order.  Lossless, batches for absent
-receivers are stored with their senders and resent in a later pass;
-with a fault plan every batch becomes a flight of the reliable
-transport.  Every update that reaches a peer — a fresh batch, a resend,
-a transport copy, or the knowledge a re-homed document carries — goes
-through one delivery step: each receiver folds its rows in as one run,
-and the last applied row per (receiver, source) is written on every
-cross-peer edge from that source into the receiver's documents.  The
-view therefore changes only at a publish, an applied update or a §3.1
-migration.  Network deliveries add the traffic accounting around that
-step (dirty marks, hop pricing, one §4.6.1 batch per delivered copy).
+receiver) pair, senders in order.  The simulator owns the network's
+message state.  Lossless, batches for absent receivers go to one §3.1
+store table for all peers and are resent in a later pass; with a fault
+plan every batch becomes a flight of the reliable transport.  Every
+update that reaches a peer — a fresh batch, a resend, a transport copy,
+or the knowledge a re-homed document carries — goes through one
+delivery step: one grouped fold over all receivers applies what
+:meth:`~repro.p2p.peer.Peer.receive` would, row by row, and the last
+applied row per (receiver, source) is written on every cross-peer edge
+from that source into the receiver's documents.  The view therefore
+changes only at a publish, an applied update or a §3.1 migration.
+Network deliveries add the traffic accounting around that step (dirty
+marks, hop pricing, one §4.6.1 batch per delivered copy).
 The integration suite cross-validates the simulator against the
 vectorized engine: identical ranks, message counts and pass counts.
 """
@@ -59,20 +61,22 @@ from repro.p2p.routing import DeliveryPolicy
 __all__ = ["P2PPagerankSimulation", "TrafficSummary"]
 
 
-Runs = List[Tuple[int, np.ndarray, UpdateColumns]]
+#: One §3.1 stored row: its sender, its receiver, and when their store
+#: opened.  A store is one (sender, receiver) pair's rows; a sender
+#: resends its stores in opening order.
+_STORED = np.dtype(
+    [("sender", np.int64), ("receiver", np.int64), ("opened", np.int64)]
+)
 
 
-def _batches(runs: Runs, num_peers: int) -> BatchColumns:
-    """Group ``(sender, dest_peers, updates)`` runs, given in sender
-    order, into one batch per (sender, receiver) pair: senders in order,
-    each sender's receivers in first-staging order and its updates in
-    staging order (the order fault injection draws and location caches
-    price in, so part of a seeded run's identity)."""
-    senders = np.repeat(
-        np.array([pid for pid, _, _ in runs], dtype=np.int64),
-        [len(updates) for _, _, updates in runs],
-    )
-    dests = np.concatenate([d for _, d, _ in runs] or [senders])
+def _batches(
+    senders: np.ndarray, dests: np.ndarray, updates: UpdateColumns, num_peers: int
+) -> BatchColumns:
+    """Group rows (row ``i`` goes from ``senders[i]`` to ``dests[i]``,
+    senders in order) into one batch per (sender, receiver) pair:
+    senders in order, each sender's receivers in first-staging order and
+    its updates in staging order (the order fault injection draws and
+    location caches price in, so part of a seeded run's identity)."""
     pairs, first, group = np.unique(
         senders * num_peers + dests, return_index=True, return_inverse=True
     )
@@ -85,7 +89,6 @@ def _batches(runs: Runs, num_peers: int) -> BatchColumns:
     offsets = np.zeros(pairs.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(group, minlength=pairs.size), out=offsets[1:])
     pairs = pairs[by_first]
-    updates = UpdateColumns.concat([u for _, _, u in runs])
     return BatchColumns(
         pairs // num_peers, pairs % num_peers, offsets,
         updates.take(np.argsort(group, kind="stable")),
@@ -318,6 +321,10 @@ class P2PPagerankSimulation:
         #: ``view[e]`` for forward edge ``e = (s -> d)`` (``graph.indices``
         #: order) is ``peers[owner(d)].visible_value(s)``.
         self.view = np.full(graph.indices.size, self.init_rank)
+        # The §3.1 store: rows held for absent receivers, and their
+        # updates.
+        self._stored = np.empty(0, dtype=_STORED)
+        self._stored_updates = UpdateColumns.empty()
 
     @cached_property
     def _workspace(self) -> CSRWorkspace:
@@ -465,7 +472,7 @@ class P2PPagerankSimulation:
                         transport.tick(t, live)
                         resent = transport.pass_resent
                     else:
-                        resent = self._deliver_deferred(live)
+                        resent = self._resend(live)
 
                     # (2) concurrent recompute: one pull, live peers' rows
                     new = self._workspace.pull_edges(self.view, self.damping)
@@ -501,7 +508,7 @@ class P2PPagerankSimulation:
 
                     # (3) drain outboxes: deliver or defer (reliable
                     #     transport: submit each batch as a new flight)
-                    batches = _batches(self._drain(live), num_peers)
+                    batches = _batches(*self._drain(live), num_peers)
                     if faulted:
                         transport.send(t, batches, live)
                         messages = transport.pass_delivered
@@ -582,40 +589,87 @@ class P2PPagerankSimulation:
         ones under a fault plan, else the §3.1 stored ones."""
         if self.faults is not None:
             return self.transport.unacked_updates
-        return sum(p.deferred_count for p in self.peers)
+        return len(self._stored_updates)
 
     def _deliver(self, receivers: np.ndarray, updates: UpdateColumns) -> np.ndarray:
-        """Hand each receiver its rows (``receivers[i]`` gets row ``i``)
-        as one run in row order through :meth:`Peer.receive_batch`, and
-        write the view: the last applied row per (receiver, source)
-        goes on every cross-peer edge from the source into the
-        receiver's documents — a peer sees a source at one value, not
-        only on the edges the updates addressed.  Returns which rows
-        mutated receiver state."""
+        """Fold rows into their receivers (``receivers[i]`` gets row
+        ``i``) and write the view.  Returns which rows mutated receiver
+        state.
+
+        One grouped pass over all receivers leaves the state that
+        :meth:`Peer.receive` leaves, one row at a time in row order.
+        Rows are grouped by (receiver, source) with a stable sort.  A row
+        applies iff its version exceeds the group's floor (the version
+        the receiver holds, or one below it for a source never heard
+        from) and every earlier version in the group: a running maximum.
+        The last applied row per group is what the receiver keeps, and
+        its value goes on every cross-peer edge from the source into the
+        receiver's documents: a peer sees a source at one value, not
+        only on the edges the updates addressed.  (The simulator's peers
+        honour versions.)"""
         n = receivers.size
         applied = np.zeros(n, dtype=bool)
         if not n:
             return applied
-        order = np.argsort(receivers, kind="stable")
-        by_receiver = receivers[order]
-        starts = np.flatnonzero(np.r_[True, by_receiver[1:] != by_receiver[:-1]])
-        bounds = np.r_[starts, n].tolist()
-        out = np.empty(n, dtype=bool)
-        for receiver, lo, hi in zip(by_receiver[starts].tolist(), bounds, bounds[1:]):
-            self.peers[receiver].receive_batch(updates.take(order[lo:hi]), out[lo:hi])
-        applied[order] = out
-        rows = np.flatnonzero(applied)
-        if rows.size:
-            keys = receivers[rows] * self.graph.num_nodes + updates.source[rows]
-            by_key = np.argsort(keys, kind="stable")
-            keys = keys[by_key]
-            last = np.r_[keys[1:] != keys[:-1], True]
-            keys = keys[last]
-            lo = np.searchsorted(self._cross_keys, keys)
-            lens = np.searchsorted(self._cross_keys, keys, "right") - lo
-            pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-            values = updates.value[rows[by_key[last]]]
-            self.view[self._cross_edges[pos]] = np.repeat(values, lens)
+        num_docs = self.graph.num_nodes
+        keys = receivers * num_docs + updates.source
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        held = [p._remote_versions for p in self.peers]
+        heard = [p.remote_values for p in self.peers]
+        floor = np.array(
+            [
+                held[r].get(s, -1) - (s not in heard[r])
+                for r, s in zip(*(a.tolist() for a in np.divmod(keys[starts], num_docs)))
+            ],
+            dtype=np.int64,
+        )
+        # Offset group g by g * span so one running maximum over all
+        # rows never carries from one group into the next.
+        ver = updates.version[order]
+        least = min(int(ver.min()), int(floor.min()))
+        span = max(int(ver.max()), int(floor.max())) - least + 1
+        offset = (np.cumsum(head) - 1) * span - least
+        ver += offset
+        floor += offset[starts]
+        # Free row-length arrays early: a first pass delivers on
+        # nearly every cross-peer edge.
+        del offset, head
+        running = ver.copy()
+        running[starts] = np.maximum(ver[starts], floor)
+        np.maximum.accumulate(running, out=running)
+        # Each row's bar: the running maximum before it, or the floor
+        # at a group's first row.
+        running[1:] = running[:-1]
+        running[starts] = floor
+        rows = np.flatnonzero(ver > running)
+        del ver, running, floor, starts
+        if not rows.size:
+            return applied
+        applied[order[rows]] = True
+        keys = keys[rows]
+        last = np.empty(rows.size, dtype=bool)
+        last[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        keys = keys[last]
+        win = order[rows[last]]
+        del order, rows, last
+        values = updates.value[win]
+        for r, s, value, version in zip(
+            *(a.tolist() for a in np.divmod(keys, num_docs)),
+            values.tolist(),
+            updates.version[win].tolist(),
+        ):
+            heard[r][s] = value
+            held[r][s] = version
+        lo = np.searchsorted(self._cross_keys, keys)
+        lens = np.searchsorted(self._cross_keys, keys, "right") - lo
+        pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        self.view[self._cross_edges[pos]] = np.repeat(values, lens)
         return applied
 
     def _deliver_copies(self, copies: BatchColumns) -> np.ndarray:
@@ -646,15 +700,46 @@ class P2PPagerankSimulation:
         of updates delivered."""
         present = live[batches.receivers]
         if not present.all():
-            bounds = batches.offsets.tolist()
-            for i in np.flatnonzero(~present).tolist():
-                self.peers[int(batches.senders[i])].defer(
-                    int(batches.receivers[i]),
-                    batches.updates.take(slice(bounds[i], bounds[i + 1])),
-                )
+            self._store(batches.select(~present))
             batches = batches.select(present)
         self._deliver_copies(batches)
         return len(batches.updates)
+
+    def _store(self, batches: BatchColumns) -> None:
+        """Keep batches for absent receivers with their senders (§3.1).
+
+        A batch joins its (sender, receiver) pair's store and replaces
+        the stored rows it supersedes: those with one of its (source,
+        target) pairs, since an older stored update is obsolete the
+        moment a fresh one exists.  A pair with no stored rows opens a
+        new store, after its sender's others.
+        """
+        num_peers = self.network.num_peers
+        sizes = batches.sizes
+        held = self._stored
+        updates = UpdateColumns.concat([self._stored_updates, batches.updates])
+        pairs = np.r_[
+            held["sender"] * num_peers + held["receiver"],
+            np.repeat(batches.senders * num_peers + batches.receivers, sizes),
+        ]
+        # Each row takes the opening of its pair's first row: the held
+        # store's, or its own batch's, numbered after every held one.
+        after = int(held["opened"].max()) + 1 if held.size else 0
+        opened = np.r_[held["opened"], np.repeat(after + np.arange(sizes.size), sizes)]
+        _, first, store = np.unique(pairs, return_index=True, return_inverse=True)
+        _, row = np.unique(
+            np.column_stack([pairs, updates.source, updates.target]),
+            axis=0,
+            return_inverse=True,
+        )
+        row = row.reshape(-1)  # numpy 2.0.0 returns a column here
+        keep = np.ones(pairs.size, dtype=bool)
+        keep[: held.size] = ~np.isin(row[: held.size], row[held.size:])
+        stored = np.empty(pairs.size, dtype=_STORED)
+        stored["sender"], stored["receiver"] = np.divmod(pairs, num_peers)
+        stored["opened"] = opened[first][store]
+        self._stored = stored[keep]
+        self._stored_updates = updates.take(keep)
 
     # ------------------------------------------------------------------
     def ranks(self) -> np.ndarray:
@@ -666,36 +751,47 @@ class P2PPagerankSimulation:
         return out
 
     # ------------------------------------------------------------------
-    def _deliver_deferred(self, live: np.ndarray) -> int:
-        """Step 1: present senders flush stored updates to present
-        receivers.  Returns the number of updates delivered.
+    def _resend(self, live: np.ndarray) -> int:
+        """Step 1: present senders resend their stored rows to present
+        receivers, each sender's stores in opening order.  Returns the
+        number of updates delivered.
 
         Under re-homing a stored update's target document may have
-        moved, so each update is re-resolved to the document's *current*
-        owner before delivery (and stored again if that owner is absent).
+        moved, so every store of a present sender is taken, and each
+        update is re-resolved to the document's *current* owner before
+        delivery (and stored again if that owner is absent).
         """
-        runs: Runs = []
-        for peer in self.peers:
-            if not live[peer.peer_id] or not peer.deferred:
-                continue
-            stores = [
-                d for d in peer.deferred if live[d] or self.rehoming_after is not None
-            ]
-            updates = UpdateColumns.concat([peer.take_deferred_columns(d) for d in stores])
-            runs.append((peer.peer_id, self._peer_of[updates.target], updates))
-        return self._transfer(_batches(runs, self.network.num_peers), live)
+        held = self._stored
+        due = live[held["sender"]]
+        if self.rehoming_after is None:
+            due &= live[held["receiver"]]
+        rows = np.flatnonzero(due)
+        rows = rows[np.lexsort((held["opened"][rows], held["sender"][rows]))]
+        updates = self._stored_updates.take(rows)
+        self._stored = held[~due]
+        self._stored_updates = self._stored_updates.take(~due)
+        batches = _batches(
+            held["sender"][rows], self._peer_of[updates.target], updates,
+            self.network.num_peers,
+        )
+        return self._transfer(batches, live)
 
-    def _drain(self, live: np.ndarray) -> Runs:
+    def _drain(self, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray, UpdateColumns]:
         """Step 3: take every live peer's freshly staged updates as
-        ``(sender, dest_peers, updates)`` runs in sender order."""
-        runs: Runs = []
+        ``(senders, dest_peers, updates)`` rows in sender order."""
+        ids: List[int] = []
+        runs: List[Tuple[np.ndarray, UpdateColumns]] = []
         for peer in self.peers:
             # An absent peer cannot have computed this pass, but it may
             # hold a stale outbox in pathological uses; leave it.
             if live[peer.peer_id] and len(peer.outbox):
-                dests, updates = peer.outbox.take_columns()
-                runs.append((peer.peer_id, dests, updates))
-        return runs
+                ids.append(peer.peer_id)
+                runs.append(peer.outbox.take_columns())
+        senders = np.repeat(
+            np.array(ids, dtype=np.int64), [len(updates) for _, updates in runs]
+        )
+        dests = np.concatenate([d for d, _ in runs] or [senders])
+        return senders, dests, UpdateColumns.concat([u for _, u in runs])
 
     def _rehome(self, live: np.ndarray) -> None:
         """Move documents off long-absent peers and back home on return."""

@@ -65,7 +65,7 @@ class TestParkOnDeadReceiver:
         tr.send(0, make_batch(n=4), down)
         exhaust(tr, down)
         # Budget exhausted against a dead receiver: abandoned but parked.
-        assert tr.abandoned_updates == 4
+        assert tr.stats.abandoned_updates == 4
         assert tr.parked_batches == 1
         assert tr.stats.parked_updates == 4
         assert tr.undeliverable_updates == 4
@@ -99,7 +99,7 @@ class TestParkOnPartition:
         tr.begin_pass(0)
         tr.send(0, make_batch(n=2), live)
         exhaust(tr, live, end=20)
-        assert tr.abandoned_updates == 2
+        assert tr.stats.abandoned_updates == 2
         assert tr.parked_batches == 1
         assert not sink.batches
         # The partition lifts at pass 20: the parked batch relaunches.
@@ -121,7 +121,7 @@ class TestPureLossStaysParked:
         exhaust(tr, live, end=60)
         # Never blocked by a partition or a dead peer: the park entry
         # stays put and the abandonment stands (old semantics).
-        assert tr.abandoned_updates == 4
+        assert tr.stats.abandoned_updates == 4
         assert tr.undeliverable_updates == 4
         assert tr.parked_batches == 1
         assert tr.stats.parked_resent == 0

@@ -116,9 +116,8 @@ class TestReliableTransport:
             tr.begin_pass(t)
             tr.tick(t, live)
         assert tr.unacked_flights == 0
-        assert tr.abandoned_updates == 4
-        assert tr.black_holed_links() == {(0, 1): 4}
         assert tr.stats.abandoned_updates == 4
+        assert tr.black_holed_links() == {(0, 1): 4}
 
     def test_partition_blocks_and_counts(self):
         plan = FaultPlan(FaultSpec(partitions=(Partition(peer_a=0, peer_b=1),)), seed=0)

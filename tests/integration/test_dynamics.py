@@ -43,9 +43,10 @@ class TestChurnResilience:
         sim = P2PPagerankSimulation(g, net, epsilon=1e-3)
         sim.run(availability=FixedFractionChurn(6, 0.5, seed=65), max_passes=2000)
         out_deg = g.out_degrees()
+        stored = np.bincount(sim._stored["sender"], minlength=6)
         for peer in sim.peers:
             bound = int(out_deg[peer.documents].sum())
-            assert peer.deferred_count <= bound
+            assert stored[peer.peer_id] <= bound
 
 
 class TestDocumentLifecycle:

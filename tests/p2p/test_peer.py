@@ -112,32 +112,6 @@ class TestEventDrivenRecompute:
         assert a.published[0] == 1.0
 
 
-class TestDeferral:
-    def test_defer_and_take(self, setup):
-        _, _, a, _ = setup
-        ups = [PagerankUpdate(3, 0, 1.5), PagerankUpdate(5, 2, 1.5)]
-        a.defer(1, ups)
-        assert a.deferred_count == 2
-        taken = a.take_deferred(1)
-        assert taken == ups
-        assert a.deferred_count == 0
-        assert a.take_deferred(1) == []
-
-    def test_newest_value_wins(self, setup):
-        _, _, a, _ = setup
-        a.defer(1, [PagerankUpdate(3, 0, 1.0)])
-        a.defer(1, [PagerankUpdate(3, 0, 2.0)])
-        taken = a.take_deferred(1)
-        assert len(taken) == 1
-        assert taken[0].value == 2.0
-
-    def test_distinct_pairs_coexist(self, setup):
-        _, _, a, _ = setup
-        a.defer(1, [PagerankUpdate(3, 0, 1.0)])
-        a.defer(1, [PagerankUpdate(5, 2, 1.0)])
-        assert a.deferred_count == 2
-
-
 class TestReceiveIdempotence:
     """Satellite: delivery must be idempotent under replay/reorder."""
 
@@ -212,18 +186,17 @@ class TestReceiveIdempotence:
 
 
 class TestCrashVolatile:
-    def test_crash_wipes_outbox_and_deferred_keeps_ranks(self, setup):
+    def test_crash_wipes_outbox_keeps_ranks(self, setup):
         g, peer_of, a, _ = setup
         a.receive(PagerankUpdate(0, 3, 5.0, version=1))
         a.compute_pass(fresh(a), 1e-3, peer_of)
-        a.defer(1, [PagerankUpdate(3, 0, 1.5)])
         staged = len(a.outbox)
         assert staged > 0
         ranks_before = dict(a.rank)
         published_before = dict(a.published)
         lost = a.crash_volatile()
-        assert lost == staged + 1
-        assert len(a.outbox) == 0 and a.deferred_count == 0
+        assert lost == staged
+        assert len(a.outbox) == 0
         assert a.rank == ranks_before
         assert a.published == published_before
 

@@ -1,8 +1,8 @@
 """Property sweep: the simulator's batch grouping keeps its order.
 
-``repro.simulation.engine._batches`` groups a pass's ``(sender,
-dest_peers, updates)`` runs into one batch per (sender, receiver) pair
-with array operations.  Its order is part of a seeded run's identity
+``repro.simulation.engine._batches`` groups a pass's rows (sender,
+receiver, update) into one batch per (sender, receiver) pair with
+array operations.  Its order is part of a seeded run's identity
 (fault injection draws and location caches price batches in it):
 senders in order, each sender's receivers in first-staging order, rows
 in staging order.  The sweep compares it with a plain dict that
@@ -39,6 +39,16 @@ def draw_runs(rng):
     return runs
 
 
+def grouped(runs):
+    """:func:`_batches` over the runs' rows."""
+    senders = np.repeat(
+        np.array([s for s, _, _ in runs], dtype=np.int64),
+        [len(u) for _, _, u in runs],
+    )
+    dests = np.concatenate([d for _, d, _ in runs] or [senders])
+    return _batches(senders, dests, UpdateColumns.concat([u for _, _, u in runs]), PEERS)
+
+
 def reference(runs):
     """``{(sender, receiver): [row ids]}`` in first-appearance order."""
     out = {}
@@ -51,7 +61,7 @@ def reference(runs):
 @pytest.mark.parametrize("seed", range(50))
 def test_batches_match_dict_grouping(seed):
     runs = draw_runs(random.Random(seed))
-    batches = _batches(runs, PEERS)
+    batches = grouped(runs)
     expected = reference(runs)
     assert len(batches) == len(expected)
     pairs = list(zip(batches.senders.tolist(), batches.receivers.tolist()))
@@ -69,7 +79,7 @@ def test_batches_match_dict_grouping(seed):
 def test_no_runs_and_empty_runs_give_no_batches():
     empty = UpdateColumns.empty()
     for runs in ([], [(2, np.empty(0, dtype=np.int64), empty)]):
-        batches = _batches(runs, PEERS)
+        batches = grouped(runs)
         assert len(batches) == 0
         assert batches.offsets.tolist() == [0]
         assert len(batches.updates) == 0
@@ -78,7 +88,7 @@ def test_no_runs_and_empty_runs_give_no_batches():
 def test_one_sender_keeps_first_staging_order_of_receivers():
     dests = np.array([5, 2, 5, 0, 2, 5], dtype=np.int64)
     ids = np.arange(6, dtype=np.int64)
-    batches = _batches([(3, dests, UpdateColumns(ids, ids, ids * 1.0, ids))], PEERS)
+    batches = grouped([(3, dests, UpdateColumns(ids, ids, ids * 1.0, ids))])
     assert batches.senders.tolist() == [3, 3, 3]
     assert batches.receivers.tolist() == [5, 2, 0]
     assert batches.offsets.tolist() == [0, 3, 5, 6]

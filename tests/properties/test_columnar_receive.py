@@ -1,19 +1,22 @@
-"""Property sweep: the columnar receive equals the sequential fold.
+"""Property sweep: the simulator's grouped fold equals per-update receives.
 
-``Peer.receive_batch`` on :class:`~repro.p2p.messages.UpdateColumns`
-folds a whole run of updates with array operations; it must leave
-exactly the state a loop of ``Peer.receive`` calls leaves and report
-the same applied count, and its ``out`` mask must mark exactly the
-updates the loop applied.  Update sequences are drawn with the stdlib
-:mod:`random` generator over 20 seeds and mix every case the version
-rule distinguishes: newer versions, equal-version replays, reordered
-stale versions, sources never heard from (inside and outside the
-peer's in-link neighbourhood), local documents as sources, and one
-source repeated across many targets.  Each case runs as one columnar
-run and split into consecutive runs (the way deferred and retransmitted
-batches reach a receiver), and in the unversioned wire mode, with the
-fold forced on every run; a last sweep keeps ``receive_batch``'s
-length rule, which takes the per-update loop for short runs.
+:class:`~repro.simulation.P2PPagerankSimulation` folds every delivery
+into all its receivers at once (``_deliver``): one stable sort by
+(receiver, source) and a running maximum of versions per group.  It
+must leave exactly the state a loop of ``Peer.receive`` calls leaves,
+row by row in row order, on a twin set of peers, and its applied mask
+must mark exactly the rows the loop applied.  The view must then hold,
+on every edge ``s -> d``, what ``d``'s owner sees of ``s``.
+
+Deliveries are drawn with the stdlib :mod:`random` generator over 20
+seeds.  They mix every case the version rule distinguishes, across five
+receivers: newer versions, equal-version replays, reordered stale
+versions, sources never heard from, sources in the receiver's in-link
+neighbourhood, the receiver's own documents as sources, and one hot
+source repeated across many receivers and targets.  Each draw is
+delivered as one call or split into consecutive calls (the way step 1's
+resend and step 3's exchange reach a receiver in one pass), with the
+receivers' rows interleaved or grouped by receiver as batches arrive.
 """
 
 import random
@@ -22,28 +25,43 @@ import numpy as np
 import pytest
 
 from repro.graphs import broder_graph
-from repro.p2p import PagerankUpdate, Peer
-from repro.p2p import peer as peer_module
+from repro.p2p import DocumentPlacement, P2PNetwork, PagerankUpdate, Peer
 from repro.p2p.messages import UpdateColumns
+from repro.simulation import P2PPagerankSimulation
 
 SEEDS = range(20)
-DOCS = 80
+DOCS, PEERS = 80, 5
 
 
-def draw_run(rng, graph, local, length):
-    """A run of updates addressed to ``local`` documents."""
-    in_sources = sorted(
-        {int(s) for d in local for s in graph.in_links(d)} - set(local)
-    )
-    strangers = [d for d in range(DOCS) if d not in local and d not in in_sources]
-    pool = in_sources * 3 + strangers + list(local)
-    hot = rng.choice(in_sources or pool)
-    run = []
+def network(seed):
+    """A simulator ready to deliver, twin peers and a generator."""
+    graph = broder_graph(DOCS, seed=seed)
+    placement = DocumentPlacement.random(DOCS, PEERS, seed=seed)
+    sim = P2PPagerankSimulation(graph, P2PNetwork(PEERS, placement, build_ring=False))
+    sim._index_cross_edges()
+    twins = [Peer(p.peer_id, p.documents, graph) for p in sim.peers]
+    return graph, sim, twins, random.Random(seed)
+
+
+def draw_rows(rng, graph, sim, length, *, interleaved=True):
+    """``(receivers, updates)`` rows of one draw."""
+    hot = rng.randrange(DOCS)
+    receivers, run = [], []
     for _ in range(length):
-        source = hot if rng.random() < 0.25 else rng.choice(pool)
+        r = rng.randrange(PEERS)
+        target = rng.choice(sim.peers[r].documents.tolist() or [0])
+        in_links = graph.in_links(target).tolist()
+        roll = rng.random()
+        if roll < 0.25:
+            source = hot
+        elif roll < 0.75 and in_links:
+            source = rng.choice(in_links)
+        else:
+            source = rng.randrange(DOCS)
+        receivers.append(r)
         run.append(
             PagerankUpdate(
-                target_doc=rng.choice(local),
+                target_doc=target,
                 source_doc=source,
                 value=rng.choice([0.5, 1.0, 1.5]) + rng.random(),
                 version=rng.randint(0, 6),
@@ -51,98 +69,102 @@ def draw_run(rng, graph, local, length):
         )
     # Replay a few rows verbatim and a few with a stale, lower version.
     for _ in range(length // 5):
-        u = rng.choice(run)
-        run.insert(rng.randrange(len(run) + 1), u)
-        run.insert(
-            rng.randrange(len(run) + 1),
-            PagerankUpdate(u.target_doc, u.source_doc, u.value + 1.0, max(0, u.version - 1)),
+        i = rng.randrange(len(run))
+        r, u = receivers[i], run[i]
+        stale = PagerankUpdate(
+            u.target_doc, u.source_doc, u.value + 1.0, max(0, u.version - 1)
         )
-    return run
+        for row in (u, stale):
+            at = rng.randrange(len(run) + 1)
+            run.insert(at, row)
+            receivers.insert(at, r)
+    if not interleaved:
+        by_receiver = sorted(range(len(run)), key=receivers.__getitem__)
+        receivers = [receivers[i] for i in by_receiver]
+        run = [run[i] for i in by_receiver]
+    return receivers, run
 
 
-def twin_peers(seed, *, honor_versions):
-    graph = broder_graph(DOCS, seed=seed)
-    rng = random.Random(seed)
-    local = sorted(rng.sample(range(DOCS), 12))
-    peers = [
-        Peer(0, local, graph, honor_versions=honor_versions) for _ in range(2)
-    ]
-    return graph, local, peers, rng
+def replay(twins, receivers, run):
+    """The sequential fold: one ``Peer.receive`` per row, in order."""
+    return [twins[r].receive(u) for r, u in zip(receivers, run)]
 
 
-def assert_same_state(a, b):
-    assert a.remote_values == b.remote_values
-    assert a._remote_versions == b._remote_versions
+def deliver(sim, receivers, run, cuts=None):
+    """Fold the rows into the simulator, one ``_deliver`` per cut."""
+    cuts = cuts or [0, len(run)]
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        applied = sim._deliver(
+            np.array(receivers[lo:hi], dtype=np.int64),
+            UpdateColumns.from_updates(run[lo:hi]),
+        )
+        out.extend(applied.tolist())
+    return out
 
 
-@pytest.fixture
-def fold_every_run(monkeypatch):
-    """Make ``receive_batch`` fold every run in columns, however short."""
-    monkeypatch.setattr(peer_module, "_COLUMNAR_MIN_ROWS", 1)
+def assert_same_state(sim, twins):
+    for peer, twin in zip(sim.peers, twins):
+        assert peer.remote_values == twin.remote_values
+        assert peer._remote_versions == twin._remote_versions
+    src = np.repeat(np.arange(DOCS), sim.graph.out_degrees())
+    owners = sim._peer_of[sim.graph.indices]
+    truth = [sim.peers[o].visible_value(s) for o, s in zip(owners.tolist(), src.tolist())]
+    assert sim.view.tolist() == truth
 
 
-@pytest.mark.parametrize("honor_versions", [True, False])
+@pytest.mark.parametrize("interleaved", [True, False])
 @pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_columnar_receive_matches_sequential_fold(
-    seed, chunked, honor_versions, fold_every_run
-):
-    graph, local, (seq, col), rng = twin_peers(seed, honor_versions=honor_versions)
-    # Several rounds, so held versions from earlier runs gate later ones.
+def test_columnar_receive_matches_sequential_fold(seed, chunked, interleaved):
+    graph, sim, twins, rng = network(seed)
+    # Several rounds, so held versions from earlier deliveries gate
+    # later ones.
     for length in (rng.randint(1, 8), rng.randint(20, 60), rng.randint(60, 150)):
-        run = draw_run(rng, graph, local, length)
-        applied = [seq.receive(u) for u in run]
-        expected = sum(applied)
+        receivers, run = draw_rows(rng, graph, sim, length, interleaved=interleaved)
+        expected = replay(twins, receivers, run)
         cuts = [0, len(run)]
         if chunked:
             cuts[1:1] = sorted(rng.choices(range(len(run) + 1), k=3))
-        out = np.ones(len(run), dtype=bool)
-        got = sum(
-            col.receive_batch(UpdateColumns.from_updates(run[lo:hi]), out[lo:hi])
-            for lo, hi in zip(cuts, cuts[1:])
-        )
-        assert got == expected
-        assert out.tolist() == applied
-        assert_same_state(seq, col)
+        assert deliver(sim, receivers, run, cuts) == expected
+        assert_same_state(sim, twins)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_columnar_and_scalar_receives_interleave(seed, fold_every_run):
-    """Mixing scalar and columnar receives on one peer leaves the state
-    the scalar loop leaves: each path reads the version floors the
-    other wrote."""
-    graph, local, (seq, mixed), rng = twin_peers(seed, honor_versions=True)
+def test_columnar_and_scalar_receives_interleave(seed):
+    """Rows received one at a time through ``Peer.receive`` on the
+    simulator's own peers, then folded: the fold reads the version
+    floors the scalar path wrote."""
+    graph, sim, twins, rng = network(seed)
     for _ in range(4):
-        run = draw_run(rng, graph, local, rng.randint(10, 40))
+        receivers, run = draw_rows(rng, graph, sim, rng.randint(10, 40))
         cut = rng.randrange(len(run))
-        expected = sum(seq.receive(u) for u in run)
-        got = sum(mixed.receive(u) for u in run[:cut])
-        got += mixed.receive_batch(UpdateColumns.from_updates(run[cut:]))
+        expected = replay(twins, receivers, run)
+        got = [sim.peers[r].receive(u) for r, u in zip(receivers[:cut], run[:cut])]
+        got += deliver(sim, receivers[cut:], run[cut:])
         assert got == expected
-        assert_same_state(seq, mixed)
+        for peer, twin in zip(sim.peers, twins):
+            assert peer.remote_values == twin.remote_values
+            assert peer._remote_versions == twin._remote_versions
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_length_rule_matches_sequential_fold(seed):
-    """With its default length rule ``receive_batch`` folds long runs in
-    columns and short ones one update at a time; either way it leaves
-    the sequential fold's state, count and applied mask."""
-    graph, local, (seq, col), rng = twin_peers(seed, honor_versions=True)
+    """One rule for every delivery length: many short deliveries, one
+    row up to a few dozen, fold like the sequential loop."""
+    graph, sim, twins, rng = network(seed)
     for _ in range(6):
-        run = draw_run(rng, graph, local, rng.randint(1, 60))
-        cuts = [0] + sorted(rng.choices(range(len(run) + 1), k=2)) + [len(run)]
-        applied = [seq.receive(u) for u in run]
-        out = np.ones(len(run), dtype=bool)
-        got = sum(
-            col.receive_batch(UpdateColumns.from_updates(run[lo:hi]), out[lo:hi])
-            for lo, hi in zip(cuts, cuts[1:])
-        )
-        assert got == sum(applied)
-        assert out.tolist() == applied
-        assert_same_state(seq, col)
+        receivers, run = draw_rows(rng, graph, sim, rng.randint(1, 60))
+        cuts = sorted({0, len(run), *rng.choices(range(len(run) + 1), k=8)})
+        expected = replay(twins, receivers, run)
+        assert deliver(sim, receivers, run, cuts) == expected
+        assert_same_state(sim, twins)
 
 
 def test_empty_run_applies_nothing():
-    _, _, (peer, _), _ = twin_peers(0, honor_versions=True)
-    assert peer.receive_batch(UpdateColumns.empty()) == 0
-    assert peer.remote_values == {}
+    _, sim, _, _ = network(0)
+    view = sim.view.copy()
+    applied = sim._deliver(np.empty(0, dtype=np.int64), UpdateColumns.empty())
+    assert applied.size == 0
+    assert all(p.remote_values == {} for p in sim.peers)
+    assert np.array_equal(sim.view, view)
