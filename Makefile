@@ -76,11 +76,13 @@ sanitize-smoke:
 # history, no copies in the one-shard runner), the linear and
 # personalized solves and dead passes on the same step, the pinned
 # traffic of the vectorized engine, the protocol simulator and the
-# reliable transport, plus the 20-seed property sweeps
-# (docs/PERFORMANCE.md "Sharded execution model").  The CI
+# reliable transport, the protocol simulator's parity with the other
+# engines, its re-homing round trip and its §3.1 store, plus the
+# 20-seed property sweeps (docs/PERFORMANCE.md "Sharded execution
+# model").  The CI
 # parallel-smoke job runs the same line.
 parallel-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_parallel_vs_serial.py tests/differential/test_kernel_parity.py tests/properties tests/core/test_linear.py tests/core/test_personalized.py tests/integration/test_dead_passes.py tests/regression/test_engine_traffic.py tests/regression/test_simulator_traffic.py tests/regression/test_fault_traffic.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_parallel_vs_serial.py tests/differential/test_kernel_parity.py tests/properties tests/core/test_linear.py tests/core/test_personalized.py tests/integration/test_dead_passes.py tests/regression/test_engine_traffic.py tests/regression/test_simulator_traffic.py tests/regression/test_fault_traffic.py tests/differential/test_engines_equal.py tests/differential/test_invariants.py tests/simulation -q
 
 # Query-serving smoke: a 30-unit deterministic serving run with the
 # invariant probes (conservation, no silent drops, bounded queues) and

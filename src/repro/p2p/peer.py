@@ -15,15 +15,16 @@ document's new rank at once and hands each peer its rows:
 :meth:`Peer.compute_pass` gates publishes with one vectorized ε-mask
 and stages the whole pass's remote updates as
 :class:`~repro.p2p.messages.UpdateColumns`.  The simulator owns its
-network's message state: it folds received rows into every peer's
-version maps in one grouped pass and keeps the §3.1 store of updates
-for absent receivers.  The asynchronous runtime (:mod:`repro.runtime`)
+network's message state: one table of what every peer has heard from
+remote documents, folded in one grouped pass per delivery, and the
+§3.1 store of updates for absent receivers; its peers keep their own
+documents' state only.  The asynchronous runtime (:mod:`repro.runtime`)
 drives the per-document path instead (:meth:`Peer.recompute_document`,
 :meth:`Peer.receive` on :class:`~repro.p2p.messages.PagerankUpdate`
-objects), where batches are a handful of updates.  Every
-multi-document staging (a pass's publishes, the crash-recovery
-republishes) goes through one columnar out-link helper; a single
-document stages its few out-links with a plain loop.  The differential
+objects into :attr:`Peer.remote_values`), where batches are a handful
+of updates.  Every multi-document staging (a pass's publishes, the
+crash-recovery republishes) goes through one columnar out-link helper;
+a single document stages its few out-links with a plain loop.  The differential
 suites cross-validate the simulator and the runtime against the
 vectorized engine bit for bit.
 """
@@ -31,7 +32,7 @@ vectorized engine bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -113,7 +114,9 @@ class Peer:
         self.rank: Dict[int, float] = {int(d): self.init_rank for d in self.documents}
         #: Last value each local document exposed to its consumers.
         self.published: Dict[int, float] = dict(self.rank)
-        #: Last received value per remote in-linking document.
+        #: Last received value per remote in-linking document (the
+        #: runtime's receive path; the pass simulator keeps its peers'
+        #: received values in one table of its own).
         self.remote_values: Dict[int, float] = {}
         #: Version of the value held in :attr:`remote_values`.
         self._remote_versions: Dict[int, int] = {}
@@ -417,36 +420,6 @@ class Peer:
             self._local.discard(doc)
         self.documents = np.asarray(sorted(self._local), dtype=np.int64)
         return state
-
-    def export_inlink_knowledge(self, docs) -> UpdateColumns:
-        """Package this peer's view of ``docs``' in-link sources.
-
-        A migrating document is worthless without the contribution
-        values it was being computed from; re-homing sends these along
-        as ordinary versioned updates so the new owner merges them
-        under the standard newest-wins rule.  Sources this peer has
-        never heard from are omitted (the receiver keeps its own view
-        or the protocol initial value).
-        """
-        updates: List[PagerankUpdate] = []
-        for doc in docs:
-            doc = int(doc)
-            for src in self.graph.in_links(doc):
-                src = int(src)
-                if src in self._local:
-                    value = self.published[src]
-                    version = self._publish_version.get(src, 0)
-                elif src in self.remote_values:
-                    value = self.remote_values[src]
-                    version = self._remote_versions.get(src, 0)
-                else:
-                    continue
-                updates.append(
-                    PagerankUpdate(
-                        target_doc=doc, source_doc=src, value=value, version=version
-                    )
-                )
-        return UpdateColumns.from_updates(updates)
 
     def adopt_documents(self, state: Dict[int, tuple]) -> None:
         """Take over documents surrendered by another peer.

@@ -7,8 +7,8 @@ This package makes crash recovery a first-class, testable subsystem
 for the asynchronous runtime (docs/PROTOCOL.md §15):
 
 * **Durability** — :class:`WriteAheadLog` records every durable
-  mutation's *inputs* (received update batches, recompute targets,
-  document adoptions/surrenders) so replay re-runs the identical
+  mutation's *inputs* (received update batches, recompute targets)
+  so replay re-runs the identical
   floating-point operation sequence; :class:`PeerSnapshot` captures a
   compacted checkpoint; :class:`PeerJournal` ties both to a live peer
   with checkpoint-plus-tail compaction, and its replay is bitwise

@@ -20,7 +20,7 @@ so restart cost is bounded by the interval, not the run length
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,28 +145,6 @@ class PeerJournal:
         self._maybe_compact()
         return result
 
-    def apply_adopt(self, state: Dict[int, tuple]) -> None:
-        """Journal and apply a document adoption (re-homing)."""
-        self.wal.append(
-            WalRecord(
-                kind="adopt",
-                payload=tuple(
-                    (int(doc), float(rank), float(published), int(version))
-                    for doc, (rank, published, version) in sorted(state.items())
-                ),
-            )
-        )
-        self.peer.adopt_documents(state)
-        self._maybe_compact()
-
-    def apply_surrender(self, docs: Iterable[int]) -> Dict[int, tuple]:
-        """Journal and apply a document surrender (re-homing)."""
-        docs = sorted(int(d) for d in docs)
-        self.wal.append(WalRecord(kind="drop", payload=tuple(docs)))
-        state = self.peer.surrender_documents(docs)
-        self._maybe_compact()
-        return state
-
     # ------------------------------------------------------------------
     # Compaction and replay
     # ------------------------------------------------------------------
@@ -207,15 +185,6 @@ class PeerJournal:
                     self.peer_of,
                     gate=self.gate,
                 )
-            elif record.kind == "adopt":
-                peer.adopt_documents(
-                    {
-                        doc: (rank, published, version)
-                        for doc, rank, published, version in record.payload
-                    }
-                )
-            elif record.kind == "drop":
-                peer.surrender_documents(list(record.payload))
             replayed += 1
         # Replay re-stages publishes; those sends already happened (or
         # died) in the original timeline — recovery republishes instead.

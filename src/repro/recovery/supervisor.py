@@ -10,8 +10,10 @@ times it must visit so detection latency and downtime are part of the
 reproducible VirtualClock timeline (docs/PROTOCOL.md §15.3–§15.4).
 
 The actual crash/restart mechanics (wiping volatile state, WAL replay,
-re-publish anti-entropy) live in
-:class:`~repro.runtime.runtime.AsyncPeerRuntime`; the supervisor is
+and the anti-entropy of every restart: the recovered peer and its live
+neighbours re-publish, and the neighbours forgive their spent flights
+toward it) live in :class:`~repro.runtime.runtime.AsyncPeerRuntime`;
+the supervisor is
 pure bookkeeping so it can be unit-tested without an event loop.
 ``recovery.*`` metrics (docs/OBSERVABILITY.md §10) are emitted here
 and by the soak harness.
@@ -112,10 +114,6 @@ class RecoveryConfig:
     phi_threshold:
         Optional phi-accrual suspicion threshold (None = hard timeout
         only; docs/PROTOCOL.md §15.3).
-    neighbor_republish:
-        After a restart, have live peers re-publish their current
-        values toward the recovered peer and forgive abandoned flights
-        (anti-entropy catch-up, docs/PROTOCOL.md §15.4).
     verify_replay_on_crash:
         At every crash, check that WAL+snapshot replay reproduces the
         crashed peer's durable state bitwise (cheap; the §15.1
@@ -128,7 +126,6 @@ class RecoveryConfig:
     snapshot_interval: int = 256
     heartbeat_timeout_passes: float = 2.0
     phi_threshold: Optional[float] = None
-    neighbor_republish: bool = True
     verify_replay_on_crash: bool = True
     wal_dir: Optional[str] = None
 

@@ -6,8 +6,7 @@ only guarantees convergence under restarts if a recovered peer resumes
 from *consistent* local state.  The WAL is how that state survives: a
 :class:`WriteAheadLog` records every durable mutation of a
 :class:`~repro.p2p.peer.Peer` — applied update batches, event-driven
-recomputes, document adoptions and surrenders — as one
-:class:`WalRecord` per mutation, in apply order.  Replaying the log
+and event-driven recomputes — as one :class:`WalRecord` per mutation, in apply order.  Replaying the log
 against a fresh peer (see :mod:`repro.recovery.journal`) re-executes
 the *same* float operations in the *same* order and therefore
 reproduces the pre-crash durable state bitwise — the property the
@@ -22,11 +21,6 @@ Record format (docs/PROTOCOL.md §15.1):
 ``comp``
     One event-driven recompute, payload ``doc`` — replay re-runs
     ``Peer.recompute_document`` with the run's fixed parameters.
-``adopt``
-    Documents taken over from another peer, payload ``{doc: (rank,
-    published, publish_version)}``.
-``drop``
-    Documents surrendered, payload ``[doc, ...]``.
 
 The log is in-memory by default; give it a ``path`` to mirror every
 record to a JSON-lines file (floats serialise via ``repr`` and
@@ -42,8 +36,8 @@ from typing import IO, Iterator, List, Optional, Tuple
 
 __all__ = ["WalRecord", "WriteAheadLog", "RECORD_KINDS"]
 
-#: The four durable-mutation record kinds (docs/PROTOCOL.md §15.1).
-RECORD_KINDS = ("recv", "comp", "adopt", "drop")
+#: The durable-mutation record kinds (docs/PROTOCOL.md §15.1).
+RECORD_KINDS = ("recv", "comp")
 
 
 @dataclass(frozen=True)
@@ -56,9 +50,7 @@ class WalRecord:
         One of :data:`RECORD_KINDS`.
     payload:
         ``recv`` — tuple of ``(target, source, value, version)``
-        tuples; ``comp`` — the document id; ``adopt`` — tuple of
-        ``(doc, rank, published, publish_version)`` tuples; ``drop`` —
-        tuple of document ids.
+        tuples; ``comp`` — the document id.
     """
 
     kind: str
@@ -88,12 +80,6 @@ class WalRecord:
             )
         elif kind == "comp":
             payload = int(payload)
-        elif kind == "adopt":
-            payload = tuple(
-                (int(d), float(r), float(p), int(ver)) for d, r, p, ver in payload
-            )
-        elif kind == "drop":
-            payload = tuple(int(d) for d in payload)
         return cls(kind=kind, payload=payload)
 
 

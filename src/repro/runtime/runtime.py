@@ -607,18 +607,19 @@ class AsyncPeerRuntime:
         if staged:
             sup.instruments.republished.inc(staged)
             node.flush_outbox(now)
-        if self._recovery.neighbor_republish:
-            for other in self.nodes:
-                opid = other.peer.peer_id
-                if opid == pid or sup.is_down(opid):
-                    continue
-                refreshed = other.peer.republish_to(pid, self._peer_of)
-                if refreshed:
-                    sup.instruments.republished.inc(refreshed)
-                    other.flush_outbox(now)
-                healed = other.tracker.forgive(pid)
-                if healed:
-                    sup.instruments.healed.inc(healed)
+        # Live peers re-publish toward it and forgive the spent flights
+        # they hold for it (anti-entropy catch-up, docs/PROTOCOL.md §15.4).
+        for other in self.nodes:
+            opid = other.peer.peer_id
+            if opid == pid or sup.is_down(opid):
+                continue
+            refreshed = other.peer.republish_to(pid, self._peer_of)
+            if refreshed:
+                sup.instruments.republished.inc(refreshed)
+                other.flush_outbox(now)
+            healed = other.tracker.forgive(pid)
+            if healed:
+                sup.instruments.healed.inc(healed)
 
     # ------------------------------------------------------------------
     # Free-running mode

@@ -15,15 +15,18 @@ documents' rows, gates them by ε and stages its whole pass as
 :class:`~repro.p2p.messages.UpdateColumns`; the pass's rows are grouped
 into one :class:`~repro.p2p.messages.BatchColumns` batch per (sender,
 receiver) pair, senders in order.  The simulator owns the network's
-message state.  Lossless, batches for absent receivers go to one §3.1
-store table for all peers and are resent in a later pass; with a fault
-plan every batch becomes a flight of the reliable transport.  Every
-update that reaches a peer — a fresh batch, a resend, a transport copy,
-or the knowledge a re-homed document carries — goes through one
-delivery step: one grouped fold over all receivers applies what
-:meth:`~repro.p2p.peer.Peer.receive` would, row by row, and the last
-applied row per (receiver, source) is written on every cross-peer edge
-from that source into the receiver's documents.  The view therefore
+message state, and its peers keep only their own documents' state.
+Lossless, batches for absent receivers go to one §3.1 store table for
+all peers and are resent in a later pass; with a fault plan every batch
+becomes a flight of the reliable transport.  What every peer has heard
+is one table too: a row per (receiver, source) with the newest value
+and its version.  Every update that reaches a peer — a fresh batch, a
+resend, a transport copy, or the knowledge a re-homed document carries,
+read from that table — goes through one delivery step: one grouped fold
+over all receivers applies to the table what
+:meth:`~repro.p2p.peer.Peer.receive` would apply to a peer, row by row,
+and the last applied row per (receiver, source) is written on every
+cross-peer edge from that source into the receiver's documents.  The view therefore
 changes only at a publish, an applied update or a §3.1 migration.
 Network deliveries add the traffic accounting around that step (dirty
 marks, hop pricing, one §4.6.1 batch per delivered copy).
@@ -67,6 +70,11 @@ __all__ = ["P2PPagerankSimulation", "TrafficSummary"]
 _STORED = np.dtype(
     [("sender", np.int64), ("receiver", np.int64), ("opened", np.int64)]
 )
+
+#: One row of what the peers have heard: ``receiver * N + source`` (N
+#: documents) and the newest value the receiver holds of the source, at
+#: its version.
+_HEARD = np.dtype([("key", np.int64), ("value", np.float64), ("version", np.int64)])
 
 
 def _batches(
@@ -319,8 +327,11 @@ class P2PPagerankSimulation:
         # recompute (absent owners); blocks premature convergence.
         self._dirty = np.zeros(graph.num_nodes, dtype=bool)
         #: ``view[e]`` for forward edge ``e = (s -> d)`` (``graph.indices``
-        #: order) is ``peers[owner(d)].visible_value(s)``.
+        #: order) is what ``owner(d)`` sees of ``s`` (:meth:`_visible`).
         self.view = np.full(graph.indices.size, self.init_rank)
+        # What every peer has heard of remote documents, sorted by key
+        # over a sentinel row past every key.
+        self._heard = np.array([(np.iinfo(np.int64).max, 0.0, 0)], dtype=_HEARD)
         # The §3.1 store: rows held for absent receivers, and their
         # updates.
         self._stored = np.empty(0, dtype=_STORED)
@@ -591,43 +602,42 @@ class P2PPagerankSimulation:
             return self.transport.unacked_updates
         return len(self._stored_updates)
 
+    def _find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of the heard table at ``keys`` (``receiver * N +
+        source``), and which keys it holds: the sentinel past the last
+        key keeps every position inside the table."""
+        at = np.searchsorted(self._heard["key"], keys)
+        return at, self._heard["key"][at] == keys
+
     def _deliver(self, receivers: np.ndarray, updates: UpdateColumns) -> np.ndarray:
         """Fold rows into their receivers (``receivers[i]`` gets row
         ``i``) and write the view.  Returns which rows mutated receiver
         state.
 
-        One grouped pass over all receivers leaves the state that
-        :meth:`Peer.receive` leaves, one row at a time in row order.
-        Rows are grouped by (receiver, source) with a stable sort.  A row
-        applies iff its version exceeds the group's floor (the version
-        the receiver holds, or one below it for a source never heard
-        from) and every earlier version in the group: a running maximum.
-        The last applied row per group is what the receiver keeps, and
-        its value goes on every cross-peer edge from the source into the
-        receiver's documents: a peer sees a source at one value, not
-        only on the edges the updates addressed.  (The simulator's peers
-        honour versions.)"""
+        One grouped pass over all receivers leaves the heard table as
+        :meth:`Peer.receive` leaves a peer's version maps, one row at a
+        time in row order.  Rows are grouped by (receiver, source) with a
+        stable sort.  A row applies iff its version exceeds the group's
+        floor (the version the receiver holds, or -2 for a source never
+        heard from, which any version from -1 up beats) and every earlier
+        version in the group: a running maximum.  The last applied row
+        per group is what the receiver keeps, and its value goes on
+        every cross-peer edge from the source into the receiver's
+        documents: a peer sees a source at one value, not only on the
+        edges the updates addressed."""
         n = receivers.size
         applied = np.zeros(n, dtype=bool)
         if not n:
             return applied
-        num_docs = self.graph.num_nodes
-        keys = receivers * num_docs + updates.source
+        keys = receivers * self.graph.num_nodes + updates.source
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         head = np.empty(n, dtype=bool)
         head[0] = True
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
         starts = np.flatnonzero(head)
-        held = [p._remote_versions for p in self.peers]
-        heard = [p.remote_values for p in self.peers]
-        floor = np.array(
-            [
-                held[r].get(s, -1) - (s not in heard[r])
-                for r, s in zip(*(a.tolist() for a in np.divmod(keys[starts], num_docs)))
-            ],
-            dtype=np.int64,
-        )
+        at, known = self._find(keys[starts])
+        floor = np.where(known, self._heard["version"][at], -2)
         # Offset group g by g * span so one running maximum over all
         # rows never carries from one group into the next.
         ver = updates.version[order]
@@ -647,7 +657,7 @@ class P2PPagerankSimulation:
         running[1:] = running[:-1]
         running[starts] = floor
         rows = np.flatnonzero(ver > running)
-        del ver, running, floor, starts
+        del ver, running, floor, starts, at, known
         if not rows.size:
             return applied
         applied[order[rows]] = True
@@ -658,18 +668,18 @@ class P2PPagerankSimulation:
         keys = keys[last]
         win = order[rows[last]]
         del order, rows, last
-        values = updates.value[win]
-        for r, s, value, version in zip(
-            *(a.tolist() for a in np.divmod(keys, num_docs)),
-            values.tolist(),
-            updates.version[win].tolist(),
-        ):
-            heard[r][s] = value
-            held[r][s] = version
+        kept = np.empty(keys.size, dtype=_HEARD)
+        kept["key"], kept["value"], kept["version"] = (
+            keys, updates.value[win], updates.version[win]
+        )
+        at, known = self._find(keys)
+        self._heard[at[known]] = kept[known]
+        if not known.all():
+            self._heard = np.insert(self._heard, at[~known], kept[~known])
         lo = np.searchsorted(self._cross_keys, keys)
         lens = np.searchsorted(self._cross_keys, keys, "right") - lo
         pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        self.view[self._cross_edges[pos]] = np.repeat(values, lens)
+        self.view[self._cross_edges[pos]] = np.repeat(kept["value"], lens)
         return applied
 
     def _deliver_copies(self, copies: BatchColumns) -> np.ndarray:
@@ -793,6 +803,39 @@ class P2PPagerankSimulation:
         dests = np.concatenate([d for d, _ in runs] or [senders])
         return senders, dests, UpdateColumns.concat([u for _, u in runs])
 
+    def _visible(
+        self, owners: np.ndarray, sources: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What each owner sees of each source, as ``(value, version,
+        known)``: a co-located source's published value at its publish
+        version, else the newest value the owner heard.  ``known`` is
+        False where the owner never heard from a remote source."""
+        at, known = self._find(owners * self.graph.num_nodes + sources)
+        value = self._heard["value"][at]
+        version = self._heard["version"][at]
+        co = np.flatnonzero(self._peer_of[sources] == owners)
+        for i, o, s in zip(co.tolist(), owners[co].tolist(), sources[co].tolist()):
+            value[i] = self.peers[o].published[s]
+            version[i] = self.peers[o]._publish_version.get(s, 0)
+        known[co] = True
+        return value, version, known
+
+    def _knowledge(self, holder: int, docs: np.ndarray) -> UpdateColumns:
+        """``holder``'s view of ``docs``' in-link sources, as versioned
+        updates in document then in-link order.  A migrating document is
+        worthless without the values it was computed from; re-homing
+        delivers these to the new owner under the newest-wins rule.
+        Sources ``holder`` never heard from are left out (the receiver
+        keeps its own view or the initial value)."""
+        rev = self.graph.reverse()
+        pos, lens = expand_rows(rev.indptr, docs)
+        source = rev.indices[pos]
+        value, version, known = self._visible(np.full(source.size, holder), source)
+        return UpdateColumns(
+            target=np.repeat(docs, lens)[known], source=source[known],
+            value=value[known], version=version[known],
+        )
+
     def _rehome(self, live: np.ndarray) -> None:
         """Move documents off long-absent peers and back home on return."""
         from repro.p2p.guid import document_guid
@@ -804,22 +847,22 @@ class P2PPagerankSimulation:
 
         # Evacuate: peers absent for too long surrender everything —
         # document state plus the in-link knowledge it was computed
-        # from (exported before surrendering, since sources may be
+        # from (taken before surrendering, since sources may be
         # co-migrating local documents).
         for peer in self.peers:
             pid = peer.peer_id
             if self._absence[pid] < threshold or peer.documents.size == 0:
                 continue
-            docs = peer.documents.tolist()
-            knowledge = peer.export_inlink_knowledge(docs)
+            docs = peer.documents
+            knowledge = self._knowledge(pid, docs)
             state = peer.surrender_documents(docs)
-            for doc in docs:
+            for doc in docs.tolist():
                 new_owner = ring.owner_excluding(document_guid(doc), dead)
                 self.peers[new_owner].adopt_documents({doc: state[doc]})
                 self._peer_of[doc] = new_owner
             self._deliver(self._peer_of[knowledge.target], knowledge)
             self._dirty[docs] = True  # new owners owe a recompute
-            self.traffic.migrations += len(docs)
+            self.traffic.migrations += docs.size
 
         # Return home: a reappeared peer re-acquires its documents.
         for pid in np.flatnonzero(live):
@@ -829,11 +872,10 @@ class P2PPagerankSimulation:
             strayed = np.flatnonzero(
                 (self._home_peer == pid) & (self._peer_of != pid)
             )
-            for doc in strayed:
-                doc = int(doc)
-                holder = self.peers[int(self._peer_of[doc])]
-                knowledge = holder.export_inlink_knowledge([doc])
-                state = holder.surrender_documents([doc])
+            for doc in strayed.tolist():
+                holder = int(self._peer_of[doc])
+                knowledge = self._knowledge(holder, np.array([doc]))
+                state = self.peers[holder].surrender_documents([doc])
                 self.peers[pid].adopt_documents(state)
                 self._deliver(np.full(len(knowledge), pid), knowledge)
                 self._peer_of[doc] = pid
@@ -848,11 +890,8 @@ class P2PPagerankSimulation:
             self._index_cross_edges()
             ws = self._workspace
             pos = np.flatnonzero(moved[ws.src] | moved[ws.dst])
-            owners = self._peer_of[ws.dst[pos]].tolist()
-            self.view[pos] = [
-                self.peers[o].visible_value(src)
-                for o, src in zip(owners, ws.src[pos].tolist())
-            ]
+            value, _, known = self._visible(self._peer_of[ws.dst[pos]], ws.src[pos])
+            self.view[pos] = np.where(known, value, self.init_rank)
 
     def _charge_hops(self, sender_peer: int, targets: List[int]) -> None:
         if self.delivery_policy is None:

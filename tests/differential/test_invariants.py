@@ -11,7 +11,8 @@ seed, not just the golden ones:
 * **migration preserves state** — surrendering documents to another
   peer and adopting them moves the (rank, published, version) tuples
   without perturbing a single bit, so the global rank multiset is
-  unchanged by re-homing;
+  unchanged by re-homing, and a simulator re-homing round trip leaves
+  the network computing what it would have computed without it;
 * **zero-rate fault plans draw no randomness** — a ``FaultPlan`` whose
   spec injects nothing must never advance its RNG, so adding an inert
   plan cannot perturb a seeded run.
@@ -23,8 +24,9 @@ import pytest
 from repro.core import ChaoticPagerank
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs import LinkGraph, broder_graph
-from repro.p2p import DocumentPlacement
+from repro.p2p import DocumentPlacement, P2PNetwork
 from repro.p2p.peer import Peer
+from repro.simulation import P2PPagerankSimulation
 
 DAMPING = 0.85
 
@@ -114,37 +116,47 @@ class TestMigrationPreservesState:
         before = self._rank_multiset(peers)
         donor, taker = peers[0], peers[1]
         docs = [int(d) for d in donor.documents[: max(1, donor.documents.size // 2)]]
-        knowledge = donor.export_inlink_knowledge(docs)
-        state = donor.surrender_documents(docs)
-        taker.adopt_documents(state)
-        taker.receive_batch(knowledge)
+        taker.adopt_documents(donor.surrender_documents(docs))
         after = self._rank_multiset(peers)
         assert before == after, "migration changed the global rank multiset"
         assert all(taker.owns(d) for d in docs)
         assert not any(donor.owns(d) for d in docs)
 
+    @staticmethod
+    def _simulation(seed):
+        n, num_peers = 240, 6
+        graph = broder_graph(n, seed=seed)
+        placement = DocumentPlacement.random(n, num_peers, seed=seed + 1)
+        sim = P2PPagerankSimulation(
+            graph, P2PNetwork(num_peers, placement), epsilon=1e-4, rehoming_after=1
+        )
+        sim.run(max_passes=3)  # non-trivial ranks, versions and knowledge
+        return sim
+
     @pytest.mark.parametrize("seed", range(4))
     def test_migrated_docs_keep_computing_identically(self, seed):
-        """After a migration round-trip the peer set computes the same
-        values it would have without the detour."""
-        peers_a, peer_of_a = self._peers(seed)
-        peers_b, peer_of_b = self._peers(seed)
-        # Round-trip half of peer 0's documents through peer 1 in B.
-        donor, taker = peers_b[0], peers_b[1]
-        docs = [int(d) for d in donor.documents[: donor.documents.size // 2]]
-        if docs:
-            knowledge = donor.export_inlink_knowledge(docs)
-            state = donor.surrender_documents(docs)
-            taker.adopt_documents(state)
-            taker.receive_batch(knowledge)
-            knowledge = taker.export_inlink_knowledge(docs)
-            state = taker.surrender_documents(docs)
-            donor.adopt_documents(state)
-            donor.receive_batch(knowledge)
-        for group, peer_of in ((peers_a, peer_of_a), (peers_b, peer_of_b)):
-            for peer in group:
-                peer.compute_pass(fresh_ranks(peer), 1e-4, peer_of)
-        assert self._rank_multiset(peers_a) == self._rank_multiset(peers_b)
+        """After a simulator re-homing round trip — peer 0's documents
+        evacuated to their ring successors with the in-link knowledge
+        they were computed from, then brought home — the network sees
+        and computes the same values it would have without the detour."""
+        plain, detour = self._simulation(seed), self._simulation(seed)
+        moving = plain.peers[0].documents.size
+        everyone = np.ones(len(plain.peers), dtype=bool)
+        away = everyone.copy()
+        away[0] = False
+        detour._absence[0] = 1
+        detour._rehome(away)
+        assert detour.peers[0].documents.size == 0
+        # Every owner, new or old, sees every source as before.
+        assert np.array_equal(detour.view, plain.view)
+        detour._absence[0] = 0
+        detour._rehome(everyone)
+        assert detour.traffic.migrations == 2 * moving > 0
+        assert np.array_equal(detour._peer_of, plain._peer_of)
+        assert np.array_equal(detour.view, plain.view)
+        for sim in (plain, detour):
+            sim.run(max_passes=3)
+        assert np.array_equal(detour.ranks(), plain.ranks())
 
 
 class TestInertFaultPlanDrawsNothing:

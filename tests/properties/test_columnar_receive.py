@@ -2,11 +2,12 @@
 
 :class:`~repro.simulation.P2PPagerankSimulation` folds every delivery
 into all its receivers at once (``_deliver``): one stable sort by
-(receiver, source) and a running maximum of versions per group.  It
-must leave exactly the state a loop of ``Peer.receive`` calls leaves,
-row by row in row order, on a twin set of peers, and its applied mask
-must mark exactly the rows the loop applied.  The view must then hold,
-on every edge ``s -> d``, what ``d``'s owner sees of ``s``.
+(receiver, source) and a running maximum of versions per group, over
+one table of what every peer has heard.  That table must hold exactly
+what a loop of ``Peer.receive`` calls leaves in a twin set of peers'
+version maps, row by row in row order, and the fold's applied mask must
+mark exactly the rows the loop applied.  The view must then hold, on
+every edge ``s -> d``, what ``d``'s owner sees of ``s``.
 
 Deliveries are drawn with the stdlib :mod:`random` generator over 20
 seeds.  They mix every case the version rule distinguishes, across five
@@ -103,13 +104,25 @@ def deliver(sim, receivers, run, cuts=None):
     return out
 
 
+def heard(sim):
+    """The simulator's heard table as ``{source: (value, version)}``
+    per peer (the sentinel row dropped)."""
+    keys = sim._heard["key"]
+    assert np.all(keys[1:] > keys[:-1]), "heard table keys not sorted and unique"
+    out = [{} for _ in sim.peers]
+    for key, value, version in sim._heard[:-1].tolist():
+        out[key // DOCS][key % DOCS] = (value, version)
+    return out
+
+
 def assert_same_state(sim, twins):
-    for peer, twin in zip(sim.peers, twins):
-        assert peer.remote_values == twin.remote_values
-        assert peer._remote_versions == twin._remote_versions
+    assert heard(sim) == [
+        {s: (v, twin._remote_versions[s]) for s, v in twin.remote_values.items()}
+        for twin in twins
+    ]
     src = np.repeat(np.arange(DOCS), sim.graph.out_degrees())
     owners = sim._peer_of[sim.graph.indices]
-    truth = [sim.peers[o].visible_value(s) for o, s in zip(owners.tolist(), src.tolist())]
+    truth = [twins[o].visible_value(s) for o, s in zip(owners.tolist(), src.tolist())]
     assert sim.view.tolist() == truth
 
 
@@ -132,20 +145,42 @@ def test_columnar_receive_matches_sequential_fold(seed, chunked, interleaved):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_columnar_and_scalar_receives_interleave(seed):
-    """Rows received one at a time through ``Peer.receive`` on the
-    simulator's own peers, then folded: the fold reads the version
-    floors the scalar path wrote."""
+    """Rows delivered one at a time, then the rest folded at once: the
+    fold reads the version floors the one-row deliveries wrote."""
     graph, sim, twins, rng = network(seed)
     for _ in range(4):
         receivers, run = draw_rows(rng, graph, sim, rng.randint(10, 40))
         cut = rng.randrange(len(run))
         expected = replay(twins, receivers, run)
-        got = [sim.peers[r].receive(u) for r, u in zip(receivers[:cut], run[:cut])]
-        got += deliver(sim, receivers[cut:], run[cut:])
+        got = deliver(sim, receivers, run, [*range(cut + 1), len(run)])
         assert got == expected
-        for peer, twin in zip(sim.peers, twins):
-            assert peer.remote_values == twin.remote_values
-            assert peer._remote_versions == twin._remote_versions
+        assert_same_state(sim, twins)
+
+
+def test_knowledge_without_a_cross_edge_is_kept():
+    """A receiver keeps what it hears of a source none of its documents
+    link from: the view does not change, and the held version gates
+    later rows from that source like any other."""
+    graph, sim, twins, _ = network(0)
+    owners = sim._peer_of[graph.indices]
+    src = np.repeat(np.arange(DOCS), graph.out_degrees())
+    linked = set(zip(owners.tolist(), src.tolist()))
+    r, s = next(
+        (r, s) for r in range(PEERS) for s in range(DOCS)
+        if (r, s) not in linked and sim._peer_of[s] != r
+    )
+    target = int(sim.peers[r].documents[0])
+    view = sim.view.copy()
+    rows = [
+        PagerankUpdate(target, s, 2.5, version=3),
+        PagerankUpdate(target, s, 9.0, version=3),
+        PagerankUpdate(target, s, 9.0, version=2),
+    ]
+    assert deliver(sim, [r], rows[:1]) == replay(twins, [r], rows[:1]) == [True]
+    assert deliver(sim, [r, r], rows[1:]) == replay(twins, [r, r], rows[1:]) == [False, False]
+    assert heard(sim)[r] == {s: (2.5, 3)}
+    assert np.array_equal(sim.view, view)
+    assert_same_state(sim, twins)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -166,5 +201,5 @@ def test_empty_run_applies_nothing():
     view = sim.view.copy()
     applied = sim._deliver(np.empty(0, dtype=np.int64), UpdateColumns.empty())
     assert applied.size == 0
-    assert all(p.remote_values == {} for p in sim.peers)
+    assert heard(sim) == [{} for _ in sim.peers]
     assert np.array_equal(sim.view, view)

@@ -2,8 +2,10 @@
 
 :class:`~repro.simulation.P2PPagerankSimulation` pulls every pass from
 one engine-level array, ``view``, that must hold for each in-edge
-``e = (s -> d)`` exactly what ``d``'s owner sees of ``s``:
-``peers[owner(d)].visible_value(s)``.  The engine rewrites it at every
+``e = (s -> d)`` exactly what ``d``'s owner sees of ``s``: ``s``'s
+published value if the owner stores ``s``, else the newest value the
+engine's heard table holds for (owner, ``s``), else the initial rank.
+The engine rewrites it at every
 publish, applied delivery and §3.1 migration; this sweep checks the
 rule on every edge after every pass, over ten seeds of five regimes:
 lossless; 75 % ``FixedFractionChurn`` with §3.2 cached-DHT delivery
@@ -58,10 +60,13 @@ def build(kind, seed):
 
 def view_errors(sim):
     """Edges whose view differs from what their target's owner sees."""
+    heard = dict(zip(sim._heard["key"][:-1].tolist(), sim._heard["value"][:-1].tolist()))
     src = np.repeat(np.arange(DOCS), sim.graph.out_degrees())
-    dst = sim.graph.indices
-    owners = sim._peer_of[dst]
-    truth = [sim.peers[o].visible_value(s) for o, s in zip(owners.tolist(), src.tolist())]
+    truth = [
+        sim.peers[o].published[s] if sim.peers[o].owns(s)
+        else heard.get(o * DOCS + s, sim.init_rank)
+        for o, s in zip(sim._peer_of[sim.graph.indices].tolist(), src.tolist())
+    ]
     return np.flatnonzero(sim.view != np.asarray(truth))
 
 

@@ -99,14 +99,6 @@ class TestReplay:
         assert journal.replays == 1
         assert journal.replayed_records == len(journal.wal)
 
-    def test_adopt_and_surrender_replay(self):
-        _, _, peer, journal = make_journal()
-        journal.apply_adopt({5: (1.5, 1.25, 4)})
-        journal.apply_recompute(5)
-        state = journal.apply_surrender([5])
-        assert 5 in state
-        assert durable_state_equal(journal.replay(), peer)
-
 
 class TestFileBackedJournal:
     def test_file_wal_mirror_records_mutations(self, tmp_path):

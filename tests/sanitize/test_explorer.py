@@ -44,7 +44,6 @@ class _StubPeer:
         self.remote_values = {}
         self._remote_versions = {}
         self._publish_version = {}
-        self.deferred = {}
 
 
 class _StubNode:

@@ -61,7 +61,7 @@ class TestDeferral:
         assert sim._resend(np.array([True, True])) == 2
         assert seen == [(1, ups)]
         assert sim._owed() == 0
-        assert sim.peers[1].visible_value(0) == 1.5
+        assert sim._heard[["key", "value"]][:-1].tolist() == [(1 * 6 + 0, 1.5), (1 * 6 + 2, 1.5)]
         assert sim._resend(np.array([True, True])) == 0
 
     def test_newest_value_wins(self):
