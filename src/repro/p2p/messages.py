@@ -247,7 +247,7 @@ class Outbox:
     republish).  The network layer drains everything in staging order,
     either as one :class:`MessageBatch` per destination
     (:meth:`batches`, for the asynchronous runtime's per-batch flights)
-    or as columns (:meth:`take_columns`, the pass simulator).
+    or as columns (:meth:`take_columns`).
     """
 
     def __init__(self, owner_peer: int) -> None:

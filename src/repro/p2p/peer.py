@@ -1,4 +1,4 @@
-"""Peer state machine for the protocol-level simulator (paper Fig. 1).
+"""Peer state machine (paper Fig. 1).
 
 Each :class:`Peer` is "a simple state machine exchanging messages"
 (§2.3): it stores a subset of the documents, recomputes their ranks
@@ -10,23 +10,22 @@ network message — but note that, per the pseudocode, publishing too is
 gated by ε: a document that did not change significantly exposes its
 previous value everywhere.
 
-The pass simulator (:mod:`repro.simulation.engine`) pulls every
-document's new rank at once and hands each peer its rows:
-:meth:`Peer.compute_pass` gates publishes with one vectorized ε-mask
-and stages the whole pass's remote updates as
-:class:`~repro.p2p.messages.UpdateColumns`.  The simulator owns its
-network's message state: one table of what every peer has heard from
-remote documents, folded in one grouped pass per delivery, and the
-§3.1 store of updates for absent receivers; its peers keep their own
-documents' state only.  The asynchronous runtime (:mod:`repro.runtime`)
-drives the per-document path instead (:meth:`Peer.recompute_document`,
+The asynchronous runtime (:mod:`repro.runtime`) runs one :class:`Peer`
+per node on the per-document path (:meth:`Peer.recompute_document`,
 :meth:`Peer.receive` on :class:`~repro.p2p.messages.PagerankUpdate`
 objects into :attr:`Peer.remote_values`), where batches are a handful
-of updates.  Every multi-document staging (a pass's publishes, the
-crash-recovery republishes) goes through one columnar out-link helper;
-a single document stages its few out-links with a plain loop.  The differential
-suites cross-validate the simulator and the runtime against the
-vectorized engine bit for bit.
+of updates; its WAL, snapshots and sanitizer record this state.  The
+pass simulator (:mod:`repro.simulation.engine`) builds no peers: it
+keeps every peer's documents' state and its network's message state in
+arrays of its own.  :meth:`Peer.compute_pass` is the per-peer form of
+the simulator's pass step — one vectorized ε-mask over the peer's rows
+and its remote updates staged as
+:class:`~repro.p2p.messages.UpdateColumns` — which a property sweep
+checks the simulator against.  Every multi-document staging (a pass's
+publishes, the crash-recovery republishes) goes through one columnar
+out-link helper; a single document stages its few out-links with a
+plain loop.  The differential suites cross-validate the simulator and
+the runtime against the vectorized engine bit for bit.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ class PassOutcome:
     staged_updates:
         Update messages staged for other peers.
     published_docs:
-        The documents that published this pass.  The simulator needs
-        them to mark *co-located* link targets as awaiting a recompute
-        (remote targets are marked at delivery time instead).
+        The documents that published this pass, ascending.
     """
 
     active_documents: int
@@ -391,50 +388,3 @@ class Peer:
         number of updates staged.
         """
         return self._republish(peer_of, only_to=dest_peer)
-
-    # ------------------------------------------------------------------
-    # Document migration (DHT re-homing support)
-    # ------------------------------------------------------------------
-    def surrender_documents(self, docs) -> Dict[int, tuple]:
-        """Remove ``docs`` from this peer, returning their state.
-
-        Used by the simulator's §3.1 re-homing: when this peer is
-        declared long-term absent, the DHT's successor takes over its
-        documents.  Returns ``{doc: (rank, published, publish_version)}``;
-        the version counters travel with the state so versioned updates
-        stay monotone across owners.
-        """
-        state: Dict[int, tuple] = {}
-        moving = set(int(d) for d in docs)
-        missing = moving - self._local
-        if missing:
-            raise KeyError(f"peer {self.peer_id} does not store {sorted(missing)}")
-        # Sorted so the returned dict's order is canonical no matter how
-        # the caller ordered ``docs`` — adopters insert in this order.
-        for doc in sorted(moving):
-            state[doc] = (
-                self.rank.pop(doc),
-                self.published.pop(doc),
-                self._publish_version.pop(doc, 0),
-            )
-            self._local.discard(doc)
-        self.documents = np.asarray(sorted(self._local), dtype=np.int64)
-        return state
-
-    def adopt_documents(self, state: Dict[int, tuple]) -> None:
-        """Take over documents surrendered by another peer.
-
-        ``state`` maps doc -> (rank, published, publish_version), the
-        tuple :meth:`surrender_documents` produced.
-        """
-        for doc, (rank, published, version) in state.items():
-            doc = int(doc)
-            if doc in self._local:
-                raise ValueError(f"peer {self.peer_id} already stores {doc}")
-            self._local.add(doc)
-            self.rank[doc] = float(rank)
-            self.published[doc] = float(published)
-            if version:
-                self._publish_version[doc] = int(version)
-        self.documents = np.asarray(sorted(self._local), dtype=np.int64)
-        self.rank = {d: self.rank[d] for d in self.documents.tolist()}

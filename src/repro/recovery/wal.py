@@ -5,12 +5,13 @@ The paper's protocol assumes peers "may be disconnected at any time"
 only guarantees convergence under restarts if a recovered peer resumes
 from *consistent* local state.  The WAL is how that state survives: a
 :class:`WriteAheadLog` records every durable mutation of a
-:class:`~repro.p2p.peer.Peer` — applied update batches, event-driven
-and event-driven recomputes — as one :class:`WalRecord` per mutation, in apply order.  Replaying the log
-against a fresh peer (see :mod:`repro.recovery.journal`) re-executes
-the *same* float operations in the *same* order and therefore
-reproduces the pre-crash durable state bitwise — the property the
-crash-recovery differential tests assert.
+:class:`~repro.p2p.peer.Peer` — applied update batches and
+event-driven recomputes — as one :class:`WalRecord` per mutation, in
+apply order.  Replaying the log against a fresh peer (see
+:mod:`repro.recovery.journal`) re-executes the *same* float operations
+in the *same* order and therefore reproduces the pre-crash durable
+state bitwise — the property the crash-recovery differential tests
+assert.
 
 Record format (docs/PROTOCOL.md §15.1):
 

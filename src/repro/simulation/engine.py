@@ -2,36 +2,38 @@
 
 Where :class:`repro.core.distributed.ChaoticPagerank` is the vectorized
 array engine, :class:`P2PPagerankSimulation` runs the *actual
-protocol*: :class:`~repro.p2p.peer.Peer` state machines exchanging
-pagerank updates in per-(sender, receiver) batches, with §3.1
-store-and-resend for absent peers and an optional §3.2 delivery policy
-pricing DHT routing hops.
+protocol*: peers exchanging pagerank updates in per-(sender, receiver)
+batches, with §3.1 store-and-resend for absent peers and an optional
+§3.2 delivery policy pricing DHT routing hops.
 
-The unit of work is the pass.  One whole-graph
+The unit of work is the pass, one concurrent step of every live peer's
+Fig. 1 state machine, kept in document-indexed arrays: owner, rank,
+published value and publish version.  One whole-graph
 :class:`~repro.core.kernels.CSRWorkspace` pull computes every document
 from :attr:`P2PPagerankSimulation.view`, which holds for each in-edge
-``s -> d`` what ``d``'s owner sees of ``s``.  Each live peer takes its
-documents' rows, gates them by ε and stages its whole pass as
-:class:`~repro.p2p.messages.UpdateColumns`; the pass's rows are grouped
-into one :class:`~repro.p2p.messages.BatchColumns` batch per (sender,
-receiver) pair, senders in order.  The simulator owns the network's
-message state, and its peers keep only their own documents' state.
-Lossless, batches for absent receivers go to one §3.1 store table for
-all peers and are resent in a later pass; with a fault plan every batch
-becomes a flight of the reliable transport.  What every peer has heard
-is one table too: a row per (receiver, source) with the newest value
-and its version.  Every update that reaches a peer — a fresh batch, a
-resend, a transport copy, or the knowledge a re-homed document carries,
-read from that table — goes through one delivery step: one grouped fold
-over all receivers applies to the table what
-:meth:`~repro.p2p.peer.Peer.receive` would apply to a peer, row by row,
-and the last applied row per (receiver, source) is written on every
-cross-peer edge from that source into the receiver's documents.  The view therefore
-changes only at a publish, an applied update or a §3.1 migration.
-Network deliveries add the traffic accounting around that step (dirty
-marks, hop pricing, one §4.6.1 batch per delivered copy).
-The integration suite cross-validates the simulator against the
-vectorized engine: identical ranks, message counts and pass counts.
+``s -> d`` what ``d``'s owner sees of ``s``.  One ε-mask over the live
+documents picks the publishers, and one staging over all of them
+writes the co-located view and stages the remote out-link updates as
+:class:`~repro.p2p.messages.UpdateColumns`, grouped into one
+:class:`~repro.p2p.messages.BatchColumns` batch per (sender, receiver)
+pair, senders in order.  Lossless, batches for absent receivers go to
+one §3.1 store table for all peers and are resent in a later pass; with
+a fault plan every batch becomes a flight of the reliable transport.
+What every peer has heard is one table too: a row per (receiver,
+source) with the newest value and its version.  Every update that
+reaches a peer — a fresh batch, a resend, a transport copy, or the
+knowledge a re-homed document carries, read from that table — goes
+through one delivery step: one grouped fold over all receivers applies
+to the table what :meth:`~repro.p2p.peer.Peer.receive` would apply to a
+peer, row by row, and the last applied row per (receiver, source) is
+written on every cross-peer edge from that source into the receiver's
+documents.  A crash is a mask, and a §3.1 migration a write to the
+owner array.  The view therefore changes only at a publish, an applied
+update or a migration.  Network deliveries add the traffic accounting
+around that step (dirty marks, hop pricing, one §4.6.1 batch per
+delivered copy).  The integration suite cross-validates the simulator
+against the vectorized engine: identical ranks, message counts and pass
+counts.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
 from repro.core.distributed import AvailabilityModel
-from repro.core.kernels import CSRWorkspace, expand_rows
+from repro.core.kernels import CSRWorkspace, expand_rows, relative_change
 from repro.core.pagerank import DEFAULT_DAMPING
 from repro.core.shard import check_run_budget, live_mask, starvation_error
 from repro.faults.plan import FaultPlan
@@ -58,7 +60,6 @@ from repro.graphs.linkgraph import LinkGraph
 from repro.obs import get_registry, get_trace_sink
 from repro.p2p.messages import MESSAGE_SIZE_BYTES, BatchColumns, UpdateColumns
 from repro.p2p.network import P2PNetwork
-from repro.p2p.peer import Peer
 from repro.p2p.routing import DeliveryPolicy
 
 __all__ = ["P2PPagerankSimulation", "TrafficSummary"]
@@ -77,20 +78,25 @@ _STORED = np.dtype(
 _HEARD = np.dtype([("key", np.int64), ("value", np.float64), ("version", np.int64)])
 
 
+#: Staged rows: row ``i`` goes from peer ``senders[i]`` to peer
+#: ``dests[i]``, as ``(senders, dests, updates)``.
+_Rows = Tuple[np.ndarray, np.ndarray, UpdateColumns]
+
+
 def _batches(
     senders: np.ndarray, dests: np.ndarray, updates: UpdateColumns, num_peers: int
 ) -> BatchColumns:
-    """Group rows (row ``i`` goes from ``senders[i]`` to ``dests[i]``,
-    senders in order) into one batch per (sender, receiver) pair:
-    senders in order, each sender's receivers in first-staging order and
-    its updates in staging order (the order fault injection draws and
-    location caches price in, so part of a seeded run's identity)."""
+    """Group rows (row ``i`` goes from ``senders[i]`` to ``dests[i]``)
+    into one batch per (sender, receiver) pair: senders ascending, each
+    sender's receivers in first-staging order and its updates in staging
+    order (the order fault injection draws and location caches price in,
+    so part of a seeded run's identity)."""
     pairs, first, group = np.unique(
         senders * num_peers + dests, return_index=True, return_inverse=True
     )
-    # Number the pairs by first appearance; a stable sort on that
-    # number keeps each batch's rows in staging order.
-    by_first = np.argsort(first)
+    # Number the pairs by sender, then by first appearance; a stable
+    # sort on that number keeps each batch's rows in staging order.
+    by_first = np.lexsort((first, pairs // num_peers))
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
     group = rank[group]
@@ -210,7 +216,8 @@ class _SimInstruments:
 
 
 class P2PPagerankSimulation:
-    """Distributed pagerank over explicit peer state machines.
+    """Distributed pagerank over every peer's state machine, stepped
+    as arrays one pass at a time.
 
     Parameters
     ----------
@@ -313,15 +320,16 @@ class P2PPagerankSimulation:
         self.transport: Optional[ReliableTransport] = None
         self.traffic = TrafficSummary()
 
-        docs_by_peer = network.placement.docs_by_peer()
-        self.peers: List[Peer] = [
-            Peer(pid, docs_by_peer[pid], graph, init_rank=init_rank)
-            for pid in range(network.num_peers)
-        ]
         # Ownership is mutable under re-homing; keep our own copy plus
         # the original "home" placement documents return to.
         self._peer_of = network.placement.assignment.copy()
         self._home_peer = network.placement.assignment.copy()
+        #: Every document's current rank, last published value and
+        #: publish version (0 until it first publishes), held by its
+        #: owner; a §3.1 migration moves them by moving the owner.
+        self.rank = np.full(graph.num_nodes, self.init_rank)
+        self.published = self.rank.copy()
+        self.version = np.zeros(graph.num_nodes, dtype=np.int64)
         self._absence = np.zeros(network.num_peers, dtype=np.int64)
         # Documents that received an update not yet folded into a
         # recompute (absent owners); blocks premature convergence.
@@ -416,13 +424,13 @@ class P2PPagerankSimulation:
                     live = np.ones(num_peers, dtype=bool)
                 else:
                     live = live_mask(availability, t, num_peers)
+                republished: List[_Rows] = []
                 if faulted:
-                    # Crash-with-state-loss: wipe volatile queues and the
-                    # retransmit buffer; the peer reboots after a spell.
+                    # Crash-with-state-loss: the peer's retransmit buffer
+                    # dies with it (rows it stages never outlive their
+                    # pass); it reboots after a spell.
                     for p in self.faults.crashes_at(t):
-                        lost = self.peers[p].crash_volatile()
-                        lost += transport.wipe_sender(p)
-                        transport.note_crash(p, lost)
+                        transport.note_crash(p, transport.wipe_sender(p))
                         crash_down[p] = self.faults.down_passes_for(t, p)
                         needs_republish.add(p)
                     if crash_down.any():
@@ -433,11 +441,16 @@ class P2PPagerankSimulation:
                     # Crash recovery: a rebooted peer cannot know which
                     # of its sends died with it, so it re-announces its
                     # persisted published values (equal-version replays
-                    # are idempotent at receivers).
+                    # are idempotent at receivers).  Its rows go out in
+                    # step 3, before the pass's own.
                     for p in sorted(needs_republish):
                         if crash_down[p] == 0 and live[p]:
-                            staged = self.peers[p].reboot_republish(self._peer_of)
-                            transport.note_reboot_republish(staged)
+                            docs = np.flatnonzero(
+                                (self._peer_of == p) & (self.version > 0)
+                            )
+                            rows, _ = self._stage(docs)
+                            transport.note_reboot_republish(len(rows[2]))
+                            republished.append(rows)
                             needs_republish.discard(p)
 
                 if not live.any():
@@ -487,39 +500,15 @@ class P2PPagerankSimulation:
 
                     # (2) concurrent recompute: one pull, live peers' rows
                     new = self._workspace.pull_edges(self.view, self.damping)
-                    active = 0
-                    max_change = 0.0
-                    computed = 0
-                    published_docs = []
-                    for peer in self.peers:
-                        if not live[peer.peer_id]:
-                            continue
-                        outcome = peer.compute_pass(
-                            new[peer.documents], self.epsilon, self._peer_of
-                        )
-                        active += outcome.active_documents
-                        computed += len(peer.documents)
-                        if outcome.max_rel_change > max_change:
-                            max_change = outcome.max_rel_change
-                        self._dirty[peer.documents] = False
-                        published_docs.extend(outcome.published_docs)
-                    # Published values are instantly visible to co-located
-                    # consumers, who now owe a recompute (the vectorized engine
-                    # marks these via its per-edge dirty pass); remote targets
-                    # are marked at delivery below.  One segment expansion per
-                    # pass over all publishers replaces the per-edge loop.
-                    if published_docs:
-                        pubs = np.asarray(published_docs, dtype=np.int64)
-                        pos, lens = expand_rows(self.graph.indptr, pubs)
-                        targets = self.graph.indices[pos]
-                        owners = np.repeat(self._peer_of[pubs], lens)
-                        local = self._peer_of[targets] == owners
-                        self._dirty[targets[local]] = True
-                        self.view[pos[local]] = np.repeat(new[pubs], lens)[local]
+                    active, max_change, computed, rows = self._compute(new, live)
 
-                    # (3) drain outboxes: deliver or defer (reliable
-                    #     transport: submit each batch as a new flight)
-                    batches = _batches(*self._drain(live), num_peers)
+                    # (3) exchange: deliver or defer (reliable transport:
+                    #     submit each batch as a new flight)
+                    senders, dests, updates = zip(*republished, rows)
+                    batches = _batches(
+                        np.concatenate(senders), np.concatenate(dests),
+                        UpdateColumns.concat(updates), num_peers,
+                    )
                     if faulted:
                         transport.send(t, batches, live)
                         messages = transport.pass_delivered
@@ -753,12 +742,59 @@ class P2PPagerankSimulation:
 
     # ------------------------------------------------------------------
     def ranks(self) -> np.ndarray:
-        """Current rank of every document, gathered from the peers."""
-        out = np.empty(self.graph.num_nodes, dtype=np.float64)
-        for peer in self.peers:
-            for doc, value in peer.rank.items():
-                out[doc] = value
-        return out
+        """Current rank of every document."""
+        return self.rank.copy()
+
+    def _compute(
+        self, new: np.ndarray, live: np.ndarray
+    ) -> Tuple[int, float, int, _Rows]:
+        """Step 2: the live peers take their documents' ``new`` ranks
+        (two-phase: every document was computed from the previous
+        published values) and the ones that changed by more than ε
+        publish together.  Returns ``(active, max_change, computed,
+        rows)``, ``rows`` the publishers' updates for remote peers
+        (:meth:`_stage`)."""
+        computing = live[self._peer_of]
+        rel = relative_change(self.rank, new)
+        rel[~computing] = 0.0
+        np.copyto(self.rank, new, where=computing)
+        self._dirty[computing] = False
+        pubs = np.flatnonzero(rel > self.epsilon)
+        # Owners ascending, each one's documents ascending: the staging
+        # order batches, fault draws and hop pricing depend on.
+        pubs = pubs[np.argsort(self._peer_of[pubs], kind="stable")]
+        self.published[pubs] = new[pubs]
+        self.version[pubs] += 1
+        rows, local = self._stage(pubs)
+        # Published values are instantly visible to co-located
+        # consumers, who now owe a recompute (the vectorized engine
+        # marks these via its per-edge dirty pass); remote targets are
+        # marked at delivery.
+        ws = self._workspace
+        self._dirty[ws.dst[local]] = True
+        self.view[local] = self.published[ws.src[local]]
+        return (
+            int(pubs.size), float(rel.max(initial=0.0)), int(computing.sum()), rows
+        )
+
+    def _stage(self, docs: np.ndarray) -> Tuple[_Rows, np.ndarray]:
+        """Stage ``docs``' published values at their publish versions for
+        every out-link target on another peer, documents in the given
+        order and each one's targets in out-link order.  Returns the
+        rows and the out-edges (positions in ``graph.indices``) whose
+        target shares its source's owner."""
+        pos, lens = expand_rows(self.graph.indptr, docs)
+        targets = self.graph.indices[pos]
+        senders = np.repeat(self._peer_of[docs], lens)
+        dests = self._peer_of[targets]
+        remote = dests != senders
+        updates = UpdateColumns(
+            target=targets[remote],
+            source=np.repeat(docs, lens)[remote],
+            value=np.repeat(self.published[docs], lens)[remote],
+            version=np.repeat(self.version[docs], lens)[remote],
+        )
+        return (senders[remote], dests[remote], updates), pos[~remote]
 
     # ------------------------------------------------------------------
     def _resend(self, live: np.ndarray) -> int:
@@ -786,23 +822,6 @@ class P2PPagerankSimulation:
         )
         return self._transfer(batches, live)
 
-    def _drain(self, live: np.ndarray) -> Tuple[np.ndarray, np.ndarray, UpdateColumns]:
-        """Step 3: take every live peer's freshly staged updates as
-        ``(senders, dest_peers, updates)`` rows in sender order."""
-        ids: List[int] = []
-        runs: List[Tuple[np.ndarray, UpdateColumns]] = []
-        for peer in self.peers:
-            # An absent peer cannot have computed this pass, but it may
-            # hold a stale outbox in pathological uses; leave it.
-            if live[peer.peer_id] and len(peer.outbox):
-                ids.append(peer.peer_id)
-                runs.append(peer.outbox.take_columns())
-        senders = np.repeat(
-            np.array(ids, dtype=np.int64), [len(updates) for _, updates in runs]
-        )
-        dests = np.concatenate([d for d, _ in runs] or [senders])
-        return senders, dests, UpdateColumns.concat([u for _, u in runs])
-
     def _visible(
         self, owners: np.ndarray, sources: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -811,14 +830,10 @@ class P2PPagerankSimulation:
         version, else the newest value the owner heard.  ``known`` is
         False where the owner never heard from a remote source."""
         at, known = self._find(owners * self.graph.num_nodes + sources)
-        value = self._heard["value"][at]
-        version = self._heard["version"][at]
-        co = np.flatnonzero(self._peer_of[sources] == owners)
-        for i, o, s in zip(co.tolist(), owners[co].tolist(), sources[co].tolist()):
-            value[i] = self.peers[o].published[s]
-            version[i] = self.peers[o]._publish_version.get(s, 0)
-        known[co] = True
-        return value, version, known
+        co = self._peer_of[sources] == owners
+        value = np.where(co, self.published[sources], self._heard["value"][at])
+        version = np.where(co, self.version[sources], self._heard["version"][at])
+        return value, version, known | co
 
     def _knowledge(self, holder: int, docs: np.ndarray) -> UpdateColumns:
         """``holder``'s view of ``docs``' in-link sources, as versioned
@@ -845,28 +860,23 @@ class P2PPagerankSimulation:
         threshold = self.rehoming_after
         owner_before = self._peer_of.copy()
 
-        # Evacuate: peers absent for too long surrender everything —
-        # document state plus the in-link knowledge it was computed
-        # from (taken before surrendering, since sources may be
-        # co-migrating local documents).
-        for peer in self.peers:
-            pid = peer.peer_id
-            if self._absence[pid] < threshold or peer.documents.size == 0:
+        # Evacuate: peers absent for too long hand over everything —
+        # document state (which moves with the owner) plus the in-link
+        # knowledge it was computed from (taken before the owners
+        # change, since sources may be co-migrating local documents).
+        for pid in np.flatnonzero(self._absence >= threshold).tolist():
+            docs = np.flatnonzero(self._peer_of == pid)
+            if not docs.size:
                 continue
-            docs = peer.documents
             knowledge = self._knowledge(pid, docs)
-            state = peer.surrender_documents(docs)
             for doc in docs.tolist():
-                new_owner = ring.owner_excluding(document_guid(doc), dead)
-                self.peers[new_owner].adopt_documents({doc: state[doc]})
-                self._peer_of[doc] = new_owner
+                self._peer_of[doc] = ring.owner_excluding(document_guid(doc), dead)
             self._deliver(self._peer_of[knowledge.target], knowledge)
             self._dirty[docs] = True  # new owners owe a recompute
             self.traffic.migrations += docs.size
 
         # Return home: a reappeared peer re-acquires its documents.
-        for pid in np.flatnonzero(live):
-            pid = int(pid)
+        for pid in np.flatnonzero(live).tolist():
             if self._absence[pid] != 0:
                 continue
             strayed = np.flatnonzero(
@@ -875,8 +885,6 @@ class P2PPagerankSimulation:
             for doc in strayed.tolist():
                 holder = int(self._peer_of[doc])
                 knowledge = self._knowledge(holder, np.array([doc]))
-                state = self.peers[holder].surrender_documents([doc])
-                self.peers[pid].adopt_documents(state)
                 self._deliver(np.full(len(knowledge), pid), knowledge)
                 self._peer_of[doc] = pid
                 self._dirty[doc] = True

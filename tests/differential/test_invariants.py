@@ -8,8 +8,9 @@ seed, not just the golden ones:
   with ε = 0 the chaotic engine is exactly synchronous, so the
   recurrence must hold at every recorded pass (and every rank is
   bounded below by ``1-d``);
-* **migration preserves state** — surrendering documents to another
-  peer and adopting them moves the (rank, published, version) tuples
+* **migration preserves state** — when §3.1 re-homing makes an absent
+  peer surrender its documents to its ring successors, which adopt
+  them, the (rank, published, version) of every document moves with it
   without perturbing a single bit, so the global rank multiset is
   unchanged by re-homing, and a simulator re-homing round trip leaves
   the network computing what it would have computed without it;
@@ -25,16 +26,9 @@ from repro.core import ChaoticPagerank
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs import LinkGraph, broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.p2p.peer import Peer
 from repro.simulation import P2PPagerankSimulation
 
 DAMPING = 0.85
-
-
-def fresh_ranks(peer: Peer) -> np.ndarray:
-    """What the simulator's pull hands ``compute_pass``: every local
-    document recomputed from the values the peer sees."""
-    return np.array([peer._fresh_rank(d, DAMPING) for d in peer.documents])
 
 
 def _no_dangling_graph(n: int, seed: int) -> LinkGraph:
@@ -84,43 +78,33 @@ class TestMassConservation:
 
 
 class TestMigrationPreservesState:
-    def _peers(self, seed):
-        n, num_peers = 240, 6
-        graph = broder_graph(n, seed=seed)
-        placement = DocumentPlacement.random(n, num_peers, seed=seed + 1)
-        peer_of = placement.assignment.copy()
-        peers = [
-            Peer(p, np.flatnonzero(peer_of == p), graph)
-            for p in range(num_peers)
-        ]
-        # A few warm-up passes so ranks/versions are non-trivial.
-        for _ in range(3):
-            for peer in peers:
-                peer.compute_pass(fresh_ranks(peer), 1e-4, peer_of)
-            for peer in peers:
-                for batch in peer.outbox.batches():
-                    peers[batch.receiver_peer].receive_batch(batch.updates)
-        return peers, peer_of
-
     @staticmethod
-    def _rank_multiset(peers):
-        return sorted(
-            (doc, peer.rank[doc], peer.published[doc])
-            for peer in peers
-            for doc in peer.rank
-        )
+    def _rank_multiset(sim):
+        return sorted(zip(range(sim.graph.num_nodes), sim.rank.tolist(),
+                          sim.published.tolist(), sim.version.tolist()))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_surrender_adopt_roundtrip(self, seed):
-        peers, _ = self._peers(seed)
-        before = self._rank_multiset(peers)
-        donor, taker = peers[0], peers[1]
-        docs = [int(d) for d in donor.documents[: max(1, donor.documents.size // 2)]]
-        taker.adopt_documents(donor.surrender_documents(docs))
-        after = self._rank_multiset(peers)
-        assert before == after, "migration changed the global rank multiset"
-        assert all(taker.owns(d) for d in docs)
-        assert not any(donor.owns(d) for d in docs)
+        """Peer 0 is absent long enough to surrender its documents; its
+        ring successors adopt them, and it takes them back on return."""
+        sim = self._simulation(seed)
+        before = self._rank_multiset(sim)
+        docs = np.flatnonzero(sim._peer_of == 0)
+        assert docs.size
+        everyone = np.ones(sim.network.num_peers, dtype=bool)
+        away = everyone.copy()
+        away[0] = False
+        sim._absence[0] = 1
+        sim._rehome(away)
+        assert self._rank_multiset(sim) == before, (
+            "migration changed the global rank multiset"
+        )
+        assert np.all(sim._peer_of[docs] != 0)
+        assert not np.any(sim._peer_of == 0)
+        sim._absence[0] = 0
+        sim._rehome(everyone)
+        assert self._rank_multiset(sim) == before
+        assert np.flatnonzero(sim._peer_of == 0).tolist() == docs.tolist()
 
     @staticmethod
     def _simulation(seed):
@@ -140,13 +124,13 @@ class TestMigrationPreservesState:
         they were computed from, then brought home — the network sees
         and computes the same values it would have without the detour."""
         plain, detour = self._simulation(seed), self._simulation(seed)
-        moving = plain.peers[0].documents.size
-        everyone = np.ones(len(plain.peers), dtype=bool)
+        moving = np.count_nonzero(plain._peer_of == 0)
+        everyone = np.ones(plain.network.num_peers, dtype=bool)
         away = everyone.copy()
         away[0] = False
         detour._absence[0] = 1
         detour._rehome(away)
-        assert detour.peers[0].documents.size == 0
+        assert not np.any(detour._peer_of == 0)
         # Every owner, new or old, sees every source as before.
         assert np.array_equal(detour.view, plain.view)
         detour._absence[0] = 0

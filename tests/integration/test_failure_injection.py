@@ -171,7 +171,7 @@ class TestRehoming:
         rel = np.abs(report.ranks - ref) / ref
         assert np.percentile(rel, 99) < 0.01
         # peer 0 holds nothing any more
-        assert sim.peers[0].documents.size == 0
+        assert not np.any(sim._peer_of == 0)
 
     def test_documents_return_home(self, setting):
         g, pl, ref = setting

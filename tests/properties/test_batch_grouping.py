@@ -4,11 +4,13 @@
 receiver, update) into one batch per (sender, receiver) pair with
 array operations.  Its order is part of a seeded run's identity
 (fault injection draws and location caches price batches in it):
-senders in order, each sender's receivers in first-staging order, rows
+senders ascending, each sender's receivers in first-staging order, rows
 in staging order.  The sweep compares it with a plain dict that
 appends rows as they come, over 50 seeds of random runs that mix empty
 runs, several runs from one sender and receivers repeated within a
-sender.
+sender.  Runs may also come with senders out of order (a pass's reboot
+republishes before its publishes); a sender's rows then keep the order
+of its runs.
 """
 
 import random
@@ -74,6 +76,18 @@ def test_batches_match_dict_grouping(seed):
     assert np.array_equal(batches.updates.source, target + 1000)
     assert np.array_equal(batches.updates.value, target * 0.5)
     assert np.array_equal(batches.updates.version, target % 4)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_senders_out_of_order_group_like_sorted_runs(seed):
+    rng = random.Random(seed)
+    runs = draw_runs(rng)
+    shuffled = rng.sample(runs, len(runs))
+    batches = grouped(shuffled)
+    expected = reference(sorted(shuffled, key=lambda run: run[0]))
+    pairs = list(zip(batches.senders.tolist(), batches.receivers.tolist()))
+    assert pairs == list(expected)
+    assert batches.updates.target.tolist() == [r for rows in expected.values() for r in rows]
 
 
 def test_no_runs_and_empty_runs_give_no_batches():

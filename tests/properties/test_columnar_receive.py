@@ -40,7 +40,7 @@ def network(seed):
     placement = DocumentPlacement.random(DOCS, PEERS, seed=seed)
     sim = P2PPagerankSimulation(graph, P2PNetwork(PEERS, placement, build_ring=False))
     sim._index_cross_edges()
-    twins = [Peer(p.peer_id, p.documents, graph) for p in sim.peers]
+    twins = [Peer(p, np.flatnonzero(sim._peer_of == p), graph) for p in range(PEERS)]
     return graph, sim, twins, random.Random(seed)
 
 
@@ -50,7 +50,7 @@ def draw_rows(rng, graph, sim, length, *, interleaved=True):
     receivers, run = [], []
     for _ in range(length):
         r = rng.randrange(PEERS)
-        target = rng.choice(sim.peers[r].documents.tolist() or [0])
+        target = rng.choice(np.flatnonzero(sim._peer_of == r).tolist() or [0])
         in_links = graph.in_links(target).tolist()
         roll = rng.random()
         if roll < 0.25:
@@ -109,7 +109,7 @@ def heard(sim):
     per peer (the sentinel row dropped)."""
     keys = sim._heard["key"]
     assert np.all(keys[1:] > keys[:-1]), "heard table keys not sorted and unique"
-    out = [{} for _ in sim.peers]
+    out = [{} for _ in range(PEERS)]
     for key, value, version in sim._heard[:-1].tolist():
         out[key // DOCS][key % DOCS] = (value, version)
     return out
@@ -169,7 +169,7 @@ def test_knowledge_without_a_cross_edge_is_kept():
         (r, s) for r in range(PEERS) for s in range(DOCS)
         if (r, s) not in linked and sim._peer_of[s] != r
     )
-    target = int(sim.peers[r].documents[0])
+    target = int(np.flatnonzero(sim._peer_of == r)[0])
     view = sim.view.copy()
     rows = [
         PagerankUpdate(target, s, 2.5, version=3),
@@ -201,5 +201,5 @@ def test_empty_run_applies_nothing():
     view = sim.view.copy()
     applied = sim._deliver(np.empty(0, dtype=np.int64), UpdateColumns.empty())
     assert applied.size == 0
-    assert heard(sim) == [{} for _ in sim.peers]
+    assert heard(sim) == [{} for _ in range(PEERS)]
     assert np.array_equal(sim.view, view)

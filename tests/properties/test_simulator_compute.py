@@ -1,0 +1,175 @@
+"""Property sweep: the simulator's pass step equals per-peer ``compute_pass``.
+
+:class:`~repro.simulation.P2PPagerankSimulation` keeps every peer's
+documents in arrays (``rank``, ``published``, ``version``, owned per
+``_peer_of``) and runs step 2 of a pass for all live peers at once
+(``_compute``): one ε-mask, one publish and one staging over every
+publisher.  That must do what twin :class:`~repro.p2p.peer.Peer`
+objects holding the same state do when each live one, ascending, runs
+:meth:`~repro.p2p.peer.Peer.compute_pass` on the same pulled rows: the
+same staged rows in the same order (senders ascending, each sender's
+documents ascending, out-links in CSR order), the same published values
+at the same versions, and the same active count, largest change and
+computed count.  A reboot republish is the same staging over one peer's
+published documents and must equal :meth:`Peer.reboot_republish`.
+
+Each of 20 seeds warms a network up for a few passes, then compares one
+step with every peer up, with a random set of absent peers, and after a
+§3.1 re-homing move of one peer's documents to its ring successors.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.graphs import broder_graph
+from repro.p2p import DocumentPlacement, FixedFractionChurn, P2PNetwork, Peer
+from repro.p2p.messages import UpdateColumns
+from repro.simulation import P2PPagerankSimulation
+
+SEEDS = range(20)
+DOCS, PEERS = 150, 6
+EPSILON = 1e-3
+
+
+def warmed(seed, **kwargs):
+    """A simulator after a few seeded passes under churn, so ranks,
+    published values and versions differ from document to document."""
+    graph = broder_graph(DOCS, seed=seed)
+    placement = DocumentPlacement.random(DOCS, PEERS, seed=seed + 1)
+    sim = P2PPagerankSimulation(
+        graph, P2PNetwork(PEERS, placement), epsilon=EPSILON, **kwargs
+    )
+    passes = random.Random(seed).randint(1, 5)
+    sim.run(
+        max_passes=passes,
+        availability=FixedFractionChurn(PEERS, 0.75, seed=seed + 2),
+    )
+    return sim
+
+
+def twins(sim):
+    """One :class:`Peer` per simulated peer, holding its documents'
+    state."""
+    out = []
+    for p in range(PEERS):
+        twin = Peer(p, np.flatnonzero(sim._peer_of == p), sim.graph)
+        docs = twin.documents.tolist()
+        twin.rank = dict(zip(docs, sim.rank[docs].tolist()))
+        twin.published = dict(zip(docs, sim.published[docs].tolist()))
+        twin._publish_version = {
+            d: v for d, v in zip(docs, sim.version[docs].tolist()) if v
+        }
+        out.append(twin)
+    return out
+
+
+def drained(peers):
+    """Every peer's staged rows as ``(senders, dests, updates)``, peers
+    in order."""
+    runs = [(p.peer_id, *p.outbox.take_columns()) for p in peers if len(p.outbox)]
+    senders = np.repeat(
+        np.array([s for s, _, _ in runs], dtype=np.int64),
+        [len(u) for _, _, u in runs],
+    )
+    dests = np.concatenate([d for _, d, _ in runs] or [senders])
+    return senders, dests, UpdateColumns.concat([u for _, _, u in runs])
+
+
+def assert_same_rows(got, expected):
+    (s, d, u), (es, ed, eu) = got, expected
+    assert s.tolist() == es.tolist()
+    assert d.tolist() == ed.tolist()
+    for column in ("target", "source", "value", "version"):
+        assert getattr(u, column).tolist() == getattr(eu, column).tolist(), column
+
+
+def assert_same_state(sim, peers):
+    for twin in peers:
+        docs = twin.documents.tolist()
+        assert sim.rank[docs].tolist() == list(twin.rank.values())
+        assert sim.published[docs].tolist() == [twin.published[d] for d in docs]
+        assert sim.version[docs].tolist() == [
+            twin._publish_version.get(d, 0) for d in docs
+        ]
+
+
+def assert_step_matches_twins(sim, live):
+    peers = twins(sim)
+    new = sim._workspace.pull_edges(sim.view, sim.damping)
+    active, max_change, computed = 0, 0.0, 0
+    for twin in peers:
+        if not live[twin.peer_id]:
+            continue
+        outcome = twin.compute_pass(new[twin.documents], EPSILON, sim._peer_of)
+        active += outcome.active_documents
+        max_change = max(max_change, outcome.max_rel_change)
+        computed += twin.documents.size
+    got_active, got_max, got_computed, rows = sim._compute(new, live)
+    assert (got_active, got_max, got_computed) == (active, max_change, computed)
+    assert_same_rows(rows, drained(peers))
+    assert_same_state(sim, peers)
+    return active
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_step_matches_compute_pass_with_every_peer_up(seed):
+    sim = warmed(seed)
+    active = assert_step_matches_twins(sim, np.ones(PEERS, dtype=bool))
+    assert active > 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_step_matches_compute_pass_with_peers_absent(seed):
+    sim = warmed(seed)
+    live = np.random.default_rng(seed).random(PEERS) < 0.6
+    live[seed % PEERS] = True
+    assert_step_matches_twins(sim, live)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_step_matches_compute_pass_after_rehoming(seed):
+    sim = warmed(seed, rehoming_after=1)
+    gone = seed % PEERS
+    live = np.ones(PEERS, dtype=bool)
+    live[gone] = False
+    sim._index_cross_edges()
+    sim._absence[:] = 0
+    sim._absence[gone] = 1
+    before = sim._peer_of.copy()
+    sim._rehome(live)
+    assert not np.any(sim._peer_of == gone)
+    assert np.any(sim._peer_of != sim._home_peer)
+    assert_evacuated_knowledge(sim, before == gone)
+    assert_step_matches_twins(sim, live)
+
+
+def assert_evacuated_knowledge(sim, evacuated):
+    """An evacuated document's new owner has heard every in-link source
+    that was evacuated with it, at that source's published value and
+    version: the knowledge moves with the document."""
+    heard = {
+        key: (value, version) for key, value, version in sim._heard[:-1].tolist()
+    }
+    rev = sim.graph.reverse()
+    for d in np.flatnonzero(evacuated).tolist():
+        owner = int(sim._peer_of[d])
+        for s in rev.indices[rev.indptr[d]:rev.indptr[d + 1]].tolist():
+            if evacuated[s] and sim._peer_of[s] != owner:
+                expected = (sim.published[s], sim.version[s])
+                assert heard[owner * DOCS + s] == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reboot_republish_matches_peer(seed):
+    spec = FaultSpec(drop_rate=0.1)
+    sim = warmed(seed, faults=FaultPlan(spec, seed=seed + 3))
+    staged = 0
+    for twin in twins(sim):
+        staged += twin.reboot_republish(sim._peer_of)
+        docs = np.flatnonzero((sim._peer_of == twin.peer_id) & (sim.version > 0))
+        rows, _ = sim._stage(docs)
+        assert_same_rows(rows, drained([twin]))
+    assert staged > 0

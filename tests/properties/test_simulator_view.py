@@ -63,7 +63,7 @@ def view_errors(sim):
     heard = dict(zip(sim._heard["key"][:-1].tolist(), sim._heard["value"][:-1].tolist()))
     src = np.repeat(np.arange(DOCS), sim.graph.out_degrees())
     truth = [
-        sim.peers[o].published[s] if sim.peers[o].owns(s)
+        sim.published[s] if sim._peer_of[s] == o
         else heard.get(o * DOCS + s, sim.init_rank)
         for o, s in zip(sim._peer_of[sim.graph.indices].tolist(), src.tolist())
     ]

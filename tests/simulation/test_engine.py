@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import ChaoticPagerank
-from repro.graphs import broder_graph
+from repro.graphs import broder_graph, two_peer_example
 from repro.p2p import (
     CachedDirectDelivery,
     DocumentPlacement,
@@ -140,10 +140,64 @@ class TestValidation:
             P2PPagerankSimulation(g, net).run(max_passes=0)
 
 
+class TestRehomingMovesOwnership:
+    """§3.1 re-homing moves a document by changing its owner: its rank,
+    published value and publish version stay where they are, bit for
+    bit, and its new owner computes it from the next pass on.  Two peers
+    over the six-document fixture: documents 0-2 on peer 0, 3-5 on
+    peer 1."""
+
+    def _sim(self):
+        g = two_peer_example()
+        placement = DocumentPlacement(np.array([0, 0, 0, 1, 1, 1]), 2)
+        sim = P2PPagerankSimulation(
+            g, P2PNetwork(2, placement), epsilon=1e-6, rehoming_after=1
+        )
+        sim.run(max_passes=2)
+        return sim
+
+    @staticmethod
+    def _away(sim, peer):
+        live = np.ones(2, dtype=bool)
+        live[peer] = False
+        sim._absence[peer] = 1
+        sim._rehome(live)
+        return live
+
+    def test_evacuation_moves_every_document(self):
+        sim = self._sim()
+        self._away(sim, 0)
+        assert not np.any(sim._peer_of == 0)
+        assert np.flatnonzero(sim._peer_of == 1).tolist() == [0, 1, 2, 3, 4, 5]
+        assert sim.traffic.migrations == 3
+
+    def test_rehoming_round_trip_keeps_state(self):
+        sim = self._sim()
+        state = [a.copy() for a in (sim.rank, sim.published, sim.version)]
+        assert sim.version[:3].any()
+        self._away(sim, 0)
+        for before, now in zip(state, (sim.rank, sim.published, sim.version)):
+            assert now.tobytes() == before.tobytes()
+        sim._absence[0] = 0
+        sim._rehome(np.ones(2, dtype=bool))
+        assert sim._peer_of.tolist() == [0, 0, 0, 1, 1, 1]
+        assert sim.traffic.migrations == 6
+        for before, now in zip(state, (sim.rank, sim.published, sim.version)):
+            assert now.tobytes() == before.tobytes()
+
+    def test_moved_documents_compute_at_their_new_owner(self):
+        sim = self._sim()
+        live = self._away(sim, 0)
+        new = sim._workspace.pull_edges(sim.view, sim.damping)
+        _, _, computed, _ = sim._compute(new, live)
+        assert computed == 6
+        assert sim.rank.tolist() == new.tolist()
+
+
 class TestRehomingDeterminism:
-    """Re-homing migrates document state through set-typed containers
-    (the dead-peer set, surrendered-state dicts); repeated runs with
-    identical seeds must nevertheless be byte-identical."""
+    """Re-homing migrates documents through a set-typed container (the
+    dead-peer set); repeated runs with identical seeds must nevertheless
+    be byte-identical."""
 
     def _run_once(self):
         g, pl, net = build(num_docs=100, num_peers=6, seed=7, ring=True)

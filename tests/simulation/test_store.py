@@ -109,8 +109,8 @@ class TestDeferral:
         assert sim._owed() > 0
         stored = np.bincount(sim._stored["sender"], minlength=6)
         out_deg = g.out_degrees()
-        for peer in sim.peers:
-            assert stored[peer.peer_id] <= int(out_deg[peer.documents].sum())
+        for p in range(6):
+            assert stored[p] <= int(out_deg[sim._peer_of == p].sum())
 
 
 class TestCrash:
