@@ -15,7 +15,7 @@ report.  On Freenet-style systems the cache must be disabled
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs import get_registry
 from repro.p2p.chord import ChordRing
@@ -118,50 +118,6 @@ class LocationCache:
         ).inc()
         self._remember(doc, result.owner)
         return result.owner
-
-    def lookup_hops(self, docs: Iterable[int]) -> List[int]:
-        """:meth:`locate` each of ``docs`` in order; returns the DHT hops
-        each lookup paid (0 for a hit).
-
-        Stats and cache contents end as the :meth:`locate` loop leaves
-        them, and the registry counters move by the same totals, once
-        per call.  A bounded cache takes the per-lookup path, because
-        its FIFO eviction depends on every insertion's order.
-        """
-        stats = self.stats
-        hops: List[int] = []
-        if self.capacity is not None:
-            for doc in docs:
-                before = stats.routed_hops
-                self.locate(doc)
-                hops.append(stats.routed_hops - before)
-            return hops
-        entries = self._entries
-        misses = routed = 0
-        for doc in docs:
-            if doc in entries:
-                hops.append(0)
-                continue
-            result = self.ring.route(self.guid_fn(doc), self.owner_peer)
-            entries[doc] = result.owner
-            hops.append(result.hops)
-            misses += 1
-            routed += result.hops
-        hits = len(hops) - misses
-        stats.hits += hits
-        stats.misses += misses
-        stats.routed_hops += routed
-        if hits:
-            get_registry().counter(
-                "p2p.location_cache.hits", unit="lookups",
-                description="location-cache lookups answered without DHT traffic",
-            ).inc(hits)
-        if misses:
-            get_registry().counter(
-                "p2p.location_cache.misses", unit="lookups",
-                description="location-cache lookups that routed through the DHT",
-            ).inc(misses)
-        return hops
 
     def invalidate(self, doc: int) -> None:
         """Drop a cached location (e.g. after a failed direct send when

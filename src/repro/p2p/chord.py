@@ -8,8 +8,9 @@ closest-preceding-finger greedy routing.
 
 The implementation favours clarity and faithful hop counts over raw
 lookup speed — the vectorized pagerank engines never call into it per
-edge; only the object-level protocol simulator and the caching layer
-(§3.2) do, and they need the hop counts to be right, not fast.
+edge.  The protocol simulator's §3.2 pricing reads its hop counts in
+columns from the hop table, which is exact because a greedy route's
+length depends only on its start peer and the key's owner.
 
 Supported operations:
 
@@ -17,6 +18,9 @@ Supported operations:
   key), the ground truth the routing must agree with;
 * :meth:`ChordRing.route` — greedy finger routing from an arbitrary
   start peer, returning the owner *and* the hop count;
+* :meth:`ChordRing.document_hops` — the same hop counts for a column of
+  (start peer, document) rows, read from a P×P table by (start, owner)
+  ring position (:meth:`ChordRing.hop_table`);
 * :meth:`ChordRing.join` / :meth:`ChordRing.leave` — membership
   changes with finger-table refresh, used by the churn protocol tests.
 """
@@ -24,11 +28,13 @@ Supported operations:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs import get_registry
-from repro.p2p.guid import ID_BITS, ID_SPACE, in_interval, peer_guid
+from repro.p2p.guid import ID_BITS, ID_SPACE, document_guid, in_interval, peer_guid
 
 __all__ = ["ChordRing", "LookupResult"]
 
@@ -153,16 +159,7 @@ class ChordRing:
         current peer and its immediate successor.
         """
         result = self._route(key, start_peer)
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(
-                "p2p.chord.lookups", unit="lookups",
-                description="routed DHT lookups (find_successor calls)",
-            ).inc()
-            reg.histogram(
-                "p2p.chord.hops", unit="hops",
-                description="routing hops per lookup (O(log P) bound)",
-            ).observe(result.hops)
+        _record_lookups((result.hops,))
         return result
 
     def _route(self, key: int, start_peer: int) -> LookupResult:
@@ -198,6 +195,65 @@ class ChordRing:
     def lookup_hops(self, key: int, start_peer: int) -> int:
         """Convenience: just the hop count of :meth:`route`."""
         return self.route(key, start_peer).hops
+
+    def document_hops(self, start_peers: np.ndarray, docs: np.ndarray) -> np.ndarray:
+        """Hops of :meth:`route` from ``start_peers[i]`` to the owner of
+        document ``docs[i]``, for every row at once, read from
+        :meth:`hop_table`; recorded as routed lookups as :meth:`route`
+        records them, in row order."""
+        hops = self.hop_table()[self.positions(start_peers), self.document_positions(docs)]
+        _record_lookups(hops)
+        return hops
+
+    def hop_table(self) -> np.ndarray:
+        """``table[i, j]``: hops of a greedy route that starts at the
+        peer at ring position ``i`` for any key the peer at position
+        ``j`` owns.  Built on first use, and again after a membership
+        change.
+
+        The table is exact because no peer GUID lies strictly between
+        the owner's predecessor and the owner.  For every key in that arc
+        each step of :meth:`route` — "do I own it?", "does my successor
+        own it?" and "which finger precedes it most closely?" — answers
+        as it would for the owner's own GUID.  So a step from position
+        ``c`` depends only on the owner's distance ``d`` ahead of ``c``:
+        arrive at ``d = 0``, else forward to the farthest finger less than
+        ``d`` positions ahead (the successor, 1 ahead, always qualifies).
+        The table has P² entries of two bytes each.
+        """
+        if self._hops is None:
+            self._hops = self._build_hops()
+        return self._hops
+
+    def positions(self, peer_ids: Sequence[int]) -> np.ndarray:
+        """Ring positions of ``peer_ids`` (indices into :attr:`peers`)."""
+        peer_ids = np.asarray(peer_ids, dtype=np.int64)
+        ids, at = self._positions
+        i = np.searchsorted(ids, peer_ids)
+        unknown = ids[i] != peer_ids
+        if unknown.any():
+            raise KeyError(f"peer {peer_ids[unknown][0]} not in ring")
+        return at[i]
+
+    def document_positions(self, docs: Sequence[int]) -> np.ndarray:
+        """Ring positions of the owners of documents ``docs`` (ids from
+        0).  Each document's GUID is hashed and looked up once per
+        membership; the answers are kept until the ring changes."""
+        docs = np.asarray(docs, dtype=np.int64)
+        if docs.size and docs.max() >= self._doc_positions.size:
+            grown = np.full(int(docs.max()) + 1, -1, dtype=np.int64)
+            grown[: self._doc_positions.size] = self._doc_positions
+            self._doc_positions = grown
+        at = self._doc_positions[docs]
+        if (at < 0).any():
+            new = np.unique(docs[at < 0])
+            n = len(self._ring)
+            self._doc_positions[new] = [
+                bisect.bisect_left(self._ring, document_guid(d)) % n
+                for d in new.tolist()
+            ]
+            at = self._doc_positions[docs]
+        return at
 
     def successor_list(self, peer_id: int, k: int) -> List[int]:
         """The ``k`` peers following ``peer_id`` on the ring.
@@ -271,6 +327,41 @@ class ChordRing:
                     seen.add(f)
                     table.append(f)
             self._fingers[g] = table
+        # Peer ids sorted over a sentinel past every id, and their ring
+        # positions.
+        ids = np.array(self.peers + [np.iinfo(np.int64).max], dtype=np.int64)
+        order = np.argsort(ids)
+        self._positions = (ids[order], order)
+        # Derived from the membership: rebuilt on next use.
+        self._hops = None
+        self._doc_positions = np.empty(0, dtype=np.int64)
+
+    def _build_hops(self) -> np.ndarray:
+        """:meth:`hop_table`: one next-hop matrix, then every (start,
+        owner) pair's route followed to its end at once."""
+        n = len(self._ring)
+        if n == 1:  # the one peer owns every key
+            return np.zeros((1, 1), dtype=np.int16)
+        position_of = {g: i for i, g in enumerate(self._ring)}
+        ahead = np.arange(n, dtype=np.int32)
+        # step[c, d]: where the peer at position c forwards a key whose
+        # owner is d >= 1 positions ahead (its fingers as offsets).
+        step = np.empty((n, n), dtype=np.int32)
+        for c, g in enumerate(self._ring):
+            fingers = np.sort([(position_of[f] - c) % n for f in self._fingers[g]])
+            at = np.maximum(np.searchsorted(fingers, ahead) - 1, 0)
+            step[c] = (c + fingers[at]) % n
+        owner = np.tile(ahead, n)
+        current = np.repeat(ahead, n)
+        # A route takes at most ID_BITS + 2 hops.
+        hops = np.zeros(n * n, dtype=np.int16)
+        on = np.flatnonzero(current != owner)
+        while on.size:
+            hops[on] += 1
+            c = current[on]
+            current[on] = step[c, (owner[on] - c) % n]
+            on = on[current[on] != owner[on]]
+        return hops.reshape(n, n)
 
     def _closest_preceding(self, current: int, key: int) -> int:
         """Closest finger of ``current`` strictly between it and the key."""
@@ -278,3 +369,20 @@ class ChordRing:
             if in_interval(f, current, key, inclusive_right=False):
                 return f
         return current
+
+
+def _record_lookups(hops: Sequence[int]) -> None:
+    """Count routed lookups and their hops in the metrics registry."""
+    reg = get_registry()
+    if not reg.enabled or not len(hops):
+        return
+    reg.counter(
+        "p2p.chord.lookups", unit="lookups",
+        description="routed DHT lookups (find_successor calls)",
+    ).inc(len(hops))
+    histogram = reg.histogram(
+        "p2p.chord.hops", unit="hops",
+        description="routing hops per lookup (O(log P) bound)",
+    )
+    for h in hops:
+        histogram.observe(h)

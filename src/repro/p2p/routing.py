@@ -17,12 +17,13 @@ from the same message stream.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
-from repro.p2p.cache import LocationCache
+import numpy as np
+from numpy.typing import ArrayLike
+
+from repro.obs import get_registry
 from repro.p2p.chord import ChordRing
-from repro.p2p.guid import document_guid
 
 __all__ = [
     "DeliveryPolicy",
@@ -40,26 +41,27 @@ class DeliveryPolicy(ABC):
         """Hops consumed delivering one update from ``sender_peer`` to
         the peer storing ``target_doc``."""
 
-    def delivery_hops_batch(
-        self, sender_peer: int, target_docs: Sequence[int]
-    ) -> int:
-        """Total hops for one sender's batch of deliveries.
+    def delivery_hops_batch(self, senders: ArrayLike, targets: ArrayLike) -> int:
+        """Total hops of a run of deliveries, row ``i`` from peer
+        ``senders[i]`` to the peer storing document ``targets[i]``,
+        priced in row order.
 
-        Every engine prices batches through this one entry point, so
+        Every engine prices deliveries through this one entry point, so
         instrumentation that wraps it by name sees every policy;
         policies with a cheaper exact answer override
         :meth:`_batch_hops`.
         """
-        return self._batch_hops(sender_peer, target_docs)
+        return self._batch_hops(
+            np.asarray(senders, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+        )
 
-    def _batch_hops(self, sender_peer: int, target_docs: Sequence[int]) -> int:
-        """Price each delivery individually in order, so stateful
-        policies (location caches, per-route counters) observe the
-        exact same sequence as repeated :meth:`delivery_hops` calls."""
-        total = 0
-        for doc in target_docs:
-            total += self.delivery_hops(sender_peer, doc)
-        return total
+    def _batch_hops(self, senders: np.ndarray, targets: np.ndarray) -> int:
+        """Price each delivery individually in row order, so stateful
+        policies (random restarts, per-route counters) observe the exact
+        same sequence as repeated :meth:`delivery_hops` calls."""
+        return sum(
+            self.delivery_hops(s, t) for s, t in zip(senders.tolist(), targets.tolist())
+        )
 
     def reset(self) -> None:
         """Clear any per-run state (caches, counters)."""
@@ -72,13 +74,20 @@ class OracleDirectDelivery(DeliveryPolicy):
     def delivery_hops(self, sender_peer: int, target_doc: int) -> int:
         return 1
 
-    def _batch_hops(self, sender_peer: int, target_docs: Sequence[int]) -> int:
-        return len(target_docs)
+    def _batch_hops(self, senders: np.ndarray, targets: np.ndarray) -> int:
+        return len(targets)
 
 
 class CachedDirectDelivery(DeliveryPolicy):
     """§3.2's scheme: first update per (sender, document) routes
     through the DHT, later ones go direct.
+
+    The senders' location caches are one sorted array of located
+    (sender, document) pairs, ``sender << 32 | document`` (document ids
+    below ``2**32``), and a cold lookup's hops come from the ring's hop
+    table.  Hit, miss and hop counts match per-sender
+    :class:`~repro.p2p.cache.LocationCache` objects fed the same stream,
+    in the metrics registry too (``p2p.location_cache.*``).
 
     Parameters
     ----------
@@ -88,42 +97,52 @@ class CachedDirectDelivery(DeliveryPolicy):
 
     def __init__(self, ring: ChordRing) -> None:
         self.ring = ring
-        self._caches: Dict[int, LocationCache] = {}
-
-    def cache_of(self, peer: int) -> LocationCache:
-        """The sending peer's location cache (created lazily)."""
-        cache = self._caches.get(peer)
-        if cache is None:
-            cache = self._caches[peer] = LocationCache(peer, self.ring)
-        return cache
+        self.reset()
 
     def delivery_hops(self, sender_peer: int, target_doc: int) -> int:
-        cache = self.cache_of(sender_peer)
-        if target_doc in cache:
-            cache.locate(target_doc)  # records the hit
-            return 1
-        before = cache.stats.routed_hops
-        cache.locate(target_doc)
-        lookup_hops = cache.stats.routed_hops - before
-        # The discovery route carries the update itself (piggybacked),
-        # so a miss costs the routed path; at minimum one hop.
-        return max(lookup_hops, 1)
+        return self._batch_hops(np.array([sender_peer]), np.array([target_doc]))
 
-    def _batch_hops(self, sender_peer: int, target_docs: Sequence[int]) -> int:
-        """:meth:`delivery_hops` for each document in order, as one pass
-        over the sender's cache (:meth:`LocationCache.lookup_hops`)."""
-        hops = self.cache_of(sender_peer).lookup_hops(target_docs)
-        return sum(h if h > 1 else 1 for h in hops)
+    def _batch_hops(self, senders: np.ndarray, targets: np.ndarray) -> int:
+        """A pair's first row misses if no earlier call located it; every
+        other row hits.  A miss costs its routed path (the discovery
+        route carries the update itself), at least one hop; a hit one
+        direct hop."""
+        keys = senders << 32 | targets
+        at = np.searchsorted(self._located, keys)
+        cold = np.flatnonzero(self._located[at] != keys)
+        hops = cold[:0]
+        if cold.size:
+            pairs, first = np.unique(keys[cold], return_index=True)
+            cold = cold[first]
+            self._located = np.insert(self._located, at[cold], pairs)
+            cold.sort()
+            hops = self.ring.document_hops(senders[cold], targets[cold])
+        hits, misses = len(targets) - cold.size, cold.size
+        self.hits += hits
+        self.misses += misses
+        self.routed_hops += int(hops.sum())
+        reg = get_registry()
+        if hits:
+            reg.counter(
+                "p2p.location_cache.hits", unit="lookups",
+                description="location-cache lookups answered without DHT traffic",
+            ).inc(hits)
+        if misses:
+            reg.counter(
+                "p2p.location_cache.misses", unit="lookups",
+                description="location-cache lookups that routed through the DHT",
+            ).inc(misses)
+        return hits + int(np.maximum(hops, 1).sum())
 
     def reset(self) -> None:
-        self._caches.clear()
+        # Located pairs, sorted over a sentinel past every pair so
+        # searchsorted never runs off the end.
+        self._located = np.array([np.iinfo(np.int64).max])
+        self.hits = self.misses = self.routed_hops = 0
 
     def total_stats(self) -> Dict[str, int]:
-        """Aggregated hit/miss/hop counters across all sender caches."""
-        hits = sum(c.stats.hits for c in self._caches.values())
-        misses = sum(c.stats.misses for c in self._caches.values())
-        hops = sum(c.stats.routed_hops for c in self._caches.values())
-        return {"hits": hits, "misses": misses, "routed_hops": hops}
+        """Hit/miss/hop counters across all senders."""
+        return {"hits": self.hits, "misses": self.misses, "routed_hops": self.routed_hops}
 
 
 class RoutedDelivery(DeliveryPolicy):
@@ -136,9 +155,12 @@ class RoutedDelivery(DeliveryPolicy):
         self.deliveries = 0
 
     def delivery_hops(self, sender_peer: int, target_doc: int) -> int:
-        hops = max(self.ring.route(document_guid(target_doc), sender_peer).hops, 1)
+        return self._batch_hops(np.array([sender_peer]), np.array([target_doc]))
+
+    def _batch_hops(self, senders: np.ndarray, targets: np.ndarray) -> int:
+        hops = int(np.maximum(self.ring.document_hops(senders, targets), 1).sum())
         self.total_hops += hops
-        self.deliveries += 1
+        self.deliveries += len(targets)
         return hops
 
     def reset(self) -> None:

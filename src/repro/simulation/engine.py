@@ -682,14 +682,11 @@ class P2PPagerankSimulation:
         applied = self._deliver(np.repeat(copies.receivers, copies.sizes), updates)
         self._dirty[updates.target] = True
         if self.delivery_policy is not None and len(copies):
-            # Hop pricing is order-sensitive (location caches, routing
-            # state), so price runs of copies from one sender in
-            # delivery order.
-            senders = copies.senders
-            starts = np.flatnonzero(np.r_[True, senders[1:] != senders[:-1]])
-            bounds = copies.offsets[np.r_[starts, senders.size]].tolist()
-            for sender, lo, hi in zip(senders[starts].tolist(), bounds, bounds[1:]):
-                self._charge_hops(sender, updates.target[lo:hi].tolist())
+            # Hop pricing is order-sensitive (location caches, random
+            # restarts), so rows go in delivery order.
+            self.traffic.routing_hops += self.delivery_policy.delivery_hops_batch(
+                np.repeat(copies.senders, copies.sizes), updates.target
+            )
         self.traffic.network_batches += len(copies)
         return applied
 
@@ -851,12 +848,28 @@ class P2PPagerankSimulation:
             value=value[known], version=version[known],
         )
 
+    def _hand_over(self, holders: np.ndarray, docs: np.ndarray) -> None:
+        """Tell each holder the published value and version of the
+        document leaving it (``holders[i]`` gives up ``docs[i]``).  Its
+        documents that link from the document read the heard table once
+        it has gone, and would otherwise see an older value."""
+        self._deliver(
+            holders,
+            UpdateColumns(
+                target=docs, source=docs,
+                value=self.published[docs], version=self.version[docs],
+            ),
+        )
+
     def _rehome(self, live: np.ndarray) -> None:
         """Move documents off long-absent peers and back home on return."""
-        from repro.p2p.guid import document_guid
-
         ring = self.network.ring
-        dead = set(int(p) for p in np.flatnonzero(~live))
+        # §3.1: an absent peer's documents go to each one's owner on the
+        # ring or, if that peer is absent too, the first live peer after
+        # it: ring position -> that peer.
+        at = np.array(ring.peers)
+        up = np.flatnonzero(live[at])
+        heir = at[up[np.searchsorted(up, np.arange(at.size)) % up.size]]
         threshold = self.rehoming_after
         owner_before = self._peer_of.copy()
 
@@ -869,8 +882,8 @@ class P2PPagerankSimulation:
             if not docs.size:
                 continue
             knowledge = self._knowledge(pid, docs)
-            for doc in docs.tolist():
-                self._peer_of[doc] = ring.owner_excluding(document_guid(doc), dead)
+            self._hand_over(np.full(docs.size, pid), docs)
+            self._peer_of[docs] = heir[ring.document_positions(docs)]
             self._deliver(self._peer_of[knowledge.target], knowledge)
             self._dirty[docs] = True  # new owners owe a recompute
             self.traffic.migrations += docs.size
@@ -886,6 +899,7 @@ class P2PPagerankSimulation:
                 holder = int(self._peer_of[doc])
                 knowledge = self._knowledge(holder, np.array([doc]))
                 self._deliver(np.full(len(knowledge), pid), knowledge)
+                self._hand_over(np.array([holder]), np.array([doc]))
                 self._peer_of[doc] = pid
                 self._dirty[doc] = True
                 self.traffic.migrations += 1
@@ -900,10 +914,3 @@ class P2PPagerankSimulation:
             pos = np.flatnonzero(moved[ws.src] | moved[ws.dst])
             value, _, known = self._visible(self._peer_of[ws.dst[pos]], ws.src[pos])
             self.view[pos] = np.where(known, value, self.init_rank)
-
-    def _charge_hops(self, sender_peer: int, targets: List[int]) -> None:
-        if self.delivery_policy is None:
-            return
-        self.traffic.routing_hops += self.delivery_policy.delivery_hops_batch(
-            sender_peer, targets
-        )

@@ -1,5 +1,8 @@
 """Tests of §3.2 location caching."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.p2p import ChordRing, LocationCache
@@ -57,6 +60,25 @@ class TestLocationCache:
         assert len(cache) == 2
         assert 1 not in cache
         assert 2 in cache and 3 in cache
+
+    def test_bounded_cache_keeps_eviction_order(self, ring):
+        # A bounded cache evicts its oldest insertion: checked against a
+        # FIFO model over a seeded stream with many evictions.
+        rng = random.Random(3)
+        cache = LocationCache(0, ring, capacity=5)
+        model, hops = OrderedDict(), 0
+        for _ in range(400):
+            doc = rng.randrange(40)
+            if doc not in model:
+                result = ring.route(document_guid(doc), 0)
+                hops += result.hops
+                if len(model) == 5:
+                    model.popitem(last=False)
+                model[doc] = result.owner
+            assert cache.locate(doc) == model[doc]
+        assert list(cache._entries.items()) == list(model.items())
+        assert cache.stats.routed_hops == hops
+        assert cache.stats.hits + cache.stats.misses == 400
 
     def test_capacity_validated(self, ring):
         with pytest.raises(ValueError):

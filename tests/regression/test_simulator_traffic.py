@@ -39,10 +39,13 @@ PINNED = {
         network_batches=2084, bytes_transferred=157824, routing_hops=8014,
         migrations=0, digest="41bae05f40c40c60",
     ),
+    # Re-pinned when a re-homed document's last holder began keeping
+    # its published value (it saw an older one, and the run converged
+    # with ranks up to 52 % off the fixed point).
     "rehome": dict(
-        passes=83, update_messages=7158, resent_messages=1472,
-        network_batches=2561, bytes_transferred=171792, routing_hops=0,
-        migrations=4877, digest="e4896ecae9473b7f",
+        passes=40, update_messages=6126, resent_messages=1276,
+        network_batches=1859, bytes_transferred=147024, routing_hops=0,
+        migrations=1897, digest="87996987fb83c91c",
     ),
     "loss": dict(
         passes=74, update_messages=9327, resent_messages=3075,
