@@ -59,14 +59,15 @@ soak-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro soak --docs 120 --peers 6 --seeds 0 1 2 --crashes 2 --drop 0.05
 	PYTHONPATH=src $(PYTHON) -m repro soak --docs 120 --peers 6 --seeds 0 1 2 --crashes 2 --partitions 1 --drop 0.05
 
-# Concurrency-sanitizer smoke: the runtime differential suite under the
-# armed happens-before detector, then the packaged scenario with K=3
-# perturbed schedules (docs/STATIC_ANALYSIS.md "Dynamic sanitizer").
-# Realtime-mode tests are excluded by construction: the sanitizer only
-# arms the deterministic scheduler.  The CI sanitize-smoke job runs the
-# same two lines.
+# Concurrency-sanitizer smoke: the runtime differential suite and the
+# recovery suite (WAL replay, reboot republish, anti-entropy catch-up)
+# under the armed happens-before detector, then the packaged scenario
+# with K=3 perturbed schedules (docs/STATIC_ANALYSIS.md "Dynamic
+# sanitizer").  Realtime-mode tests are excluded by construction: the
+# sanitizer only arms the deterministic scheduler.  The CI
+# sanitize-smoke job runs the same two lines.
 sanitize-smoke:
-	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
+	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest tests/differential tests/recovery -q
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --docs 200 --peers 8 --schedules 3
 
 # Sharded parallel-engine smoke: the differential lockdown vs the

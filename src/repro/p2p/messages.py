@@ -9,19 +9,20 @@ network call.  Both conventions are encoded here so every layer prices
 traffic identically.
 
 Updates exist in two shapes with one meaning: a
-:class:`PagerankUpdate` object per message (what the asynchronous
-runtime carries), and :class:`UpdateColumns`, a run of updates as
-parallel arrays (what a peer stages for a whole pass, what the pass
-simulator exchanges and receives, and — grouped into per-(sender,
-receiver) batches as :class:`BatchColumns` — what the reliable
-transport holds in flight).  The wire price is the same 24 bytes per
-update either way.
+:class:`PagerankUpdate` object per message (what a :class:`Peer
+<repro.p2p.peer.Peer>` stages into its :class:`Outbox` and the
+asynchronous runtime carries, one :class:`MessageBatch` per
+destination), and :class:`UpdateColumns`, a run of updates as parallel
+arrays (what the pass simulator stages, exchanges and receives, and —
+grouped into per-(sender, receiver) batches as :class:`BatchColumns` —
+what the reliable transport holds in flight).  The wire price is the
+same 24 bytes per update either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -241,66 +242,32 @@ class BatchAck:
 class Outbox:
     """Per-peer staging area for outgoing updates.
 
-    A peer stages single updates (:meth:`stage`, the per-document path
-    of the asynchronous engines) or whole runs as columns with a
-    destination peer per row (:meth:`stage_columns`, a pass or a
-    republish).  The network layer drains everything in staging order,
-    either as one :class:`MessageBatch` per destination
-    (:meth:`batches`, for the asynchronous runtime's per-batch flights)
-    or as columns (:meth:`take_columns`).
+    A peer stages one update at a time (:meth:`stage`) into one
+    :class:`MessageBatch` per destination peer, the network call the
+    §4.6.1 model serialises.  Destinations keep their first-staging
+    order and each batch its updates' staging order; the network layer
+    drains the batches in that order (:meth:`batches`), and fault
+    injection draws per batch in it, so it is part of a seeded run's
+    identity.
     """
 
     def __init__(self, owner_peer: int) -> None:
         self.owner_peer = owner_peer
-        #: Column runs, oldest first; single updates staged after the
-        #: last run wait in ``_loose`` until a run or a drain needs them
-        #: in column form.
-        self._runs: List[Tuple[np.ndarray, UpdateColumns]] = []
-        self._loose: List[Tuple[int, PagerankUpdate]] = []
+        self._batches: Dict[int, MessageBatch] = {}
 
     def stage(self, dest_peer: int, update: PagerankUpdate) -> None:
         """Queue one ``update`` for ``dest_peer``."""
-        self._loose.append((dest_peer, update))
-
-    def stage_columns(self, dest_peers: np.ndarray, updates: UpdateColumns) -> None:
-        """Queue a run of updates; row ``i`` goes to ``dest_peers[i]``."""
-        self._seal_loose()
-        self._runs.append((dest_peers, updates))
-
-    def _seal_loose(self) -> None:
-        """Turn the loose single updates into a column run, keeping order."""
-        if self._loose:
-            dests = np.array([d for d, _ in self._loose], dtype=np.int64)
-            self._runs.append(
-                (dests, UpdateColumns.from_updates([u for _, u in self._loose]))
-            )
-            self._loose = []
-
-    def take_columns(self) -> Tuple[np.ndarray, UpdateColumns]:
-        """Drain everything staged as ``(dest_peers, updates)``, rows in
-        staging order."""
-        self._seal_loose()
-        runs, self._runs = self._runs, []
-        dests = [d for d, _ in runs] or [np.empty(0, dtype=np.int64)]
-        return np.concatenate(dests), UpdateColumns.concat([u for _, u in runs])
+        batch = self._batches.get(dest_peer)
+        if batch is None:
+            batch = self._batches[dest_peer] = MessageBatch(self.owner_peer, dest_peer)
+        batch.updates.append(update)
 
     def batches(self) -> List[MessageBatch]:
         """Drain and return all staged updates as one batch per
-        destination, destinations in first-staging order and updates in
-        staging order within each (fault injection draws per batch in
-        this order, so it is part of a seeded run's identity)."""
-        if self._runs:
-            dests, runs = self.take_columns()
-            staged: Iterable[Tuple[int, PagerankUpdate]] = zip(dests.tolist(), runs)
-        else:
-            staged, self._loose = self._loose, []
-        out: Dict[int, MessageBatch] = {}
-        for dest, update in staged:
-            batch = out.get(dest)
-            if batch is None:
-                batch = out[dest] = MessageBatch(self.owner_peer, dest)
-            batch.updates.append(update)
-        return list(out.values())
+        destination, in staging order."""
+        out = list(self._batches.values())
+        self._batches = {}
+        return out
 
     def wipe(self) -> int:
         """Discard everything staged (crash-with-state-loss semantics).
@@ -309,17 +276,14 @@ class Outbox:
         state-loss accounting.
         """
         lost = len(self)
-        self._runs = []
-        self._loose = []
+        self._batches = {}
         return lost
 
     def __len__(self) -> int:
         """Total staged updates across all destinations."""
-        return sum(len(u) for _, u in self._runs) + len(self._loose)
+        return sum(len(b) for b in self._batches.values())
 
     @property
     def destinations(self) -> Tuple[int, ...]:
         """Distinct destination peers, in first-staging order."""
-        dests = [d for arr, _ in self._runs for d in arr.tolist()]
-        dests.extend(d for d, _ in self._loose)
-        return tuple(dict.fromkeys(dests))
+        return tuple(self._batches)

@@ -19,13 +19,13 @@ pass simulator (:mod:`repro.simulation.engine`) builds no peers: it
 keeps every peer's documents' state and its network's message state in
 arrays of its own.  :meth:`Peer.compute_pass` is the per-peer form of
 the simulator's pass step — one vectorized ε-mask over the peer's rows
-and its remote updates staged as
-:class:`~repro.p2p.messages.UpdateColumns` — which a property sweep
-checks the simulator against.  Every multi-document staging (a pass's
-publishes, the crash-recovery republishes) goes through one columnar
-out-link helper; a single document stages its few out-links with a
-plain loop.  The differential suites cross-validate the simulator and
-the runtime against the vectorized engine bit for bit.
+— which a property sweep checks the simulator against.  Every staging
+(a recompute's publish, a pass's publishes, the crash-recovery
+republishes) goes document by document through one helper that stages
+an update per remote out-link, in out-link order, into the
+:class:`~repro.p2p.messages.Outbox`'s per-destination batches.  The
+differential suites cross-validate the simulator and the runtime
+against the vectorized engine bit for bit.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import expand_rows, relative_change
+from repro.core.kernels import relative_change
 from repro.graphs.linkgraph import LinkGraph
-from repro.p2p.messages import Outbox, PagerankUpdate, UpdateColumns
+from repro.p2p.messages import Outbox, PagerankUpdate
 
 __all__ = ["Peer", "PassOutcome"]
 
@@ -53,16 +53,10 @@ class PassOutcome:
         published/sent updates).
     max_rel_change:
         Largest relative change among local documents this pass.
-    staged_updates:
-        Update messages staged for other peers.
-    published_docs:
-        The documents that published this pass, ascending.
     """
 
     active_documents: int
     max_rel_change: float
-    staged_updates: int
-    published_docs: Tuple[int, ...] = ()
 
 
 class Peer:
@@ -201,14 +195,8 @@ class Peer:
         changed = np.flatnonzero(new_ranks != old)
         self.rank.update(zip(docs_arr[changed].tolist(), new_ranks[changed].tolist()))
         active = np.flatnonzero(rel > epsilon)
-        published = docs_arr[active]
-        staged = self._publish(published, new_ranks[active], peer_of) if active.size else 0
-        return PassOutcome(
-            active_documents=int(active.size),
-            max_rel_change=max_change,
-            staged_updates=staged,
-            published_docs=tuple(published.tolist()),
-        )
+        self._publish(docs_arr[active], new_ranks[active], peer_of)
+        return PassOutcome(active_documents=int(active.size), max_rel_change=max_change)
 
     # ------------------------------------------------------------------
     def _fresh_rank(self, doc: int, damping: float) -> float:
@@ -219,73 +207,38 @@ class Peer:
             total += self.visible_value(src) * self._inv_out[src]
         return (1.0 - damping) + damping * total
 
-    def _publish(self, docs: np.ndarray, values: np.ndarray, peer_of: np.ndarray) -> int:
-        """Publish ``values`` for local ``docs`` (ascending): expose them
-        to co-located consumers, bump each document's publish version
-        and stage the remote out-link updates.  Returns the number
-        staged."""
-        keys = docs.tolist()
-        self.published.update(zip(keys, values.tolist()))
-        get = self._publish_version.get
-        versions = [get(d, 0) + 1 for d in keys]
-        self._publish_version.update(zip(keys, versions))
-        return self._stage_out_links(
-            docs, values, np.array(versions, dtype=np.int64), peer_of
-        )
+    def _publish(self, docs: np.ndarray, values: np.ndarray, peer_of: np.ndarray) -> None:
+        """Publish ``values`` for local ``docs`` (ascending): expose each
+        to co-located consumers and stage its remote out-link updates at
+        its bumped publish version."""
+        for doc, value in zip(docs.tolist(), values.tolist()):
+            self.published[doc] = value
+            self._stage_updates(doc, value, peer_of)
 
-    def _stage_out_links(
-        self,
-        docs: np.ndarray,
-        values: np.ndarray,
-        versions: np.ndarray,
-        peer_of: np.ndarray,
-        *,
-        only_to: Optional[int] = None,
-    ) -> int:
-        """Stage ``docs``' updates for every out-link target stored on
-        another peer (only on ``only_to`` when given), as one run of
-        columns: documents in the given order, each document's targets
-        in out-link order.  Returns the number staged."""
-        pos, lens = expand_rows(self.graph.indptr, docs)
-        targets = self.graph.indices[pos]
-        dest = peer_of[targets]
-        keep = dest != self.peer_id if only_to is None else dest == only_to
-        staged = int(np.count_nonzero(keep))
-        if staged:
-            self.outbox.stage_columns(
-                dest[keep],
-                UpdateColumns(
-                    target=targets[keep],
-                    source=np.repeat(docs, lens)[keep],
-                    value=np.repeat(values, lens)[keep],
-                    version=np.repeat(versions, lens)[keep],
-                ),
-            )
-        return staged
-
-    def _stage_updates(self, doc: int, value: float, peer_of: np.ndarray) -> int:
-        """Publish-stage one document (the per-document path): bump its
-        publish version and stage an update per remote out-link.
-
-        The same staging as :meth:`_stage_out_links` for a single
-        document, as a plain loop: a document has a handful of
-        out-links, far too few to pay for array calls.
-        """
-        staged = 0
+    def _stage_updates(self, doc: int, value: float, peer_of: np.ndarray) -> None:
+        """Publish-stage one document: bump its publish version and
+        stage an update per remote out-link."""
         version = self._publish_version.get(doc, 0) + 1
         self._publish_version[doc] = version
+        self._stage(doc, value, version, peer_of)
+
+    def _stage(
+        self,
+        doc: int,
+        value: float,
+        version: int,
+        peer_of: np.ndarray,
+        only_to: Optional[int] = None,
+    ) -> int:
+        """Stage ``doc``'s update at ``value`` and ``version`` for every
+        out-link target stored on another peer (only on ``only_to`` when
+        given), in out-link order.  Returns the number staged."""
+        staged = 0
         for target in self.graph.out_links(doc).tolist():
-            target_peer = int(peer_of[target])
-            if target_peer != self.peer_id:
-                self.outbox.stage(
-                    target_peer,
-                    PagerankUpdate(
-                        target_doc=target,
-                        source_doc=doc,
-                        value=value,
-                        version=version,
-                    ),
-                )
+            dest = int(peer_of[target])
+            keep = dest != self.peer_id if only_to is None else dest == only_to
+            if keep:
+                self.outbox.stage(dest, PagerankUpdate(target, doc, value, version))
                 staged += 1
         return staged
 
@@ -345,19 +298,14 @@ class Peer:
 
     def _republish(self, peer_of: np.ndarray, only_to: Optional[int] = None) -> int:
         """Stage every local document's persisted published value at its
-        current publish version (documents never published past the
-        globally known initial value are skipped)."""
-        keys = self.documents.tolist()
-        get = self._publish_version.get
-        versions = np.array([get(d, 0) for d in keys], dtype=np.int64)
-        announced = versions > 0
-        docs = self.documents[announced]
-        values = np.array(
-            [self.published[d] for d in docs.tolist()], dtype=np.float64
-        )
-        return self._stage_out_links(
-            docs, values, versions[announced], peer_of, only_to=only_to
-        )
+        current publish version, documents ascending (documents never
+        published past the globally known initial value are skipped)."""
+        staged = 0
+        for doc in self.documents.tolist():
+            version = self._publish_version.get(doc, 0)
+            if version:
+                staged += self._stage(doc, self.published[doc], version, peer_of, only_to)
+        return staged
 
     def reboot_republish(self, peer_of: np.ndarray) -> int:
         """Crash recovery: re-announce every local document's persisted

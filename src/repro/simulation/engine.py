@@ -757,8 +757,10 @@ class P2PPagerankSimulation:
         np.copyto(self.rank, new, where=computing)
         self._dirty[computing] = False
         pubs = np.flatnonzero(rel > self.epsilon)
-        # Owners ascending, each one's documents ascending: the staging
-        # order batches, fault draws and hop pricing depend on.
+        # Owners ascending, each one's documents ascending.  `_batches`
+        # regroups the rows by sender either way, but its two stable
+        # sorts run about 1.5x faster on rows already in sender order,
+        # and this sort is one key per publisher rather than per row.
         pubs = pubs[np.argsort(self._peer_of[pubs], kind="stable")]
         self.published[pubs] = new[pubs]
         self.version[pubs] += 1

@@ -83,33 +83,13 @@ class TestOutboxOrder:
         # Fault injection draws per batch in this order, so it is part
         # of a seeded faulted run's identity.
         ob = Outbox(owner_peer=0)
-        ob.stage_columns(
-            np.array([5, 2, 5]),
-            UpdateColumns.from_updates(
-                [PagerankUpdate(t, 0, 1.0, 1) for t in (50, 20, 51)]
-            ),
-        )
-        ob.stage(9, PagerankUpdate(90, 1, 1.0, 1))
-        ob.stage(2, PagerankUpdate(21, 1, 1.0, 1))
-        ob.stage_columns(
-            np.array([1]), UpdateColumns.from_updates([PagerankUpdate(10, 2, 1.0, 1)])
-        )
+        for dest, target in ((5, 50), (2, 20), (5, 51), (9, 90), (2, 21), (1, 10)):
+            ob.stage(dest, PagerankUpdate(target, 0, 1.0, 1))
         assert ob.destinations == (5, 2, 9, 1)
+        assert len(ob) == 6
         batches = ob.batches()
-        assert [b.receiver_peer for b in batches] == [5, 2, 9, 1]
+        assert [(b.sender_peer, b.receiver_peer) for b in batches] == [
+            (0, 5), (0, 2), (0, 9), (0, 1)
+        ]
         assert [[u.target_doc for u in b] for b in batches] == [[50, 51], [20, 21], [90], [10]]
-        assert len(ob) == 0
-
-    def test_take_columns_in_staging_order(self):
-        ob = Outbox(owner_peer=0)
-        ob.stage(3, PagerankUpdate(30, 0, 1.0, 1))
-        ob.stage_columns(
-            np.array([4, 3]),
-            UpdateColumns.from_updates(
-                [PagerankUpdate(40, 1, 1.0, 1), PagerankUpdate(31, 1, 1.0, 1)]
-            ),
-        )
-        dests, cols = ob.take_columns()
-        assert dests.tolist() == [3, 4, 3]
-        assert cols.target.tolist() == [30, 40, 31]
         assert len(ob) == 0 and ob.batches() == []

@@ -205,16 +205,93 @@ class TestCrashVolatile:
         a.receive(PagerankUpdate(0, 3, 5.0, version=1))
         a.compute_pass(fresh(a), 1e-3, peer_of)
         a.crash_volatile()
+        versions = dict(a._publish_version)
         staged = a.reboot_republish(peer_of)
-        assert staged > 0
-        batches = a.outbox.batches()
-        for batch in batches:
-            for u in batch:
-                # Replays carry the *current* publish version so
-                # receivers that saw the original suppress them.
-                assert u.version == a._publish_version[u.source_doc]
-                assert u.value == a.published[u.source_doc]
+        # Replays carry the *current* value and publish version, so
+        # receivers that saw the original suppress them: announced
+        # documents ascending, each one's remote out-links in order.
+        expected = [
+            (1, t, s, a.published[s], versions[s])
+            for s, t in ((0, 3), (0, 4), (2, 5))
+            if s in versions
+        ]
+        assert staged == len(expected) > 0
+        assert staged_rows(a) == expected
+        assert a._publish_version == versions
 
     def test_reboot_republish_nothing_if_never_published(self, setup):
         _, peer_of, a, _ = setup
         assert a.reboot_republish(peer_of) == 0
+        assert len(a.outbox) == 0
+
+
+def staged_rows(peer):
+    """Drain ``peer``'s outbox as ``(dest, target, source, value,
+    version)`` rows, batches in order."""
+    return [
+        (b.receiver_peer, u.target_doc, u.source_doc, u.value, u.version)
+        for b in peer.outbox.batches()
+        for u in b
+    ]
+
+
+class TestRepublishTo:
+    """Anti-entropy toward one recovered neighbour.  Peer 0 holds docs
+    0-2; doc 0 links into docs 3 and 4 on peer 2, doc 2 into doc 5 on
+    peer 1."""
+
+    PEER_OF = np.array([0, 0, 0, 2, 2, 1])
+
+    @pytest.fixture()
+    def peer(self):
+        g = two_peer_example()
+        a = Peer(0, [0, 1, 2], g)
+        # Doc 0 publishes twice (version 2), doc 1 once (no remote
+        # out-links), doc 2 never.
+        for version, value in ((1, 5.0), (2, 7.0)):
+            a.receive(PagerankUpdate(0, 3, value, version=version))
+            assert a.recompute_document(0, 0.85, 1e-3, self.PEER_OF)[1]
+        assert a.recompute_document(1, 0.85, 1e-3, self.PEER_OF)[1]
+        a.outbox.batches()
+        assert a._publish_version == {0: 2, 1: 1}
+        return a
+
+    def test_stages_announced_documents_toward_dest_only(self, peer):
+        published = dict(peer.published)
+        assert peer.republish_to(2, self.PEER_OF) == 2
+        assert staged_rows(peer) == [
+            (2, 3, 0, published[0], 2),
+            (2, 4, 0, published[0], 2),
+        ]
+        assert peer._publish_version == {0: 2, 1: 1}
+        assert peer.published == published
+
+    def test_unannounced_documents_are_skipped(self, peer):
+        # Doc 2 is peer 1's only in-linker here, and it never published.
+        assert peer.republish_to(1, self.PEER_OF) == 0
+        assert len(peer.outbox) == 0
+
+    def test_replays_current_value_and_version(self, peer):
+        peer.receive(PagerankUpdate(1, 4, 9.0, version=1))
+        assert peer.recompute_document(1, 0.85, 1e-3, self.PEER_OF)[1]
+        assert peer.recompute_document(2, 0.85, 1e-3, self.PEER_OF)[1]
+        peer.outbox.batches()
+        versions = dict(peer._publish_version)
+        assert peer.republish_to(1, self.PEER_OF) == 1
+        assert staged_rows(peer) == [(1, 5, 2, peer.published[2], versions[2])]
+        assert peer.republish_to(2, self.PEER_OF) == 2
+        assert [row[1:3] for row in staged_rows(peer)] == [(3, 0), (4, 0)]
+        assert peer._publish_version == versions
+
+    def test_appends_after_staged_updates(self, peer):
+        # A republish lands behind what is already staged, in the same
+        # per-destination batch.
+        peer.receive(PagerankUpdate(0, 3, 11.0, version=3))
+        assert peer.recompute_document(0, 0.85, 1e-3, self.PEER_OF)[1]
+        peer.republish_to(2, self.PEER_OF)
+        value = peer.published[0]
+        batches = peer.outbox.batches()
+        assert [b.receiver_peer for b in batches] == [2]
+        assert [(u.target_doc, u.value, u.version) for u in batches[0]] == [
+            (3, value, 3), (4, value, 3), (3, value, 3), (4, value, 3),
+        ]

@@ -7,11 +7,13 @@ documents in arrays (``rank``, ``published``, ``version``, owned per
 publisher.  That must do what twin :class:`~repro.p2p.peer.Peer`
 objects holding the same state do when each live one, ascending, runs
 :meth:`~repro.p2p.peer.Peer.compute_pass` on the same pulled rows: the
-same staged rows in the same order (senders ascending, each sender's
-documents ascending, out-links in CSR order), the same published values
-at the same versions, and the same active count, largest change and
-computed count.  A reboot republish is the same staging over one peer's
-published documents and must equal :meth:`Peer.reboot_republish`.
+same batches in the same order once the simulator's rows are grouped
+(senders ascending, each sender's receivers in first-staging order, its
+documents ascending and their out-links in CSR order), the same
+published values at the same versions, and the same active count,
+largest change and computed count.  A reboot republish is the same
+staging over one peer's published documents and must equal
+:meth:`Peer.reboot_republish`.
 
 Each of 20 seeds warms a network up for a few passes, then compares one
 step with every peer up, with a random set of absent peers, and after a
@@ -29,8 +31,8 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, FixedFractionChurn, P2PNetwork, Peer
 from repro.p2p.guid import document_guid
-from repro.p2p.messages import UpdateColumns
 from repro.simulation import P2PPagerankSimulation
+from repro.simulation.engine import _batches
 
 SEEDS = range(20)
 DOCS, PEERS = 150, 6
@@ -70,23 +72,29 @@ def twins(sim):
 
 
 def drained(peers):
-    """Every peer's staged rows as ``(senders, dests, updates)``, peers
-    in order."""
-    runs = [(p.peer_id, *p.outbox.take_columns()) for p in peers if len(p.outbox)]
-    senders = np.repeat(
-        np.array([s for s, _, _ in runs], dtype=np.int64),
-        [len(u) for _, _, u in runs],
+    """Every peer's staged updates as ``(sender, receiver, target,
+    source, value, version)`` rows, peers in order and each peer's
+    batches in drain order."""
+    return [
+        (p.peer_id, b.receiver_peer, u.target_doc, u.source_doc, u.value, u.version)
+        for p in peers
+        for b in p.outbox.batches()
+        for u in b
+    ]
+
+
+def assert_same_rows(rows, expected):
+    """The simulator's staged ``rows``, grouped into batches, are the
+    ``expected`` drained rows."""
+    batches = _batches(*rows, PEERS)
+    got = zip(
+        np.repeat(batches.senders, batches.sizes).tolist(),
+        np.repeat(batches.receivers, batches.sizes).tolist(),
+        batches.updates,
     )
-    dests = np.concatenate([d for _, d, _ in runs] or [senders])
-    return senders, dests, UpdateColumns.concat([u for _, _, u in runs])
-
-
-def assert_same_rows(got, expected):
-    (s, d, u), (es, ed, eu) = got, expected
-    assert s.tolist() == es.tolist()
-    assert d.tolist() == ed.tolist()
-    for column in ("target", "source", "value", "version"):
-        assert getattr(u, column).tolist() == getattr(eu, column).tolist(), column
+    assert [
+        (s, r, u.target_doc, u.source_doc, u.value, u.version) for s, r, u in got
+    ] == expected
 
 
 def assert_same_state(sim, peers):
