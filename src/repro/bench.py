@@ -44,7 +44,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -312,16 +312,9 @@ def calibrate(*, docs: int = 50_000, repeats: int = 20) -> float:
 def run_scenario(scenario: BenchScenario) -> BenchResult:
     """Execute one scenario and measure it (best wall time of
     ``repeats`` runs, whose protocol numbers must agree)."""
-    runner = {
-        "vectorized": _run_vectorized,
-        "simulator": _run_simulator,
-        "runtime": _run_runtime,
-        "parallel": _run_parallel,
-        "serve": _run_serve,
-    }[scenario.engine]
-    result = runner(scenario)
+    result = _measure(scenario)
     for _ in range(scenario.repeats - 1):
-        again = runner(scenario)
+        again = _measure(scenario)
         if (again.passes, again.messages, again.converged) != (
             result.passes, result.messages, result.converged
         ):
@@ -334,211 +327,115 @@ def run_scenario(scenario: BenchScenario) -> BenchResult:
     return result
 
 
-def _run_vectorized(scenario: BenchScenario) -> BenchResult:
+def _measure(scenario: BenchScenario) -> BenchResult:
+    """One run of a row: build it untimed, time its one solve call,
+    then read the row's numbers off the report."""
+    solve, read = _build(scenario)
+    start = time.perf_counter()
+    report = solve()
+    wall = time.perf_counter() - start
+    return BenchResult(scenario=scenario, wall_s=wall, **read(report))
+
+
+def _build(
+    s: BenchScenario,
+) -> Tuple[Callable[[], object], Callable[[object], Dict[str, object]]]:
+    """Build one row's engine (or serve session) outside the timed region.
+
+    Returns ``(solve, read)``: ``solve()`` is the one call the row times,
+    and ``read(report)`` gives the row's ``passes``, ``messages``,
+    ``bytes_on_wire``, ``converged`` and ``extra``.  Every input is
+    drawn from the row's ``seed``: the graph from ``seed`` itself,
+    placement from ``seed + 1``, churn ``seed + 2``, message loss
+    ``seed + 3`` and the runtime's latencies ``seed + 4`` (the serve
+    session applies the same offsets itself).
+    """
+    import asyncio
+
     from repro.core import ChaoticPagerank
-    from repro.graphs import broder_graph
-    from repro.p2p import DocumentPlacement, FixedFractionChurn
-    from repro.p2p.messages import MESSAGE_SIZE_BYTES
-
-    graph = broder_graph(scenario.docs, seed=scenario.seed)
-    placement = DocumentPlacement.random(
-        scenario.docs, scenario.peers, seed=scenario.seed + 1
-    )
-    engine = ChaoticPagerank(
-        graph,
-        placement.assignment,
-        num_peers=scenario.peers,
-        epsilon=scenario.epsilon,
-    )
-    availability = (
-        FixedFractionChurn(
-            scenario.peers, CHURN_AVAILABILITY, seed=scenario.seed + 2
-        )
-        if scenario.churn
-        else None
-    )
-    start = time.perf_counter()
-    report = engine.run(
-        availability=availability,
-        keep_history=False,
-        max_passes=scenario.max_passes,
-    )
-    wall = time.perf_counter() - start
-    return BenchResult(
-        scenario=scenario,
-        wall_s=wall,
-        passes=report.passes,
-        messages=report.total_messages,
-        bytes_on_wire=report.total_messages * MESSAGE_SIZE_BYTES,
-        converged=report.converged,
-    )
-
-
-def _run_parallel(scenario: BenchScenario) -> BenchResult:
-    from repro.faults.plan import FaultSpec
-    from repro.graphs import broder_graph
-    from repro.p2p import DocumentPlacement, FixedFractionChurn
-    from repro.p2p.messages import MESSAGE_SIZE_BYTES
-    from repro.parallel import ParallelPagerank
-
-    graph = broder_graph(scenario.docs, seed=scenario.seed)
-    placement = DocumentPlacement.random(
-        scenario.docs, scenario.peers, seed=scenario.seed + 1
-    )
-    engine = ParallelPagerank(
-        graph,
-        placement.assignment,
-        num_peers=scenario.peers,
-        epsilon=scenario.epsilon,
-        workers=scenario.workers,
-    )
-    availability = (
-        FixedFractionChurn(
-            scenario.peers, CHURN_AVAILABILITY, seed=scenario.seed + 2
-        )
-        if scenario.churn
-        else None
-    )
-    fault_spec = FaultSpec(drop_rate=scenario.loss) if scenario.loss else None
-    start = time.perf_counter()
-    report = engine.run(
-        availability=availability,
-        fault_spec=fault_spec,
-        fault_seed=scenario.seed + 3,
-        keep_history=False,
-        max_passes=scenario.max_passes,
-    )
-    wall = time.perf_counter() - start
-    return BenchResult(
-        scenario=scenario,
-        wall_s=wall,
-        passes=report.passes,
-        messages=report.total_messages,
-        bytes_on_wire=report.total_messages * MESSAGE_SIZE_BYTES,
-        converged=report.converged,
-    )
-
-
-def _run_simulator(scenario: BenchScenario) -> BenchResult:
     from repro.faults.plan import FaultPlan, FaultSpec
     from repro.graphs import broder_graph
     from repro.p2p import DocumentPlacement, FixedFractionChurn, P2PNetwork
+    from repro.p2p.messages import ACK_SIZE_BYTES, MESSAGE_SIZE_BYTES
+    from repro.parallel import ParallelPagerank
+    from repro.runtime import AsyncPeerRuntime, OnOffSchedule
+    from repro.serve.service import ServeConfig, ServeSession
     from repro.simulation import P2PPagerankSimulation
 
-    graph = broder_graph(scenario.docs, seed=scenario.seed)
-    placement = DocumentPlacement.random(
-        scenario.docs, scenario.peers, seed=scenario.seed + 1
-    )
-    network = P2PNetwork(scenario.peers, placement, build_ring=False)
-    faults = (
-        FaultPlan(FaultSpec(drop_rate=scenario.loss), seed=scenario.seed + 3)
-        if scenario.loss
-        else None
-    )
-    sim = P2PPagerankSimulation(
-        graph, network, epsilon=scenario.epsilon, faults=faults
-    )
-    availability = (
-        FixedFractionChurn(
-            scenario.peers, CHURN_AVAILABILITY, seed=scenario.seed + 2
+    if s.engine == "serve":
+        session = ServeSession(ServeConfig(
+            docs=s.docs, peers=s.peers, seed=s.seed, qps=s.qps,
+            duration=s.duration, epsilon=s.epsilon,
+        ))
+        return session.run, lambda r: dict(
+            passes=r.completed,
+            messages=r.traffic_doc_ids,
+            bytes_on_wire=r.bytes_on_wire,
+            converged=r.runtime.converged,
+            extra={
+                "qps_achieved": r.qps_achieved,
+                "latency_p50_s": r.latency_p50,
+                "latency_p99_s": r.latency_p99,
+                "cache_hit_rate": r.cache_hit_rate,
+                "shed_rate": r.shed_rate,
+            },
         )
-        if scenario.churn
-        else None
-    )
-    start = time.perf_counter()
-    report = sim.run(
-        availability=availability,
-        keep_history=False,
-        max_passes=scenario.max_passes,
-    )
-    wall = time.perf_counter() - start
-    return BenchResult(
-        scenario=scenario,
-        wall_s=wall,
-        passes=report.passes,
-        messages=sim.traffic.update_messages,
-        bytes_on_wire=sim.traffic.bytes_transferred,
-        converged=report.converged,
-    )
 
+    graph = broder_graph(s.docs, seed=s.seed)
+    placement = DocumentPlacement.random(s.docs, s.peers, seed=s.seed + 1)
+    churn = None
+    if s.churn and s.engine == "runtime":
+        churn = OnOffSchedule(
+            s.peers, mean_up=30.0, mean_down=10.0, seed=s.seed + 2
+        )
+    elif s.churn:
+        churn = FixedFractionChurn(s.peers, CHURN_AVAILABILITY, seed=s.seed + 2)
+    spec = FaultSpec(drop_rate=s.loss) if s.loss else None
+    run = dict(availability=churn, keep_history=False, max_passes=s.max_passes)
 
-def _run_runtime(scenario: BenchScenario) -> BenchResult:
-    import asyncio
+    def read_pass(r):
+        return dict(
+            passes=r.passes,
+            messages=r.total_messages,
+            bytes_on_wire=r.total_messages * MESSAGE_SIZE_BYTES,
+            converged=r.converged,
+        )
 
-    from repro.faults.plan import FaultPlan, FaultSpec
-    from repro.graphs import broder_graph
-    from repro.p2p import DocumentPlacement, P2PNetwork
-    from repro.p2p.messages import ACK_SIZE_BYTES, MESSAGE_SIZE_BYTES
-    from repro.runtime import AsyncPeerRuntime, OnOffSchedule
-
-    graph = broder_graph(scenario.docs, seed=scenario.seed)
-    placement = DocumentPlacement.random(
-        scenario.docs, scenario.peers, seed=scenario.seed + 1
-    )
-    network = P2PNetwork(scenario.peers, placement, build_ring=False)
-    faults = (
-        FaultPlan(FaultSpec(drop_rate=scenario.loss), seed=scenario.seed + 3)
-        if scenario.loss
-        else None
-    )
-    availability = (
-        OnOffSchedule(scenario.peers, mean_up=30.0, mean_down=10.0,
-                      seed=scenario.seed + 2)
-        if scenario.churn
-        else None
-    )
+    if s.engine == "vectorized":
+        engine = ChaoticPagerank(
+            graph, placement.assignment, num_peers=s.peers, epsilon=s.epsilon
+        )
+        return lambda: engine.run(**run), read_pass
+    if s.engine == "parallel":
+        engine = ParallelPagerank(
+            graph, placement.assignment, num_peers=s.peers,
+            epsilon=s.epsilon, workers=s.workers,
+        )
+        return (
+            lambda: engine.run(fault_spec=spec, fault_seed=s.seed + 3, **run),
+            read_pass,
+        )
+    network = P2PNetwork(s.peers, placement, build_ring=False)
+    plan = FaultPlan(spec, seed=s.seed + 3) if spec else None
+    if s.engine == "simulator":
+        sim = P2PPagerankSimulation(graph, network, epsilon=s.epsilon, faults=plan)
+        return lambda: sim.run(**run), lambda r: dict(
+            passes=r.passes,
+            messages=sim.traffic.update_messages,
+            bytes_on_wire=sim.traffic.bytes_transferred,
+            converged=r.converged,
+        )
     runtime = AsyncPeerRuntime(
-        graph,
-        network,
-        epsilon=scenario.epsilon,
-        faults=faults,
-        availability=availability,
-        seed=scenario.seed + 4,
+        graph, network, epsilon=s.epsilon, faults=plan,
+        availability=churn, seed=s.seed + 4,
     )
-    start = time.perf_counter()
-    report = asyncio.run(runtime.run())
-    wall = time.perf_counter() - start
-    return BenchResult(
-        scenario=scenario,
-        wall_s=wall,
-        passes=report.rounds,
-        messages=report.messages,
+    return lambda: asyncio.run(runtime.run()), lambda r: dict(
+        passes=r.rounds,
+        messages=r.messages,
         bytes_on_wire=(
-            report.messages * MESSAGE_SIZE_BYTES + report.acks * ACK_SIZE_BYTES
+            r.messages * MESSAGE_SIZE_BYTES + r.acks * ACK_SIZE_BYTES
         ),
-        converged=report.converged,
-    )
-
-
-def _run_serve(scenario: BenchScenario) -> BenchResult:
-    from repro.serve.service import ServeConfig, ServeSession
-
-    config = ServeConfig(
-        docs=scenario.docs,
-        peers=scenario.peers,
-        seed=scenario.seed,
-        qps=scenario.qps,
-        duration=scenario.duration,
-        epsilon=scenario.epsilon,
-    )
-    session = ServeSession(config)
-    start = time.perf_counter()
-    report = session.run()
-    wall = time.perf_counter() - start
-    return BenchResult(
-        scenario=scenario,
-        wall_s=wall,
-        passes=report.completed,
-        messages=report.traffic_doc_ids,
-        bytes_on_wire=report.bytes_on_wire,
-        converged=report.runtime.converged,
-        extra={
-            "qps_achieved": report.qps_achieved,
-            "latency_p50_s": report.latency_p50,
-            "latency_p99_s": report.latency_p99,
-            "cache_hit_rate": report.cache_hit_rate,
-            "shed_rate": report.shed_rate,
-        },
+        converged=r.converged,
     )
 
 

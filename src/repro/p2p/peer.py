@@ -30,6 +30,7 @@ against the vectorized engine bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -277,7 +278,12 @@ class Peer:
             raise ValueError(f"gate must be 'published' or 'rank', got {gate!r}")
         new = self._fresh_rank(doc, damping)
         old = self.published[doc] if gate == "published" else self.rank[doc]
-        rel = abs(old - new) / new if new != 0 else 0.0
+        # The engines' rule (``relative_change``) on one document: a
+        # drop to exactly 0 is an infinite change, so it publishes.
+        if new:
+            rel = abs((old - new) / new)
+        else:
+            rel = 0.0 if old == new else math.inf
         self.rank[doc] = new
         if rel > epsilon:
             self.published[doc] = new

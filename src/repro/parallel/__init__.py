@@ -16,16 +16,11 @@ the worker entry point and :class:`ParallelPagerank`
 """
 
 from repro.core.shard import ShardPlan, build_shard_plan
-from repro.parallel.engine import (
-    ExchangeStats,
-    ParallelPagerank,
-    parallel_pagerank,
-)
+from repro.parallel.engine import ExchangeStats, ParallelPagerank
 from repro.parallel.state import SharedArena, plan_layout
 
 __all__ = [
     "ParallelPagerank",
-    "parallel_pagerank",
     "ExchangeStats",
     "ShardPlan",
     "build_shard_plan",

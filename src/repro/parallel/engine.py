@@ -63,7 +63,7 @@ from repro.p2p.messages import MESSAGE_SIZE_BYTES
 from repro.parallel.state import ArraySpec, SharedArena
 from repro.parallel.worker import BARRIER_TIMEOUT_S, worker_main
 
-__all__ = ["ParallelPagerank", "ExchangeStats", "parallel_pagerank"]
+__all__ = ["ParallelPagerank", "ExchangeStats"]
 
 _BACKENDS = ("auto", "in-process", "process")
 
@@ -451,37 +451,3 @@ def _reset_views(
         view.fill(0)
     views["rank"][:] = rank0
     return views
-
-
-def parallel_pagerank(
-    graph: LinkGraph,
-    assignment: Optional[np.ndarray] = None,
-    *,
-    num_peers: Optional[int] = None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    damping: float = DEFAULT_DAMPING,
-    epsilon: float = 1e-3,
-    max_passes: int = 100_000,
-    availability: Optional[AvailabilityModel] = None,
-    fault_spec: Optional[FaultSpec] = None,
-    fault_seed: int = 0,
-    backend: str = "auto",
-) -> RunReport:
-    """One-call convenience wrapper around :class:`ParallelPagerank`."""
-    engine = ParallelPagerank(
-        graph,
-        assignment,
-        num_peers=num_peers,
-        workers=workers,
-        shards=shards,
-        damping=damping,
-        epsilon=epsilon,
-        backend=backend,
-    )
-    return engine.run(
-        max_passes=max_passes,
-        availability=availability,
-        fault_spec=fault_spec,
-        fault_seed=fault_seed,
-    )

@@ -141,7 +141,6 @@ class PeerNode:
         # Plain counters, aggregated by the runtime into report/metrics.
         self.messages_sent = 0
         self.batches_sent = 0
-        self.messages_received = 0
         self.acks_sent = 0
         self.recomputes = 0
         self.redeliveries_suppressed = 0
@@ -266,7 +265,6 @@ class PeerNode:
                     applied = self._journal.apply_batch(batch.updates)
                 else:
                     applied = self.peer.receive_batch(batch.updates)
-                self.messages_received += len(batch)
                 self.redeliveries_suppressed += len(batch) - applied
                 for update in batch.updates:
                     dirty.add(int(update.target_doc))

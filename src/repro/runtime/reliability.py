@@ -43,8 +43,6 @@ class AsyncFlight:
         Transport-level transfer id (unique per sending node).
     batch:
         The payload under delivery.
-    first_sent:
-        Clock reading of the first transmission.
     attempts:
         Transmissions so far (1 = original send).
     next_retry:
@@ -54,7 +52,6 @@ class AsyncFlight:
 
     flight_id: int
     batch: MessageBatch
-    first_sent: float
     attempts: int = 1
     next_retry: float = 0.0
 
@@ -135,7 +132,6 @@ class FlightTracker:
         flight = AsyncFlight(
             flight_id=self._next_fid,
             batch=batch,
-            first_sent=now,
             attempts=1,
             next_retry=now + self._timeout(1),
         )

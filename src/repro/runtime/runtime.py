@@ -590,7 +590,6 @@ class AsyncPeerRuntime:
         node.tracker = old.tracker
         node.messages_sent = old.messages_sent
         node.batches_sent = old.batches_sent
-        node.messages_received = old.messages_received
         node.acks_sent = old.acks_sent
         node.recomputes = old.recomputes
         node.redeliveries_suppressed = old.redeliveries_suppressed

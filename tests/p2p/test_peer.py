@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graphs import two_peer_example
+from repro.core.kernels import relative_change
+from repro.graphs import chain_graph, two_peer_example
 from repro.p2p import PagerankUpdate, Peer
 
 
@@ -110,6 +111,20 @@ class TestEventDrivenRecompute:
         rel, published = a.recompute_document(0, 0.85, 0.99, peer_of)
         assert not published
         assert a.published[0] == 1.0
+
+    def test_drop_to_zero_follows_engine_rule(self):
+        # Doc 0 of 0 -> 1 has no in-links, so at damping 1.0 it falls
+        # from 1.0 to 0.0: the engines' relative change is inf, and the
+        # document publishes; recomputing the unchanged 0 reports 0.
+        g = chain_graph(2)
+        peer_of = np.array([0, 1])
+        a = Peer(0, [0], g)
+        expected = relative_change(np.array([1.0]), np.array([0.0]))[0]
+        assert a.recompute_document(0, 1.0, 1e-3, peer_of) == (expected, True)
+        assert expected == np.inf
+        assert a.published[0] == 0.0
+        assert len(a.outbox) == 1
+        assert a.recompute_document(0, 1.0, 1e-3, peer_of) == (0.0, False)
 
 
 class TestReceiveIdempotence:
