@@ -28,6 +28,7 @@ Supported operations:
 from __future__ import annotations
 
 import bisect
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,12 @@ from repro.obs import get_registry
 from repro.p2p.guid import ID_BITS, ID_SPACE, document_guid, in_interval, peer_guid
 
 __all__ = ["ChordRing", "LookupResult"]
+
+#: Ring positions of document owners, shared by every ring over the same
+#: peers: one array (-1: not looked up yet) per membership, keyed by the
+#: sorted peer GUIDs, for the most recently used few memberships.
+_DOC_POSITIONS: "OrderedDict[Tuple[int, ...], np.ndarray]" = OrderedDict()
+_DOC_POSITION_MEMBERSHIPS = 4
 
 
 @dataclass(frozen=True)
@@ -192,10 +199,6 @@ class ChordRing:
             path.append(self._peer_at[current])
         raise RuntimeError("routing failed to converge (ring corrupt?)")  # pragma: no cover
 
-    def lookup_hops(self, key: int, start_peer: int) -> int:
-        """Convenience: just the hop count of :meth:`route`."""
-        return self.route(key, start_peer).hops
-
     def document_hops(self, start_peers: np.ndarray, docs: np.ndarray) -> np.ndarray:
         """Hops of :meth:`route` from ``start_peers[i]`` to the owner of
         document ``docs[i]``, for every row at once, read from
@@ -238,21 +241,27 @@ class ChordRing:
     def document_positions(self, docs: Sequence[int]) -> np.ndarray:
         """Ring positions of the owners of documents ``docs`` (ids from
         0).  Each document's GUID is hashed and looked up once per
-        membership; the answers are kept until the ring changes."""
+        membership, and the answers are shared by every ring with that
+        membership (the few most recently used are kept)."""
         docs = np.asarray(docs, dtype=np.int64)
-        if docs.size and docs.max() >= self._doc_positions.size:
+        key = tuple(self._ring)
+        memo = _DOC_POSITIONS.pop(key, np.empty(0, dtype=np.int64))
+        if docs.size and docs.max() >= memo.size:
             grown = np.full(int(docs.max()) + 1, -1, dtype=np.int64)
-            grown[: self._doc_positions.size] = self._doc_positions
-            self._doc_positions = grown
-        at = self._doc_positions[docs]
+            grown[: memo.size] = memo
+            memo = grown
+        _DOC_POSITIONS[key] = memo
+        while len(_DOC_POSITIONS) > _DOC_POSITION_MEMBERSHIPS:
+            _DOC_POSITIONS.popitem(last=False)
+        at = memo[docs]
         if (at < 0).any():
             new = np.unique(docs[at < 0])
             n = len(self._ring)
-            self._doc_positions[new] = [
+            memo[new] = [
                 bisect.bisect_left(self._ring, document_guid(d)) % n
                 for d in new.tolist()
             ]
-            at = self._doc_positions[docs]
+            at = memo[docs]
         return at
 
     def successor_list(self, peer_id: int, k: int) -> List[int]:
@@ -334,7 +343,6 @@ class ChordRing:
         self._positions = (ids[order], order)
         # Derived from the membership: rebuilt on next use.
         self._hops = None
-        self._doc_positions = np.empty(0, dtype=np.int64)
 
     def _build_hops(self) -> np.ndarray:
         """:meth:`hop_table`: one next-hop matrix, then every (start,

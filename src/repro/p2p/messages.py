@@ -90,18 +90,28 @@ class UpdateColumns:
     iteration yields those objects in row order.  Rows keep the order
     they were staged in, which receivers rely on (a later row for the
     same source is a later arrival).
+
+    ``edge`` is bookkeeping, not wire data: the position in
+    ``graph.indices`` of the link ``source -> target`` a row was staged
+    from, or -1 (the default) for a row not staged from a link.  It
+    rides along with every row, so the wire price stays 24 bytes.
     """
 
     target: np.ndarray
     source: np.ndarray
     value: np.ndarray
     version: np.ndarray
+    edge: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.edge is None:
+            object.__setattr__(self, "edge", np.full(self.target.size, -1, dtype=np.int64))
 
     @classmethod
     def empty(cls) -> "UpdateColumns":
         """No updates."""
         ids = np.empty(0, dtype=np.int64)
-        return cls(ids, ids, np.empty(0, dtype=np.float64), ids)
+        return cls(ids, ids, np.empty(0, dtype=np.float64), ids, ids)
 
     @classmethod
     def from_updates(cls, updates: Sequence[PagerankUpdate]) -> "UpdateColumns":
@@ -125,12 +135,14 @@ class UpdateColumns:
             np.concatenate([p.source for p in parts]),
             np.concatenate([p.value for p in parts]),
             np.concatenate([p.version for p in parts]),
+            np.concatenate([p.edge for p in parts]),
         )
 
     def take(self, rows: np.ndarray) -> "UpdateColumns":
         """The given rows (an index array or boolean mask), in that order."""
         return UpdateColumns(
-            self.target[rows], self.source[rows], self.value[rows], self.version[rows]
+            self.target[rows], self.source[rows], self.value[rows],
+            self.version[rows], self.edge[rows],
         )
 
     def __len__(self) -> int:

@@ -470,7 +470,3 @@ class RuntimeSanitizer:
     @property
     def journal_length(self) -> int:
         return len(self._journal)
-
-    @property
-    def edge_count(self) -> int:
-        return self._edges

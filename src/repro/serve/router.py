@@ -196,10 +196,3 @@ class QueryRouter:
             bytes_on_wire=wire_bytes,
             hop_sizes=outcome.hop_sizes,
         )
-
-    def location_cache_stats(self) -> Tuple[int, int, int]:
-        """(hits, misses, routed_hops) summed over all peer caches."""
-        hits = sum(c.stats.hits for c in self._caches.values())
-        misses = sum(c.stats.misses for c in self._caches.values())
-        hops = sum(c.stats.routed_hops for c in self._caches.values())
-        return hits, misses, hops

@@ -19,16 +19,19 @@ writes the co-located view and stages the remote out-link updates as
 pair, senders in order.  Lossless, batches for absent receivers go to
 one §3.1 store table for all peers and are resent in a later pass; with
 a fault plan every batch becomes a flight of the reliable transport.
-What every peer has heard is one table too: a row per (receiver,
-source) with the newest value and its version.  Every update that
-reaches a peer — a fresh batch, a resend, a transport copy, or the
-knowledge a re-homed document carries, read from that table — goes
-through one delivery step: one grouped fold over all receivers applies
-to the table what :meth:`~repro.p2p.peer.Peer.receive` would apply to a
-peer, row by row, and the last applied row per (receiver, source) is
-written on every cross-peer edge from that source into the receiver's
-documents.  A crash is a mask, and a §3.1 migration a write to the
-owner array.  The view therefore changes only at a publish, an applied
+What every peer has heard is one table too, indexed by (receiver,
+source) pair: the newest value and its version.  Pairs are numbered
+once per owner array, and every staged row carries the forward edge it
+was staged from, so a row's pair is one gather through the edge →
+pair array, not a search.  Every update that reaches a peer — a fresh
+batch, a resend, a transport copy, or the knowledge a re-homed
+document carries, read from that table — goes through one delivery
+step: one grouped fold over all receivers applies to the table what
+:meth:`~repro.p2p.peer.Peer.receive` would apply to a peer, row by
+row, and the last applied row per pair is written on every cross-peer
+edge of that pair (the pair → edge index built with the numbering).
+A crash is a mask, and a §3.1 migration a write to the owner array
+that renumbers the pairs.  The view therefore changes only at a publish, an applied
 update or a migration.  Network deliveries add the traffic accounting
 around that step (dirty marks, hop pricing, one §4.6.1 batch per
 delivered copy).  The integration suite cross-validates the simulator
@@ -72,15 +75,29 @@ _STORED = np.dtype(
     [("sender", np.int64), ("receiver", np.int64), ("opened", np.int64)]
 )
 
-#: One row of what the peers have heard: ``receiver * N + source`` (N
-#: documents) and the newest value the receiver holds of the source, at
-#: its version.
+#: One row of what the peers have heard (:meth:`P2PPagerankSimulation.
+#: heard_rows`): ``receiver * N + source`` (N documents) and the newest
+#: value the receiver holds of the source, at its version.
 _HEARD = np.dtype([("key", np.int64), ("value", np.float64), ("version", np.int64)])
+
+#: The key of the no-pair slot, past every ``receiver * N + source``.
+_NO_PAIR = np.iinfo(np.int64).max
 
 
 #: Staged rows: row ``i`` goes from peer ``senders[i]`` to peer
 #: ``dests[i]``, as ``(senders, dests, updates)``.
 _Rows = Tuple[np.ndarray, np.ndarray, UpdateColumns]
+
+
+def _stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``keys`` (non-negative) sorted, and the stable permutation that
+    sorts them: ties keep row order.  One value sort of every key packed
+    above its row index, several times faster than a stable argsort."""
+    bits = max(keys.size - 1, 1).bit_length()
+    if keys.size and int(keys.max()) >> (63 - bits):
+        raise OverflowError(f"keys up to {int(keys.max())} do not pack above {bits} bits")
+    packed = np.sort((keys << bits) | np.arange(keys.size))
+    return packed >> bits, packed & ((1 << bits) - 1)
 
 
 def _batches(
@@ -91,21 +108,23 @@ def _batches(
     sender's receivers in first-staging order and its updates in staging
     order (the order fault injection draws and location caches price in,
     so part of a seeded run's identity)."""
-    pairs, first, group = np.unique(
-        senders * num_peers + dests, return_index=True, return_inverse=True
-    )
-    # Number the pairs by sender, then by first appearance; a stable
-    # sort on that number keeps each batch's rows in staging order.
-    by_first = np.lexsort((first, pairs // num_peers))
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    group = rank[group]
-    offsets = np.zeros(pairs.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(group, minlength=pairs.size), out=offsets[1:])
+    # A stable sort puts each pair's rows together in staging order.
+    pairs, order = _stable_sort(senders * num_peers + dests)
+    head = np.empty(pairs.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=head[1:])
+    bounds = np.append(np.flatnonzero(head), pairs.size)
+    pairs = pairs[bounds[:-1]]
+    # Batches by sender, then by first row; lay their rows out in turn.
+    by_first = _stable_sort(pairs // num_peers * order.size + order[bounds[:-1]])[1]
+    pos, sizes = expand_rows(bounds, by_first)
+    order = order[pos]
+    del pos
+    offsets = np.zeros(by_first.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     pairs = pairs[by_first]
     return BatchColumns(
-        pairs // num_peers, pairs % num_peers, offsets,
-        updates.take(np.argsort(group, kind="stable")),
+        pairs // num_peers, pairs % num_peers, offsets, updates.take(order)
     )
 
 
@@ -337,9 +356,15 @@ class P2PPagerankSimulation:
         #: ``view[e]`` for forward edge ``e = (s -> d)`` (``graph.indices``
         #: order) is what ``owner(d)`` sees of ``s`` (:meth:`_visible`).
         self.view = np.full(graph.indices.size, self.init_rank)
-        # What every peer has heard of remote documents, sorted by key
-        # over a sentinel row past every key.
-        self._heard = np.array([(np.iinfo(np.int64).max, 0.0, 0)], dtype=_HEARD)
+        # What every peer has heard of remote documents, by pair id
+        # (:meth:`_index_cross_edges`): each pair's key ``receiver * N +
+        # source``, the newest value heard and its version (-2: never
+        # heard).  The last slot is the no-pair slot that pair id -1
+        # reads: never heard, keyed past every pair.
+        self._pair_key = np.array([_NO_PAIR], dtype=np.int64)
+        self._pair_order = np.zeros(1, dtype=np.int64)  # pair ids by key
+        self._heard_value = np.zeros(1)
+        self._heard_version = np.full(1, -2, dtype=np.int64)
         # The §3.1 store: rows held for absent receivers, and their
         # updates.
         self._stored = np.empty(0, dtype=_STORED)
@@ -352,15 +377,88 @@ class P2PPagerankSimulation:
         return CSRWorkspace.from_graph(self.graph)
 
     def _index_cross_edges(self) -> None:
-        """Sort the edges between documents on different peers by
-        ``owner(d) * N + s`` (edge ``s -> d``), so :meth:`_deliver`
-        finds a receiver's in-edges from a source by binary search."""
+        """Number the (receiver, source) pairs for the current owners.
+
+        The pairs are those of the cross-peer edges ``s -> d``
+        (``(owner(d), s)``) and every pair already heard, numbered in
+        ``receiver * N + source`` order; heard values and versions keep
+        their pairs.  Builds the edge → pair array (``_pair_of_edge``,
+        -1 for an edge within one peer and, at the extra last entry,
+        for a row staged from no edge) and the pair → cross-edge CSR."""
         ws = self._workspace
         receiver = self._peer_of[ws.dst]
         cross = np.flatnonzero(receiver != self._peer_of[ws.src])
-        keys = receiver[cross] * self.graph.num_nodes + ws.src[cross]
+        held = np.flatnonzero(self._heard_version[:-1] > -2)
+        keys = np.concatenate(
+            [receiver[cross] * self.graph.num_nodes + ws.src[cross], self._pair_key[held]]
+        )
         order = np.argsort(keys)
-        self._cross_keys, self._cross_edges = keys[order], cross[order]
+        keys = keys[order]
+        head = np.empty(keys.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        pair = np.cumsum(head) - 1
+        count = int(head.sum())
+        is_edge = order < cross.size
+        edges = cross[order[is_edge]]
+        self._pair_of_edge = np.full(ws.dst.size + 1, -1, dtype=np.int64)
+        self._pair_of_edge[edges] = pair[is_edge]
+        self._pair_edges = edges
+        self._pair_indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair[is_edge], minlength=count), out=self._pair_indptr[1:])
+        value = np.zeros(count + 1)
+        version = np.full(count + 1, -2, dtype=np.int64)
+        was = held[order[~is_edge] - cross.size]
+        value[pair[~is_edge]] = self._heard_value[was]
+        version[pair[~is_edge]] = self._heard_version[was]
+        self._heard_value, self._heard_version = value, version
+        self._pair_key = np.append(keys[head], _NO_PAIR)
+        self._pair_order = np.arange(count + 1)
+
+    def _pairs_of(self, keys: np.ndarray) -> np.ndarray:
+        """Pair ids of ``receiver * N + source`` keys, -1 where the pair
+        has no number."""
+        order = self._pair_order
+        pair = order[np.searchsorted(self._pair_key, keys, sorter=order)]
+        pair[self._pair_key[pair] != keys] = -1
+        return pair
+
+    def _number(self, keys: np.ndarray) -> np.ndarray:
+        """Pair ids of ``receiver * N + source`` keys, numbering new
+        pairs after the others (never heard, and on no cross edge)."""
+        pair = self._pairs_of(keys)
+        loose = pair < 0
+        if loose.any():
+            new, at = np.unique(keys[loose], return_inverse=True)
+            count = self._pair_key.size - 1
+            pair[loose] = count + at
+            # The new pairs, then the no-pair slot, which stays last.
+            ids = count + np.arange(new.size + 1)
+            where = np.searchsorted(self._pair_key, new, sorter=self._pair_order)
+            self._pair_order = np.append(
+                np.insert(self._pair_order[:-1], where, ids[:-1]), ids[-1]
+            )
+            self._pair_key = np.concatenate([self._pair_key[:-1], new, [_NO_PAIR]])
+            self._heard_value = np.append(self._heard_value[:-1], np.zeros(new.size + 1))
+            self._heard_version = np.append(
+                self._heard_version[:-1], np.full(new.size + 1, -2)
+            )
+            self._pair_indptr = np.append(
+                self._pair_indptr, np.full(new.size, self._pair_indptr[-1])
+            )
+        return pair
+
+    def heard_rows(self) -> np.ndarray:
+        """What every peer has heard of remote documents: one row per
+        (receiver, source) pair heard, as ``key = receiver * N +
+        source``, the newest value and its version, sorted by key."""
+        held = np.flatnonzero(self._heard_version[:-1] > -2)
+        held = held[np.argsort(self._pair_key[held])]
+        rows = np.empty(held.size, dtype=_HEARD)
+        rows["key"] = self._pair_key[held]
+        rows["value"] = self._heard_value[held]
+        rows["version"] = self._heard_version[held]
+        return rows
 
     # ------------------------------------------------------------------
     def run(
@@ -505,10 +603,13 @@ class P2PPagerankSimulation:
                     # (3) exchange: deliver or defer (reliable transport:
                     #     submit each batch as a new flight)
                     senders, dests, updates = zip(*republished, rows)
+                    del republished, rows
                     batches = _batches(
                         np.concatenate(senders), np.concatenate(dests),
                         UpdateColumns.concat(updates), num_peers,
                     )
+                    # The staged rows are copied into the batches.
+                    del senders, dests, updates
                     if faulted:
                         transport.send(t, batches, live)
                         messages = transport.pass_delivered
@@ -591,13 +692,6 @@ class P2PPagerankSimulation:
             return self.transport.unacked_updates
         return len(self._stored_updates)
 
-    def _find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows of the heard table at ``keys`` (``receiver * N +
-        source``), and which keys it holds: the sentinel past the last
-        key keeps every position inside the table."""
-        at = np.searchsorted(self._heard["key"], keys)
-        return at, self._heard["key"][at] == keys
-
     def _deliver(self, receivers: np.ndarray, updates: UpdateColumns) -> np.ndarray:
         """Fold rows into their receivers (``receivers[i]`` gets row
         ``i``) and write the view.  Returns which rows mutated receiver
@@ -605,28 +699,33 @@ class P2PPagerankSimulation:
 
         One grouped pass over all receivers leaves the heard table as
         :meth:`Peer.receive` leaves a peer's version maps, one row at a
-        time in row order.  Rows are grouped by (receiver, source) with a
-        stable sort.  A row applies iff its version exceeds the group's
-        floor (the version the receiver holds, or -2 for a source never
-        heard from, which any version from -1 up beats) and every earlier
-        version in the group: a running maximum.  The last applied row
-        per group is what the receiver keeps, and its value goes on
-        every cross-peer edge from the source into the receiver's
-        documents: a peer sees a source at one value, not only on the
-        edges the updates addressed."""
+        time in row order.  A row's (receiver, source) pair is its edge's
+        pair; a row staged from no edge, or from an edge now within one
+        peer (a re-homed target), looks its pair up and numbers it if it
+        is new.  Rows are grouped by pair with a stable sort.  A row
+        applies iff its version exceeds the group's floor (the version
+        the receiver holds, -2 for a source never heard from, which any
+        version from -1 up beats) and every earlier version in the
+        group: a running maximum.  The last applied row per group is
+        what the receiver keeps, and its value goes on every cross-peer
+        edge of the pair: a peer sees a source at one value, not only on
+        the edges the updates addressed."""
         n = receivers.size
         applied = np.zeros(n, dtype=bool)
         if not n:
             return applied
-        keys = receivers * self.graph.num_nodes + updates.source
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        pair = self._pair_of_edge[updates.edge]
+        loose = pair < 0
+        if loose.any():
+            pair[loose] = self._number(
+                receivers[loose] * self.graph.num_nodes + updates.source[loose]
+            )
+        pair, order = _stable_sort(pair)
         head = np.empty(n, dtype=bool)
         head[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        np.not_equal(pair[1:], pair[:-1], out=head[1:])
         starts = np.flatnonzero(head)
-        at, known = self._find(keys[starts])
-        floor = np.where(known, self._heard["version"][at], -2)
+        floor = self._heard_version[pair[starts]]
         # Offset group g by g * span so one running maximum over all
         # rows never carries from one group into the next.
         ver = updates.version[order]
@@ -646,29 +745,22 @@ class P2PPagerankSimulation:
         running[1:] = running[:-1]
         running[starts] = floor
         rows = np.flatnonzero(ver > running)
-        del ver, running, floor, starts, at, known
+        del ver, running, floor, starts
         if not rows.size:
             return applied
         applied[order[rows]] = True
-        keys = keys[rows]
+        pair = pair[rows]
         last = np.empty(rows.size, dtype=bool)
         last[-1] = True
-        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-        keys = keys[last]
+        np.not_equal(pair[1:], pair[:-1], out=last[:-1])
+        pair = pair[last]
         win = order[rows[last]]
         del order, rows, last
-        kept = np.empty(keys.size, dtype=_HEARD)
-        kept["key"], kept["value"], kept["version"] = (
-            keys, updates.value[win], updates.version[win]
-        )
-        at, known = self._find(keys)
-        self._heard[at[known]] = kept[known]
-        if not known.all():
-            self._heard = np.insert(self._heard, at[~known], kept[~known])
-        lo = np.searchsorted(self._cross_keys, keys)
-        lens = np.searchsorted(self._cross_keys, keys, "right") - lo
-        pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        self.view[self._cross_edges[pos]] = np.repeat(kept["value"], lens)
+        value = updates.value[win]
+        self._heard_value[pair] = value
+        self._heard_version[pair] = updates.version[win]
+        pos, lens = expand_rows(self._pair_indptr, pair)
+        self.view[self._pair_edges[pos]] = np.repeat(value, lens)
         return applied
 
     def _deliver_copies(self, copies: BatchColumns) -> np.ndarray:
@@ -705,10 +797,10 @@ class P2PPagerankSimulation:
         """Keep batches for absent receivers with their senders (§3.1).
 
         A batch joins its (sender, receiver) pair's store and replaces
-        the stored rows it supersedes: those with one of its (source,
-        target) pairs, since an older stored update is obsolete the
-        moment a fresh one exists.  A pair with no stored rows opens a
-        new store, after its sender's others.
+        the stored rows it supersedes: those staged from one of its
+        edges, since an older stored update is obsolete the moment a
+        fresh one exists.  A pair with no stored rows opens a new store,
+        after its sender's others.
         """
         num_peers = self.network.num_peers
         sizes = batches.sizes
@@ -723,12 +815,7 @@ class P2PPagerankSimulation:
         after = int(held["opened"].max()) + 1 if held.size else 0
         opened = np.r_[held["opened"], np.repeat(after + np.arange(sizes.size), sizes)]
         _, first, store = np.unique(pairs, return_index=True, return_inverse=True)
-        _, row = np.unique(
-            np.column_stack([pairs, updates.source, updates.target]),
-            axis=0,
-            return_inverse=True,
-        )
-        row = row.reshape(-1)  # numpy 2.0.0 returns a column here
+        row = pairs * self.graph.indices.size + updates.edge
         keep = np.ones(pairs.size, dtype=bool)
         keep[: held.size] = ~np.isin(row[: held.size], row[held.size:])
         stored = np.empty(pairs.size, dtype=_STORED)
@@ -756,12 +843,9 @@ class P2PPagerankSimulation:
         rel[~computing] = 0.0
         np.copyto(self.rank, new, where=computing)
         self._dirty[computing] = False
+        # Documents ascending: `_batches` groups the rows by sender, and
+        # each sender's rows keep their order, documents ascending.
         pubs = np.flatnonzero(rel > self.epsilon)
-        # Owners ascending, each one's documents ascending.  `_batches`
-        # regroups the rows by sender either way, but its two stable
-        # sorts run about 1.5x faster on rows already in sender order,
-        # and this sort is one key per publisher rather than per row.
-        pubs = pubs[np.argsort(self._peer_of[pubs], kind="stable")]
         self.published[pubs] = new[pubs]
         self.version[pubs] += 1
         rows, local = self._stage(pubs)
@@ -779,9 +863,9 @@ class P2PPagerankSimulation:
     def _stage(self, docs: np.ndarray) -> Tuple[_Rows, np.ndarray]:
         """Stage ``docs``' published values at their publish versions for
         every out-link target on another peer, documents in the given
-        order and each one's targets in out-link order.  Returns the
-        rows and the out-edges (positions in ``graph.indices``) whose
-        target shares its source's owner."""
+        order and each one's targets in out-link order, each row with its
+        out-edge (position in ``graph.indices``).  Returns the rows and
+        the out-edges whose target shares its source's owner."""
         pos, lens = expand_rows(self.graph.indptr, docs)
         targets = self.graph.indices[pos]
         senders = np.repeat(self._peer_of[docs], lens)
@@ -792,6 +876,7 @@ class P2PPagerankSimulation:
             source=np.repeat(docs, lens)[remote],
             value=np.repeat(self.published[docs], lens)[remote],
             version=np.repeat(self.version[docs], lens)[remote],
+            edge=pos[remote],
         )
         return (senders[remote], dests[remote], updates), pos[~remote]
 
@@ -828,11 +913,11 @@ class P2PPagerankSimulation:
         known)``: a co-located source's published value at its publish
         version, else the newest value the owner heard.  ``known`` is
         False where the owner never heard from a remote source."""
-        at, known = self._find(owners * self.graph.num_nodes + sources)
+        pair = self._pairs_of(owners * self.graph.num_nodes + sources)
         co = self._peer_of[sources] == owners
-        value = np.where(co, self.published[sources], self._heard["value"][at])
-        version = np.where(co, self.version[sources], self._heard["version"][at])
-        return value, version, known | co
+        value = np.where(co, self.published[sources], self._heard_value[pair])
+        version = np.where(co, self.version[sources], self._heard_version[pair])
+        return value, version, version > -2
 
     def _knowledge(self, holder: int, docs: np.ndarray) -> UpdateColumns:
         """``holder``'s view of ``docs``' in-link sources, as versioned

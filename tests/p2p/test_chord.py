@@ -1,12 +1,13 @@
 """Tests of the Chord-like DHT ring."""
 
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.p2p import ChordRing, document_guid, peer_guid
+from repro.p2p import ChordRing, chord, document_guid, peer_guid
 from repro.p2p.guid import ID_SPACE
 
 
@@ -68,8 +69,8 @@ class TestRouting:
         assert result.hops == len(result.path) - 1
 
     def test_lookup_hops_shortcut(self, ring):
-        key = document_guid(17)
-        assert ring.lookup_hops(key, ring.peers[3]) == ring.route(key, ring.peers[3]).hops
+        hops = ring.document_hops(np.array([ring.peers[3]]), np.array([17]))
+        assert hops.tolist() == [ring.route(document_guid(17), ring.peers[3]).hops]
 
     def test_unknown_start_rejected(self, ring):
         with pytest.raises(KeyError):
@@ -260,6 +261,30 @@ class TestHopTable:
         docs = np.array([5, 0, 5, 123, 77])
         owners = [ring.peers[i] for i in ring.document_positions(docs)]
         assert owners == [ring.owner(document_guid(d)) for d in docs.tolist()]
+
+    def test_rings_over_the_same_peers_hash_each_document_once(self, monkeypatch):
+        monkeypatch.setattr(chord, "_DOC_POSITIONS", OrderedDict())
+        docs = np.arange(300)
+        first = ChordRing(list(range(12))).document_positions(docs)
+        hashed = []
+
+        def counted(doc):
+            hashed.append(doc)
+            return document_guid(doc)
+
+        monkeypatch.setattr(chord, "document_guid", counted)
+        second = ChordRing(list(range(12)))
+        assert np.array_equal(second.document_positions(docs), first)
+        assert hashed == []
+        # Another membership looks its owners up itself.
+        ChordRing(list(range(13))).document_positions(docs[:5])
+        assert hashed == list(range(5))
+
+    def test_shared_positions_keep_a_few_memberships(self, monkeypatch):
+        monkeypatch.setattr(chord, "_DOC_POSITIONS", OrderedDict())
+        for size in range(2, 2 + 2 * chord._DOC_POSITION_MEMBERSHIPS):
+            ChordRing(list(range(size))).document_positions(np.arange(10))
+        assert len(chord._DOC_POSITIONS) == chord._DOC_POSITION_MEMBERSHIPS
 
     def test_lookups_recorded_like_route(self, ring):
         starts = np.array([0, 3, 3, 31])

@@ -77,6 +77,20 @@ class TestUpdateColumns:
         assert [u.value for u in both.take(np.array([2, 0]))] == [3.0, 1.0]
         assert len(UpdateColumns.concat([])) == 0
 
+    def test_edge_column_rides_along(self):
+        """Rows not staged from a link have edge -1; ``take`` and
+        ``concat`` carry the column with its rows, and it costs no wire
+        bytes."""
+        ids = np.arange(3, dtype=np.int64)
+        a = UpdateColumns(ids, ids, ids * 1.0, ids)
+        b = UpdateColumns(ids, ids, ids * 1.0, ids, edge=ids + 10)
+        assert a.edge.tolist() == [-1, -1, -1]
+        both = UpdateColumns.concat([a, b])
+        assert both.edge.tolist() == [-1, -1, -1, 10, 11, 12]
+        assert both.take(np.array([4, 0])).edge.tolist() == [11, -1]
+        assert UpdateColumns.empty().edge.size == 0
+        assert both.size_bytes == 6 * MESSAGE_SIZE_BYTES
+
 
 class TestOutboxOrder:
     def test_batches_in_first_staging_order(self):

@@ -10,7 +10,8 @@ appends rows as they come, over 50 seeds of random runs that mix empty
 runs, several runs from one sender and receivers repeated within a
 sender.  Runs may also come with senders out of order (a pass's reboot
 republishes before its publishes); a sender's rows then keep the order
-of its runs.
+of its runs.  The packed sort the grouping uses (``_stable_sort``) is
+checked against NumPy's stable argsort.
 """
 
 import random
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.p2p.messages import UpdateColumns
-from repro.simulation.engine import _batches
+from repro.simulation.engine import _batches, _stable_sort
 
 PEERS = 7
 
@@ -107,3 +108,19 @@ def test_one_sender_keeps_first_staging_order_of_receivers():
     assert batches.receivers.tolist() == [5, 2, 0]
     assert batches.offsets.tolist() == [0, 3, 5, 6]
     assert batches.updates.target.tolist() == [0, 2, 5, 1, 4, 3]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_packed_sort_is_the_stable_argsort(seed):
+    """The grouping's sort packs each key above its row index; it must
+    give the stable argsort's permutation, ties in row order."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, rng.choice([1, 5, 1000, 2**40]), size=rng.integers(0, 3000))
+    ordered, order = _stable_sort(keys)
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+    assert ordered.tolist() == np.sort(keys).tolist()
+
+
+def test_packed_sort_refuses_keys_too_large_to_pack():
+    with pytest.raises(OverflowError):
+        _stable_sort(np.array([0, 2**61, 3], dtype=np.int64))

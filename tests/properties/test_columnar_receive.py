@@ -106,11 +106,12 @@ def deliver(sim, receivers, run, cuts=None):
 
 def heard(sim):
     """The simulator's heard table as ``{source: (value, version)}``
-    per peer (the sentinel row dropped)."""
-    keys = sim._heard["key"]
+    per peer."""
+    rows = sim.heard_rows()
+    keys = rows["key"]
     assert np.all(keys[1:] > keys[:-1]), "heard table keys not sorted and unique"
     out = [{} for _ in range(PEERS)]
-    for key, value, version in sim._heard[:-1].tolist():
+    for key, value, version in rows.tolist():
         out[key // DOCS][key % DOCS] = (value, version)
     return out
 
@@ -157,11 +158,9 @@ def test_columnar_and_scalar_receives_interleave(seed):
         assert_same_state(sim, twins)
 
 
-def test_knowledge_without_a_cross_edge_is_kept():
-    """A receiver keeps what it hears of a source none of its documents
-    link from: the view does not change, and the held version gates
-    later rows from that source like any other."""
-    graph, sim, twins, _ = network(0)
+def unlinked(graph, sim):
+    """A receiver, a remote source none of its documents link from, and
+    one of the receiver's documents."""
     owners = sim._peer_of[graph.indices]
     src = np.repeat(np.arange(DOCS), graph.out_degrees())
     linked = set(zip(owners.tolist(), src.tolist()))
@@ -169,7 +168,15 @@ def test_knowledge_without_a_cross_edge_is_kept():
         (r, s) for r in range(PEERS) for s in range(DOCS)
         if (r, s) not in linked and sim._peer_of[s] != r
     )
-    target = int(np.flatnonzero(sim._peer_of == r)[0])
+    return r, s, int(np.flatnonzero(sim._peer_of == r)[0])
+
+
+def test_knowledge_without_a_cross_edge_is_kept():
+    """A receiver keeps what it hears of a source none of its documents
+    link from: the view does not change, and the held version gates
+    later rows from that source like any other."""
+    graph, sim, twins, _ = network(0)
+    r, s, target = unlinked(graph, sim)
     view = sim.view.copy()
     rows = [
         PagerankUpdate(target, s, 2.5, version=3),
@@ -180,6 +187,26 @@ def test_knowledge_without_a_cross_edge_is_kept():
     assert deliver(sim, [r, r], rows[1:]) == replay(twins, [r, r], rows[1:]) == [False, False]
     assert heard(sim)[r] == {s: (2.5, 3)}
     assert np.array_equal(sim.view, view)
+    assert_same_state(sim, twins)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_renumbering_keeps_every_heard_pair(seed):
+    """Renumbering the pairs, as an owner change does, keeps every pair
+    heard, those on no cross edge too, at its value and version: later
+    rows fold as if nothing was renumbered."""
+    graph, sim, twins, rng = network(seed)
+    r, s, target = unlinked(graph, sim)
+    first = [PagerankUpdate(target, s, 2.5, version=3)]
+    assert deliver(sim, [r], first) == replay(twins, [r], first) == [True]
+    for _ in range(3):
+        receivers, run = draw_rows(rng, graph, sim, rng.randint(10, 60))
+        assert deliver(sim, receivers, run) == replay(twins, receivers, run)
+        sim._index_cross_edges()
+        assert s in heard(sim)[r]
+        assert_same_state(sim, twins)
+    stale = [PagerankUpdate(target, s, 9.0, version=3)]
+    assert deliver(sim, [r], stale) == replay(twins, [r], stale) == [False]
     assert_same_state(sim, twins)
 
 

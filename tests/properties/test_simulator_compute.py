@@ -214,7 +214,7 @@ def assert_evacuated_knowledge(sim, evacuated):
     that was evacuated with it, at that source's published value and
     version: the knowledge moves with the document."""
     heard = {
-        key: (value, version) for key, value, version in sim._heard[:-1].tolist()
+        key: (value, version) for key, value, version in sim.heard_rows().tolist()
     }
     rev = sim.graph.reverse()
     for d in np.flatnonzero(evacuated).tolist():

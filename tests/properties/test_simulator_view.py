@@ -60,7 +60,8 @@ def build(kind, seed):
 
 def view_errors(sim):
     """Edges whose view differs from what their target's owner sees."""
-    heard = dict(zip(sim._heard["key"][:-1].tolist(), sim._heard["value"][:-1].tolist()))
+    rows = sim.heard_rows()
+    heard = dict(zip(rows["key"].tolist(), rows["value"].tolist()))
     src = np.repeat(np.arange(DOCS), sim.graph.out_degrees())
     truth = [
         sim.published[s] if sim._peer_of[s] == o

@@ -26,11 +26,24 @@ def simulation(assignment):
     return sim
 
 
+def staged(graph, updates):
+    """``updates`` as the simulator stages them: each row carries the
+    position in ``graph.indices`` of the link it was staged from."""
+    cols = UpdateColumns.from_updates(updates)
+    edge = [
+        graph.indptr[u.source_doc] + graph.out_links(u.source_doc).tolist().index(u.target_doc)
+        for u in updates
+    ]
+    return UpdateColumns(
+        cols.target, cols.source, cols.value, cols.version, np.array(edge, dtype=np.int64)
+    )
+
+
 def send(sim, sender, receiver, updates, live):
     """Transfer one batch; returns the number of updates delivered."""
     batch = BatchColumns(
         np.array([sender]), np.array([receiver]), np.array([0, len(updates)]),
-        UpdateColumns.from_updates(updates),
+        staged(sim.graph, updates),
     )
     return sim._transfer(batch, np.array(live))
 
@@ -61,7 +74,7 @@ class TestDeferral:
         assert sim._resend(np.array([True, True])) == 2
         assert seen == [(1, ups)]
         assert sim._owed() == 0
-        assert sim._heard[["key", "value"]][:-1].tolist() == [(1 * 6 + 0, 1.5), (1 * 6 + 2, 1.5)]
+        assert sim.heard_rows()[["key", "value"]].tolist() == [(1 * 6 + 0, 1.5), (1 * 6 + 2, 1.5)]
         assert sim._resend(np.array([True, True])) == 0
 
     def test_newest_value_wins(self):
@@ -97,6 +110,25 @@ class TestDeferral:
         assert sim._resend(np.array([False, True])) == 0
         assert sim._owed() == 1
         assert sim._resend(np.array([True, True])) == 1
+        assert sim._owed() == 0
+
+    def test_resent_row_whose_target_joined_its_source_is_folded(self):
+        """Under re-homing a stored row goes to its target's current
+        owner.  If that is its source's owner, the row's link is no
+        longer a cross-peer edge; the row is still folded into what
+        that peer has heard, and gates later rows from the source."""
+        g = two_peer_example()
+        placement = DocumentPlacement(np.array([0, 0, 0, 1, 1, 1]), 2)
+        sim = P2PPagerankSimulation(g, P2PNetwork(2, placement), rehoming_after=1)
+        sim._index_cross_edges()
+        row = PagerankUpdate(3, 0, 1.5, version=1)
+        send(sim, 0, 1, [row], [True, False])
+        sim._peer_of[3] = 0
+        sim._index_cross_edges()
+        assert sim._resend(np.array([True, False])) == 1
+        assert sim.heard_rows().tolist() == [(0 * 6 + 0, 1.5, 1)]
+        replay = staged(g, [PagerankUpdate(3, 0, 9.0, version=1)])
+        assert sim._deliver(np.array([0]), replay).tolist() == [False]
         assert sim._owed() == 0
 
     def test_store_bounded_mid_churn(self):
