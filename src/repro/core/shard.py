@@ -8,8 +8,9 @@ their documents.  :class:`~repro.core.distributed.ChaoticPagerank`
 runs the whole graph as a single shard;
 :class:`repro.parallel.ParallelPagerank` splits the peers into several
 shards (:func:`build_shard_plan`) and drives them from worker OS
-processes or on one thread.  A run with every peer up is the
-:class:`AllLive` case of the same step.
+processes or on one thread; the protocol simulator runs a whole-graph
+shard's compute and publish as step 2 of its pass.  A run with every
+peer up is the :class:`AllLive` case of the same step.
 
 Every pass splits into phases a multi-process run separates with
 barriers:
@@ -452,13 +453,15 @@ class ShardRunner:
         self._live_peer: Optional[np.ndarray] = None
         self._live_doc = np.empty(0, dtype=bool)
         self._live_rows = np.empty(0, dtype=bool)
-        self._n_live = 0
+        #: Live rows of the latest compute: the pass's computed count.
+        self.n_live = 0
         #: Documents the latest computed pass published (ascending).
         self.published = np.empty(0, dtype=np.int64)
         # Staged compute-phase results, consumed by the publish phase:
         # the recomputed documents, their values and epsilon mask.
         self._staged: Tuple[np.ndarray, ...] = ()
-        self._stage_max_change = 0.0
+        #: Largest relative change of the latest compute's rows.
+        self.max_change = 0.0
         self._n_resent = 0
         self._n_dropped = 0
 
@@ -473,7 +476,11 @@ class ShardRunner:
         self._live_peer = live_peer.copy()
         self._live_doc = live_peer[self.state.assignment]
         self._live_rows = self._live_doc[self._sel]
-        self._n_live = int(self._live_rows.sum())
+        self.n_live = int(self._live_rows.sum())
+
+    def placement_moved(self) -> None:
+        """The assignment changed in place: select the live rows afresh."""
+        self._live_peer = None
 
     def _park(self, edges: np.ndarray, values: np.ndarray) -> None:
         """Store ``values`` on ``edges`` for a later resend."""
@@ -520,7 +527,7 @@ class ShardRunner:
         #    the flat kernel over every edge beats the row gather, and
         #    only the frontier's rows are taken from it.
         frontier = self.dirty | self.fresh
-        if self._n_live < view.num_nodes:
+        if self.n_live < view.num_nodes:
             frontier &= live_rows
         local = np.flatnonzero(frontier)
         self.dirty[local] = False
@@ -540,7 +547,7 @@ class ShardRunner:
         act = err > self.epsilon
 
         self._staged = (ids, vals, act)
-        self._stage_max_change = float(err.max()) if err.size else 0.0
+        self.max_change = float(err.max()) if err.size else 0.0
         self.compute_seconds = perf_counter() - t0
 
     def publish(self) -> None:
@@ -574,7 +581,7 @@ class ShardRunner:
         # Edge-length arrays dominate peak memory: drop each one early.
         del publishers, lens
         n_deferred = 0
-        if self._n_live < view.num_nodes:
+        if self.n_live < view.num_nodes:
             # Store updates for absent receivers (§3.1).
             to_live = self._live_rows[view.dst[deliver]]
             n_deferred = deliver.size - int(to_live.sum())
@@ -611,8 +618,8 @@ class ShardRunner:
         row[:] = 0.0
         row[COL_ACTIVE] = self.published.size
         row[COL_MESSAGES] = int(self.ecross[deliver].sum()) + self._n_resent
-        row[COL_MAX_CHANGE] = self._stage_max_change
-        row[COL_COMPUTED] = self._n_live
+        row[COL_MAX_CHANGE] = self.max_change
+        row[COL_COMPUTED] = self.n_live
         row[COL_DEFERRED] = n_deferred
         row[COL_RESENT] = self._n_resent
         row[COL_DROPPED] = self._n_dropped

@@ -8,51 +8,50 @@ batches, with §3.1 store-and-resend for absent peers and an optional
 
 The unit of work is the pass, one concurrent step of every live peer's
 Fig. 1 state machine, kept in document-indexed arrays: owner, rank,
-published value and publish version.  One whole-graph
-:class:`~repro.core.kernels.CSRWorkspace` pull computes every document
-from :attr:`P2PPagerankSimulation.view`, which holds for each in-edge
-``s -> d`` what ``d``'s owner sees of ``s``.  One ε-mask over the live
-documents picks the publishers, and one staging over all of them
-writes the co-located view and stages the remote out-link updates as
-:class:`~repro.p2p.messages.UpdateColumns`, grouped into one
+published value and publish version.  Step 2 is the vectorized engines'
+shard step (:class:`~repro.core.shard.ShardRunner`) over the whole
+graph.  From :attr:`P2PPagerankSimulation.view`, which holds for each
+in-edge ``s -> d`` what ``d``'s owner sees of ``s``, it recomputes the
+live documents that have not computed in the run or whose view changed
+since (any other would recompute to its very same bits), and its ε-gate
+picks the publishers.  One staging writes their co-located view and
+stages their remote updates in one
 :class:`~repro.p2p.messages.BatchColumns` batch per (sender, receiver)
-pair, senders in order.  Lossless, batches for absent receivers go to
-one §3.1 store table for all peers and are resent in a later pass; with
-a fault plan every batch becomes a flight of the reliable transport.
-What every peer has heard is one table too, indexed by (receiver,
-source) pair: the newest value and its version.  Pairs are numbered
-once per owner array, and every staged row carries the forward edge it
-was staged from, so a row's pair is one gather through the edge →
-pair array, not a search.  Every update that reaches a peer — a fresh
-batch, a resend, a transport copy, or the knowledge a re-homed
-document carries, read from that table — goes through one delivery
-step: one grouped fold over all receivers applies to the table what
-:meth:`~repro.p2p.peer.Peer.receive` would apply to a peer, row by
-row, and the last applied row per pair is written on every cross-peer
-edge of that pair (the pair → edge index built with the numbering).
-A crash is a mask, and a §3.1 migration a write to the owner array
-that renumbers the pairs.  The view therefore changes only at a publish, an applied
-update or a migration.  Network deliveries add the traffic accounting
-around that step (dirty marks, hop pricing, one §4.6.1 batch per
-delivered copy).  The integration suite cross-validates the simulator
-against the vectorized engine: identical ranks, message counts and pass
-counts.
+pair.  Lossless, batches for absent receivers go to one §3.1 store and
+are resent in a later pass; with a fault plan every batch becomes a
+flight of the reliable transport.  Every update that reaches a peer — a
+fresh batch, a resend, a transport copy, or the knowledge a re-homed
+document carries — goes through one grouped fold into one table of what
+every peer has heard, by (receiver, source) pair, which also writes the
+view.  A crash is a mask, and a §3.1 migration a write to the owner
+array.  The view changes only at a publish, an applied update or a
+migration, and each puts the documents it writes in the frontier.  The
+integration suite checks the simulator against the vectorized engine:
+identical ranks, message counts and pass counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
 from repro.core.distributed import AvailabilityModel
-from repro.core.kernels import CSRWorkspace, expand_rows, relative_change
+from repro.core.kernels import CSRWorkspace, expand_rows
 from repro.core.pagerank import DEFAULT_DAMPING
-from repro.core.shard import check_run_budget, live_mask, starvation_error
+from repro.core.shard import (
+    AllLive,
+    ShardRunner,
+    WorkerState,
+    check_run_budget,
+    cross_peer_edges,
+    live_mask,
+    starvation_error,
+)
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import (
     ReliabilityConfig,
@@ -353,9 +352,7 @@ class P2PPagerankSimulation:
         # Documents that received an update not yet folded into a
         # recompute (absent owners); blocks premature convergence.
         self._dirty = np.zeros(graph.num_nodes, dtype=bool)
-        #: ``view[e]`` for forward edge ``e = (s -> d)`` (``graph.indices``
-        #: order) is what ``owner(d)`` sees of ``s`` (:meth:`_visible`).
-        self.view = np.full(graph.indices.size, self.init_rank)
+        self._step: Optional[ShardRunner] = None  # step 2: :meth:`_new_step`
         # What every peer has heard of remote documents, by pair id
         # (:meth:`_index_cross_edges`): each pair's key ``receiver * N +
         # source``, the newest value heard and its version (-2: never
@@ -375,6 +372,35 @@ class P2PPagerankSimulation:
         """The whole-graph pull kernel, built at the first run (as the
         per-run state is, so set-up stays the placement's cost)."""
         return CSRWorkspace.from_graph(self.graph)
+
+    def _new_step(self) -> ShardRunner:
+        """Start step 2 afresh, every row in its frontier, over the rank,
+        dirty and view arrays (the first step's gather of initial ranks)."""
+        ws = self._workspace
+        step = ShardRunner(WorkerState(
+            damping=self.damping, epsilon=self.epsilon, workspace=ws,
+            views={"rank": self.rank, "active": np.zeros(ws.num_nodes, dtype=bool)},
+            indptr=self.graph.indptr, assignment=self._peer_of,
+            cross_edge=cross_peer_edges(ws, self._peer_of), fault_plans=[None],
+        ))
+        if self._step is not None:
+            step.delivered = self._step.delivered
+        step.dirty = self._dirty
+        self._step = step
+        return step
+
+    @property
+    def view(self) -> np.ndarray:
+        """``view[e]`` for forward edge ``e = (s -> d)`` is what ``owner(d)``
+        sees of ``s`` (:meth:`_visible`): the step's ``delivered`` array."""
+        return (self._step or self._new_step()).delivered
+
+    def _write_view(self, edges: np.ndarray, values: np.ndarray) -> None:
+        """Write the view and put the edges' targets in the step's
+        frontier without marking them dirty, which the stop rule reads."""
+        step = self._step or self._new_step()
+        step.delivered[edges] = values
+        step.fresh[self._workspace.dst[edges]] = True
 
     def _index_cross_edges(self) -> None:
         """Number the (receiver, source) pairs for the current owners.
@@ -473,9 +499,9 @@ class P2PPagerankSimulation:
 
         Semantics mirror the vectorized engine exactly: (1) stored
         updates whose sender and receiver are both present are
-        delivered, (2) every present peer recomputes all its documents
-        from previously received values, (3) freshly staged updates are
-        delivered to present receivers and stored for absent ones.
+        delivered, (2) every present peer recomputes the documents whose
+        inputs changed from previously received values, (3) freshly staged
+        updates are delivered to present receivers and stored for absent ones.
 
         With a fault plan attached, steps (1) and (3) instead go
         through the reliable transport: (1) becomes delayed-copy
@@ -493,7 +519,10 @@ class P2PPagerankSimulation:
         check_run_budget(max_passes, max_dead_passes)
         tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
         self._index_cross_edges()
+        self._new_step()
         num_peers = self.network.num_peers
+        if availability is None:
+            availability = AllLive(num_peers)
 
         reg = get_registry()
         sink = get_trace_sink()
@@ -518,10 +547,7 @@ class P2PPagerankSimulation:
             epsilon=self.epsilon,
         ):
             for t in range(max_passes):
-                if availability is None:
-                    live = np.ones(num_peers, dtype=bool)
-                else:
-                    live = live_mask(availability, t, num_peers)
+                live = live_mask(availability, t, num_peers)
                 republished: List[_Rows] = []
                 if faulted:
                     # Crash-with-state-loss: the peer's retransmit buffer
@@ -596,9 +622,8 @@ class P2PPagerankSimulation:
                     else:
                         resent = self._resend(live)
 
-                    # (2) concurrent recompute: one pull, live peers' rows
-                    new = self._workspace.pull_edges(self.view, self.damping)
-                    active, max_change, computed, rows = self._compute(new, live)
+                    # (2) concurrent recompute: the shard step
+                    active, max_change, computed, rows = self._recompute(t, live)
 
                     # (3) exchange: deliver or defer (reliable transport:
                     #     submit each batch as a new flight)
@@ -760,7 +785,7 @@ class P2PPagerankSimulation:
         self._heard_value[pair] = value
         self._heard_version[pair] = updates.version[win]
         pos, lens = expand_rows(self._pair_indptr, pair)
-        self.view[self._pair_edges[pos]] = np.repeat(value, lens)
+        self._write_view(self._pair_edges[pos], np.repeat(value, lens))
         return applied
 
     def _deliver_copies(self, copies: BatchColumns) -> np.ndarray:
@@ -829,36 +854,24 @@ class P2PPagerankSimulation:
         """Current rank of every document."""
         return self.rank.copy()
 
-    def _compute(
-        self, new: np.ndarray, live: np.ndarray
-    ) -> Tuple[int, float, int, _Rows]:
-        """Step 2: the live peers take their documents' ``new`` ranks
-        (two-phase: every document was computed from the previous
-        published values) and the ones that changed by more than ε
-        publish together.  Returns ``(active, max_change, computed,
-        rows)``, ``rows`` the publishers' updates for remote peers
-        (:meth:`_stage`)."""
-        computing = live[self._peer_of]
-        rel = relative_change(self.rank, new)
-        rel[~computing] = 0.0
-        np.copyto(self.rank, new, where=computing)
-        self._dirty[computing] = False
+    def _recompute(self, t: int, live: np.ndarray) -> Tuple[int, float, int, _Rows]:
+        """Step 2: the shard step recomputes the live frontier and gates it
+        by ε; the publishers publish at their next versions.  Returns
+        ``(active, max_change, computed, rows)``, ``rows`` for remote peers."""
+        step = self._step or self._new_step()
+        step.compute(t, live)
+        step.publish()
         # Documents ascending: `_batches` groups the rows by sender, and
         # each sender's rows keep their order, documents ascending.
-        pubs = np.flatnonzero(rel > self.epsilon)
-        self.published[pubs] = new[pubs]
+        pubs = step.published
+        self.published[pubs] = self.rank[pubs]
         self.version[pubs] += 1
         rows, local = self._stage(pubs)
-        # Published values are instantly visible to co-located
-        # consumers, who now owe a recompute (the vectorized engine
-        # marks these via its per-edge dirty pass); remote targets are
-        # marked at delivery.
-        ws = self._workspace
-        self._dirty[ws.dst[local]] = True
-        self.view[local] = self.published[ws.src[local]]
-        return (
-            int(pubs.size), float(rel.max(initial=0.0)), int(computing.sum()), rows
-        )
+        # Co-located consumers see the published values at once and owe
+        # a recompute; remote targets are marked at delivery.
+        self._dirty[self._workspace.dst[local]] = True
+        self.view[local] = self.published[self._workspace.src[local]]
+        return int(pubs.size), step.max_change, step.n_live, rows
 
     def _stage(self, docs: np.ndarray) -> Tuple[_Rows, np.ndarray]:
         """Stage ``docs``' published values at their publish versions for
@@ -919,34 +932,30 @@ class P2PPagerankSimulation:
         version = np.where(co, self.version[sources], self._heard_version[pair])
         return value, version, version > -2
 
-    def _knowledge(self, holder: int, docs: np.ndarray) -> UpdateColumns:
-        """``holder``'s view of ``docs``' in-link sources, as versioned
-        updates in document then in-link order.  A migrating document is
-        worthless without the values it was computed from; re-homing
-        delivers these to the new owner under the newest-wins rule.
-        Sources ``holder`` never heard from are left out (the receiver
-        keeps its own view or the initial value)."""
+    def _move(self, docs: np.ndarray, owners: Union[int, np.ndarray]) -> None:
+        """Move ``docs`` to ``owners`` (§3.1) with their state.  A document
+        takes what its holder sees of its in-link sources (read before
+        any owner changes; sources never heard from are left out) to the
+        new owner under the newest-wins rule, and leaves the holder its
+        published value: the holder's documents that link from it read
+        the heard table once it has gone."""
+        holders = self._peer_of[docs]
         rev = self.graph.reverse()
         pos, lens = expand_rows(rev.indptr, docs)
         source = rev.indices[pos]
-        value, version, known = self._visible(np.full(source.size, holder), source)
-        return UpdateColumns(
+        value, version, known = self._visible(np.repeat(holders, lens), source)
+        knowledge = UpdateColumns(
             target=np.repeat(docs, lens)[known], source=source[known],
             value=value[known], version=version[known],
         )
-
-    def _hand_over(self, holders: np.ndarray, docs: np.ndarray) -> None:
-        """Tell each holder the published value and version of the
-        document leaving it (``holders[i]`` gives up ``docs[i]``).  Its
-        documents that link from the document read the heard table once
-        it has gone, and would otherwise see an older value."""
-        self._deliver(
-            holders,
-            UpdateColumns(
-                target=docs, source=docs,
-                value=self.published[docs], version=self.version[docs],
-            ),
-        )
+        self._deliver(holders, UpdateColumns(
+            target=docs, source=docs,
+            value=self.published[docs], version=self.version[docs],
+        ))
+        self._peer_of[docs] = owners
+        self._deliver(self._peer_of[knowledge.target], knowledge)
+        self._dirty[docs] = True  # new owners owe a recompute
+        self.traffic.migrations += docs.size
 
     def _rehome(self, live: np.ndarray) -> None:
         """Move documents off long-absent peers and back home on return."""
@@ -957,39 +966,20 @@ class P2PPagerankSimulation:
         at = np.array(ring.peers)
         up = np.flatnonzero(live[at])
         heir = at[up[np.searchsorted(up, np.arange(at.size)) % up.size]]
-        threshold = self.rehoming_after
         owner_before = self._peer_of.copy()
 
-        # Evacuate: peers absent for too long hand over everything —
-        # document state (which moves with the owner) plus the in-link
-        # knowledge it was computed from (taken before the owners
-        # change, since sources may be co-migrating local documents).
-        for pid in np.flatnonzero(self._absence >= threshold).tolist():
+        # Evacuate: peers absent for too long hand over everything.
+        for pid in np.flatnonzero(self._absence >= self.rehoming_after).tolist():
             docs = np.flatnonzero(self._peer_of == pid)
-            if not docs.size:
-                continue
-            knowledge = self._knowledge(pid, docs)
-            self._hand_over(np.full(docs.size, pid), docs)
-            self._peer_of[docs] = heir[ring.document_positions(docs)]
-            self._deliver(self._peer_of[knowledge.target], knowledge)
-            self._dirty[docs] = True  # new owners owe a recompute
-            self.traffic.migrations += docs.size
+            if docs.size:
+                self._move(docs, heir[ring.document_positions(docs)])
 
-        # Return home: a reappeared peer re-acquires its documents.
-        for pid in np.flatnonzero(live).tolist():
-            if self._absence[pid] != 0:
-                continue
-            strayed = np.flatnonzero(
-                (self._home_peer == pid) & (self._peer_of != pid)
-            )
-            for doc in strayed.tolist():
-                holder = int(self._peer_of[doc])
-                knowledge = self._knowledge(holder, np.array([doc]))
-                self._deliver(np.full(len(knowledge), pid), knowledge)
-                self._hand_over(np.array([holder]), np.array([doc]))
-                self._peer_of[doc] = pid
-                self._dirty[doc] = True
-                self.traffic.migrations += 1
+        # Return home: a reappeared peer re-acquires its documents, in
+        # peer order (a later peer reads the owners an earlier one set).
+        for pid in np.flatnonzero(live & (self._absence == 0)).tolist():
+            strayed = np.flatnonzero((self._home_peer == pid) & (self._peer_of != pid))
+            if strayed.size:
+                self._move(strayed, pid)
 
         moved = self._peer_of != owner_before
         # The knowledge deliveries above wrote the view through the
@@ -1000,4 +990,6 @@ class P2PPagerankSimulation:
             ws = self._workspace
             pos = np.flatnonzero(moved[ws.src] | moved[ws.dst])
             value, _, known = self._visible(self._peer_of[ws.dst[pos]], ws.src[pos])
-            self.view[pos] = np.where(known, value, self.init_rank)
+            self._write_view(pos, np.where(known, value, self.init_rank))
+            # The step's live rows follow the owner array.
+            (self._step or self._new_step()).placement_moved()

@@ -3,15 +3,17 @@
 :class:`~repro.simulation.P2PPagerankSimulation` keeps every peer's
 documents in arrays (``rank``, ``published``, ``version``, owned per
 ``_peer_of``) and runs step 2 of a pass for all live peers at once
-(``_compute``): one ε-mask, one publish and one staging over every
+(``_recompute``): the shard step recomputes the live frontier from the
+view and gates it by ε, then one publish and one staging go over every
 publisher.  That must do what twin :class:`~repro.p2p.peer.Peer`
 objects holding the same state do when each live one, ascending, runs
-:meth:`~repro.p2p.peer.Peer.compute_pass` on the same pulled rows: the
-same batches in the same order once the simulator's rows are grouped
-(senders ascending, each sender's receivers in first-staging order, its
-documents ascending and their out-links in CSR order), the same
-published values at the same versions, and the same active count,
-largest change and computed count.  A reboot republish is the same
+:meth:`~repro.p2p.peer.Peer.compute_pass` on every document's row
+pulled from the same view: the same batches in the same order once the
+simulator's rows are grouped (senders ascending, each sender's
+receivers in first-staging order, its documents ascending and their
+out-links in CSR order), the same published values at the same
+versions, and the same active count, largest change and computed
+count.  A reboot republish is the same
 staging over one peer's published documents and must equal
 :meth:`Peer.reboot_republish`.
 
@@ -109,6 +111,9 @@ def assert_same_state(sim, peers):
 
 def assert_step_matches_twins(sim, live):
     peers = twins(sim)
+    # The twins compute every document from the view; the simulator's
+    # step recomputes only its frontier, whose other rows must come out
+    # at the same bits.
     new = sim._workspace.pull_edges(sim.view, sim.damping)
     active, max_change, computed = 0, 0.0, 0
     for twin in peers:
@@ -118,7 +123,7 @@ def assert_step_matches_twins(sim, live):
         active += outcome.active_documents
         max_change = max(max_change, outcome.max_rel_change)
         computed += twin.documents.size
-    got_active, got_max, got_computed, rows = sim._compute(new, live)
+    got_active, got_max, got_computed, rows = sim._recompute(0, live)
     assert (got_active, got_max, got_computed) == (active, max_change, computed)
     assert_same_rows(rows, drained(peers))
     assert_same_state(sim, peers)

@@ -189,7 +189,7 @@ class TestRehomingMovesOwnership:
         sim = self._sim()
         live = self._away(sim, 0)
         new = sim._workspace.pull_edges(sim.view, sim.damping)
-        _, _, computed, _ = sim._compute(new, live)
+        _, _, computed, _ = sim._recompute(2, live)
         assert computed == 6
         assert sim.rank.tolist() == new.tolist()
 
