@@ -82,11 +82,14 @@ sanitize-smoke:
 # property sweeps (docs/PERFORMANCE.md "Sharded execution model"),
 # among them the simulator's frontier step against a full recompute,
 # the faulted and re-homing simulator runs of the fault-convergence and
-# failure-injection suites, and the re-homing ablation (one peer down
-# for good: a constant availability mask while documents move).  The CI
-# parallel-smoke job runs the same line.
+# failure-injection suites, the re-homing ablation (one peer down for
+# good: a constant availability mask while documents move), and the
+# churn suites that drive both engines' §3.1 owed-edge stores
+# (vectorized churn and the dynamics integration tests, among them the
+# simulator's store bound).  The CI parallel-smoke job runs the same
+# line.
 parallel-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_parallel_vs_serial.py tests/differential/test_kernel_parity.py tests/properties tests/core/test_linear.py tests/core/test_personalized.py tests/integration/test_dead_passes.py tests/regression/test_engine_traffic.py tests/regression/test_simulator_traffic.py tests/regression/test_fault_traffic.py tests/differential/test_engines_equal.py tests/differential/test_invariants.py tests/simulation tests/faults/test_fault_convergence.py tests/integration/test_failure_injection.py benchmarks/test_ablation_rehoming.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_parallel_vs_serial.py tests/differential/test_kernel_parity.py tests/properties tests/core/test_linear.py tests/core/test_personalized.py tests/integration/test_dead_passes.py tests/regression/test_engine_traffic.py tests/regression/test_simulator_traffic.py tests/regression/test_fault_traffic.py tests/differential/test_engines_equal.py tests/differential/test_invariants.py tests/simulation tests/faults/test_fault_convergence.py tests/integration/test_failure_injection.py benchmarks/test_ablation_rehoming.py tests/core/test_distributed_churn.py tests/integration/test_dynamics.py -q
 
 # Query-serving smoke: a 30-unit deterministic serving run with the
 # invariant probes (conservation, no silent drops, bounded queues) and

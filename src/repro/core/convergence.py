@@ -35,8 +35,10 @@ class PassStats:
         Network (cross-peer) update messages generated this pass,
         including store-and-resend deliveries.
     deferred_messages:
-        Updates that could not be delivered because the receiving peer
-        was absent (stored at the sender per §3.1).
+        In a pass with live peers, the updates newly stored this pass
+        because their receiving peer was absent (§3.1).  In a skipped
+        pass with every peer down, the store's backlog: the updates
+        still owed.
     live_peers:
         Number of peers present during the pass.
     computed_documents:

@@ -362,7 +362,10 @@ def run_whole_graph(
     stats = np.zeros((1, N_STAT_COLS), dtype=np.float64)
     state = WorkerState(
         damping=damping, epsilon=epsilon,
-        views={"rank": rank, "active": np.zeros(n, dtype=bool), "stats": stats},
+        views={
+            "rank": rank, "published": rank.copy(),
+            "active": np.zeros(n, dtype=bool), "stats": stats,
+        },
         workspace=workspace, indptr=indptr, assignment=assignment,
         cross_edge=cross_edge, fault_plans=[fault_plan], shift=shift,
     )

@@ -2,7 +2,10 @@
 
 This module holds the one implementation of the paper's pass: the
 ε-gate, the frontier-selective pull and the per-edge §3.1
-store-and-resend state (resend, deliver, defer, park on loss).  A
+store-and-resend state (resend, deliver, defer, park on loss).  The
+store is one owed bit per edge, not a value: a source's newest update
+supersedes any older one, so a resend carries the source's latest
+published value, read from the ``published`` array beside ``rank``.  A
 :class:`ShardRunner` executes it for one *shard* — a set of peers and
 their documents.  :class:`~repro.core.distributed.ChaoticPagerank`
 runs the whole graph as a single shard;
@@ -18,8 +21,8 @@ barriers:
 * **compute** — fold §3.1 stored updates whose endpoints are back,
   recompute the shard's *frontier* from its private per-edge delivered
   values, and stage the results;
-* **publish** — write the staged ranks and publisher flags into the
-  shard's own disjoint regions of the shared arrays;
+* **publish** — write the staged ranks, publisher flags and published
+  values into the shard's own disjoint regions of the shared arrays;
 * **deliver** — walk the out-edges of every shard's publishers into
   the shard's private edge state (deliver, defer, lose and park), then
   write the shard's row of the statistics matrix.
@@ -370,7 +373,9 @@ class WorkerState:
     """The per-run context every shard runner of one party shares.
 
     ``views`` holds the arrays shards exchange through: ``rank``,
-    ``active`` (the publishers of the latest pass) and ``stats``.
+    ``published`` (every document's latest published value, the value
+    a §3.1 resend carries), ``active`` (the publishers of the latest
+    pass) and ``stats``.
     ``indptr`` is the forward adjacency's row pointer, the whole-graph
     shard's index of its edges by source.  ``plan`` is ``None`` (or
     has one shard) when the whole graph is a single shard.
@@ -437,10 +442,9 @@ class ShardRunner:
         # forward order (``view.src`` global sources, ``view.dst``
         # local rows): the receiver-side view of each source's rank,
         # initialized to the globally known initial value, and the
-        # §3.1 updates stored for a later resend.
+        # §3.1 store, the edges that owe their source's latest publish.
         self.delivered = state.views["rank"][view.src]
         self.pending = np.zeros(view.src.size, dtype=bool)
-        self.pending_val = np.zeros(view.src.size, dtype=np.float64)
         self._n_pending = 0
         # dirty[i]: row i received a delivery it has not yet folded
         # into a recompute (prevents declaring convergence while an
@@ -482,9 +486,8 @@ class ShardRunner:
         """The assignment changed in place: select the live rows afresh."""
         self._live_peer = None
 
-    def _park(self, edges: np.ndarray, values: np.ndarray) -> None:
-        """Store ``values`` on ``edges`` for a later resend."""
-        self.pending_val[edges] = values
+    def _park(self, edges: np.ndarray) -> None:
+        """Mark ``edges`` as owing their sources' latest publish."""
         self._n_pending += int(edges.size - self.pending[edges].sum())
         self.pending[edges] = True
 
@@ -501,10 +504,11 @@ class ShardRunner:
         live_rows = self._live_rows
 
         # 1) Store-and-resend: stored updates whose sender and receiver
-        #    are both now present get delivered.  Retransmissions travel
-        #    the same lossy links (resend draws come before this pass's
-        #    send draws, in ascending edge order); a dropped one simply
-        #    stays pending.
+        #    are both now present get delivered, at the value their
+        #    source last published.  Retransmissions travel the same
+        #    lossy links (resend draws come before this pass's send
+        #    draws, in ascending edge order); a dropped one simply stays
+        #    pending.
         self._n_dropped = 0
         resend = np.empty(0, dtype=np.int64)
         if self._n_pending:
@@ -516,7 +520,7 @@ class ShardRunner:
                     self._n_dropped = int(resend.size - kept.sum())
                     resend = resend[kept]
             if resend.size:
-                self.delivered[resend] = self.pending_val[resend]
+                self.delivered[resend] = self.state.views["published"][view.src[resend]]
                 self.pending[resend] = False
                 self._n_pending -= resend.size
                 self.dirty[view.dst[resend]] = True
@@ -551,9 +555,9 @@ class ShardRunner:
         self.compute_seconds = perf_counter() - t0
 
     def publish(self) -> None:
-        """Write the staged ranks and publisher flags for this shard's
-        own rows (disjoint regions); every shard reads the full arrays
-        only in the delivery phase, on the far side of the barrier."""
+        """Write the staged ranks, publisher flags and published values
+        for this shard's own rows (disjoint regions); other shards read
+        them only on the far side of the barrier."""
         t0 = perf_counter()
         ids, vals, act = self._staged
         self._staged = ()
@@ -563,6 +567,7 @@ class ShardRunner:
         views["rank"][ids] = vals
         self.published = ids[act]
         active[self.published] = True
+        views["published"][self.published] = vals[act]
         self.compute_seconds += perf_counter() - t0
 
     def deliver(self, t: int) -> None:
@@ -577,7 +582,7 @@ class ShardRunner:
         # value each carries.
         publishers = np.flatnonzero(st.views["active"])
         deliver, lens = expand_rows(self._out_ptr, publishers)
-        values = np.repeat(st.views["rank"][publishers], lens)
+        values = np.repeat(st.views["published"][publishers], lens)
         # Edge-length arrays dominate peak memory: drop each one early.
         del publishers, lens
         n_deferred = 0
@@ -585,7 +590,7 @@ class ShardRunner:
             # Store updates for absent receivers (§3.1).
             to_live = self._live_rows[view.dst[deliver]]
             n_deferred = deliver.size - int(to_live.sum())
-            self._park(deliver[~to_live], values[~to_live])
+            self._park(deliver[~to_live])
             deliver = deliver[to_live]
             values = values[to_live]
 
@@ -599,12 +604,12 @@ class ShardRunner:
                 kept = self.fault_plan.edge_delivery_mask(t, lossy.size)
                 if not kept.all():
                     lost = lossy[~kept]
-                    self._park(deliver[lost], values[lost])
+                    self._park(deliver[lost])
                     self._n_dropped += lost.size
                     deliver, values = np.delete(deliver, lost), np.delete(values, lost)
         if self._n_pending:
-            # A fresh value that does get through supersedes any staler
-            # copy still awaiting retransmission.
+            # A fresh value that gets through settles what its edge
+            # owed.
             stale = deliver[self.pending[deliver]]
             self.pending[stale] = False
             self._n_pending -= stale.size

@@ -307,6 +307,7 @@ class ParallelPagerank:
         n = self.graph.num_nodes
         return [
             ("rank", "float64", (n,)),
+            ("published", "float64", (n,)),
             ("active", "bool", (n,)),
             ("stats", "float64", (self.shards, N_STAT_COLS)),
         ]
@@ -445,9 +446,10 @@ def _shard_fault_plans(
 def _reset_views(
     views: Dict[str, np.ndarray], rank0: np.ndarray
 ) -> Dict[str, np.ndarray]:
-    """A run's starting state: every shared array zero but the rank
-    vector, which starts at ``rank0``."""
+    """A run's starting state: every shared array zero but the rank and
+    published vectors, which start at ``rank0``."""
     for view in views.values():
         view.fill(0)
     views["rank"][:] = rank0
+    views["published"][:] = rank0
     return views

@@ -17,9 +17,11 @@ since (any other would recompute to its very same bits), and its ε-gate
 picks the publishers.  One staging writes their co-located view and
 stages their remote updates in one
 :class:`~repro.p2p.messages.BatchColumns` batch per (sender, receiver)
-pair.  Lossless, batches for absent receivers go to one §3.1 store and
-are resent in a later pass; with a fault plan every batch becomes a
-flight of the reliable transport.  Every update that reaches a peer — a
+pair.  Lossless, a row for an absent receiver leaves its edge owing an
+update: the §3.1 store is one bool per edge, as in the shard step, and
+a later pass resends each owed edge at its source's current published
+value and version; with a fault plan every batch becomes a flight of
+the reliable transport.  Every update that reaches a peer — a
 fresh batch, a resend, a transport copy, or the knowledge a re-homed
 document carries — goes through one grouped fold into one table of what
 every peer has heard, by (receiver, source) pair, which also writes the
@@ -66,13 +68,6 @@ from repro.p2p.routing import DeliveryPolicy
 
 __all__ = ["P2PPagerankSimulation", "TrafficSummary"]
 
-
-#: One §3.1 stored row: its sender, its receiver, and when their store
-#: opened.  A store is one (sender, receiver) pair's rows; a sender
-#: resends its stores in opening order.
-_STORED = np.dtype(
-    [("sender", np.int64), ("receiver", np.int64), ("opened", np.int64)]
-)
 
 #: One row of what the peers have heard (:meth:`P2PPagerankSimulation.
 #: heard_rows`): ``receiver * N + source`` (N documents) and the newest
@@ -254,10 +249,13 @@ class P2PPagerankSimulation:
         Optional §3.1 liveness fix: when a peer has been absent for
         this many *consecutive* passes, the DHT re-homes its documents
         (state and all) to each document's first live successor, and
-        they migrate back when the peer returns.  Without it, two peers
-        that are never simultaneously present can deadlock the
-        store-and-resend protocol (see docs/PROTOCOL.md §6).  Requires
-        the network's Chord ring.
+        they migrate back when the peer returns.  An owed edge (§3.1
+        store) goes with its documents: it is resent from its source's
+        current owner to its target's, and owes nothing once the two
+        share an owner.  Without it, two peers that are never
+        simultaneously present can deadlock the store-and-resend
+        protocol (see docs/PROTOCOL.md §6).  Requires the network's
+        Chord ring.
     faults:
         Optional seeded :class:`~repro.faults.plan.FaultPlan`.  When
         given, every batch transfer goes through the reliable-delivery
@@ -362,10 +360,9 @@ class P2PPagerankSimulation:
         self._pair_order = np.zeros(1, dtype=np.int64)  # pair ids by key
         self._heard_value = np.zeros(1)
         self._heard_version = np.full(1, -2, dtype=np.int64)
-        # The §3.1 store: rows held for absent receivers, and their
-        # updates.
-        self._stored = np.empty(0, dtype=_STORED)
-        self._stored_updates = UpdateColumns.empty()
+        # The §3.1 store: which forward edges owe their target's owner
+        # an update, resent at the source's latest publish.
+        self._owes = np.zeros(graph.indices.size, dtype=bool)
 
     @cached_property
     def _workspace(self) -> CSRWorkspace:
@@ -375,11 +372,15 @@ class P2PPagerankSimulation:
 
     def _new_step(self) -> ShardRunner:
         """Start step 2 afresh, every row in its frontier, over the rank,
-        dirty and view arrays (the first step's gather of initial ranks)."""
+        published, dirty and view arrays (the first step's gather of
+        initial ranks)."""
         ws = self._workspace
         step = ShardRunner(WorkerState(
             damping=self.damping, epsilon=self.epsilon, workspace=ws,
-            views={"rank": self.rank, "active": np.zeros(ws.num_nodes, dtype=bool)},
+            views={
+                "rank": self.rank, "published": self.published,
+                "active": np.zeros(ws.num_nodes, dtype=bool),
+            },
             indptr=self.graph.indptr, assignment=self._peer_of,
             cross_edge=cross_peer_edges(ws, self._peer_of), fault_plans=[None],
         ))
@@ -497,11 +498,11 @@ class P2PPagerankSimulation:
     ) -> RunReport:
         """Run passes until the strong convergence criterion.
 
-        Semantics mirror the vectorized engine exactly: (1) stored
-        updates whose sender and receiver are both present are
-        delivered, (2) every present peer recomputes the documents whose
-        inputs changed from previously received values, (3) freshly staged
-        updates are delivered to present receivers and stored for absent ones.
+        Semantics mirror the vectorized engine exactly: (1) owed edges
+        whose sender and receiver are both present are resent, (2) every
+        present peer recomputes the documents whose inputs changed from
+        previously received values, (3) freshly staged updates are
+        delivered to present receivers and stored for absent ones.
 
         With a fault plan attached, steps (1) and (3) instead go
         through the reliable transport: (1) becomes delayed-copy
@@ -582,7 +583,7 @@ class P2PPagerankSimulation:
                     # skip the pass rather than evaluating (and trivially
                     # satisfying) the convergence criterion.
                     dead_streak += 1
-                    deferred_now = self._owed()
+                    owed = self._owed()
                     obs.passes.inc()
                     obs.dead_passes.inc()
                     obs.live_peers.set(0)
@@ -592,7 +593,7 @@ class P2PPagerankSimulation:
                             max_rel_change=0.0,
                             active_documents=0,
                             messages=0,
-                            deferred_messages=deferred_now,
+                            deferred_messages=owed,
                             live_peers=0,
                             computed_documents=0,
                         )
@@ -635,6 +636,7 @@ class P2PPagerankSimulation:
                     )
                     # The staged rows are copied into the batches.
                     del senders, dests, updates
+                    deferred = int(batches.sizes[~live[batches.receivers]].sum())
                     if faulted:
                         transport.send(t, batches, live)
                         messages = transport.pass_delivered
@@ -647,7 +649,7 @@ class P2PPagerankSimulation:
                 self.traffic.bytes_transferred = (
                     self.traffic.update_messages * MESSAGE_SIZE_BYTES
                 )
-                deferred_now = self._owed()
+                owed = self._owed()
                 n_live = int(live.sum())
 
                 obs.passes.inc()
@@ -657,14 +659,14 @@ class P2PPagerankSimulation:
                 obs.batches.inc(self.traffic.network_batches - batches_before)
                 obs.hops.inc(self.traffic.routing_hops - hops_before)
                 obs.migrations.inc(self.traffic.migrations - migrations_before)
-                obs.store_depth.observe(deferred_now)
+                obs.store_depth.observe(owed)
                 obs.residual.set(max_change)
                 obs.live_peers.set(n_live)
                 if sink.enabled:
                     sink.event(
                         "sim.pass", pass_index=t, residual=max_change,
                         active_documents=active, messages=messages,
-                        resent=resent, deferred=deferred_now, live_peers=n_live,
+                        resent=resent, deferred=deferred, live_peers=n_live,
                     )
 
                 tracker.record(
@@ -673,7 +675,7 @@ class P2PPagerankSimulation:
                         max_rel_change=max_change,
                         active_documents=active,
                         messages=messages,
-                        deferred_messages=deferred_now,
+                        deferred_messages=deferred,
                         live_peers=n_live,
                         computed_documents=computed,
                     )
@@ -690,7 +692,7 @@ class P2PPagerankSimulation:
                     if (
                         quiescent
                         and transport.undeliverable_updates == 0
-                        and deferred_now == 0
+                        and owed == 0
                         and not needs_republish
                     ):
                         converged = True
@@ -704,7 +706,7 @@ class P2PPagerankSimulation:
                         transport.note_stagnation_abort()
                         diagnostics = transport.diagnose(t, detector.streak)
                         break
-                elif active == 0 and deferred_now == 0 and not self._dirty.any():
+                elif active == 0 and owed == 0 and not self._dirty.any():
                     converged = True
                     break
         return tracker.finish(self.ranks(), converged, diagnostics)
@@ -712,10 +714,10 @@ class P2PPagerankSimulation:
     # ------------------------------------------------------------------
     def _owed(self) -> int:
         """Updates still owed to receivers: the transport's unacked
-        ones under a fault plan, else the §3.1 stored ones."""
+        ones under a fault plan, else the §3.1 store's owed edges."""
         if self.faults is not None:
             return self.transport.unacked_updates
-        return len(self._stored_updates)
+        return int(np.count_nonzero(self._owes))
 
     def _deliver(self, receivers: np.ndarray, updates: UpdateColumns) -> np.ndarray:
         """Fold rows into their receivers (``receivers[i]`` gets row
@@ -808,46 +810,15 @@ class P2PPagerankSimulation:
         return applied
 
     def _transfer(self, batches: BatchColumns, live: np.ndarray) -> int:
-        """Lossless transfer: store each batch for an absent receiver
-        with its sender (§3.1) and deliver the rest.  Returns the number
-        of updates delivered."""
+        """Lossless transfer: deliver the batches for present receivers
+        and leave the edges of the rest owing an update (§3.1).  Returns
+        the number of updates delivered."""
         present = live[batches.receivers]
         if not present.all():
-            self._store(batches.select(~present))
+            self._owes[batches.updates.edge[np.repeat(~present, batches.sizes)]] = True
             batches = batches.select(present)
         self._deliver_copies(batches)
         return len(batches.updates)
-
-    def _store(self, batches: BatchColumns) -> None:
-        """Keep batches for absent receivers with their senders (§3.1).
-
-        A batch joins its (sender, receiver) pair's store and replaces
-        the stored rows it supersedes: those staged from one of its
-        edges, since an older stored update is obsolete the moment a
-        fresh one exists.  A pair with no stored rows opens a new store,
-        after its sender's others.
-        """
-        num_peers = self.network.num_peers
-        sizes = batches.sizes
-        held = self._stored
-        updates = UpdateColumns.concat([self._stored_updates, batches.updates])
-        pairs = np.r_[
-            held["sender"] * num_peers + held["receiver"],
-            np.repeat(batches.senders * num_peers + batches.receivers, sizes),
-        ]
-        # Each row takes the opening of its pair's first row: the held
-        # store's, or its own batch's, numbered after every held one.
-        after = int(held["opened"].max()) + 1 if held.size else 0
-        opened = np.r_[held["opened"], np.repeat(after + np.arange(sizes.size), sizes)]
-        _, first, store = np.unique(pairs, return_index=True, return_inverse=True)
-        row = pairs * self.graph.indices.size + updates.edge
-        keep = np.ones(pairs.size, dtype=bool)
-        keep[: held.size] = ~np.isin(row[: held.size], row[held.size:])
-        stored = np.empty(pairs.size, dtype=_STORED)
-        stored["sender"], stored["receiver"] = np.divmod(pairs, num_peers)
-        stored["opened"] = opened[first][store]
-        self._stored = stored[keep]
-        self._stored_updates = updates.take(keep)
 
     # ------------------------------------------------------------------
     def ranks(self) -> np.ndarray:
@@ -864,7 +835,6 @@ class P2PPagerankSimulation:
         # Documents ascending: `_batches` groups the rows by sender, and
         # each sender's rows keep their order, documents ascending.
         pubs = step.published
-        self.published[pubs] = self.rank[pubs]
         self.version[pubs] += 1
         rows, local = self._stage(pubs)
         # Co-located consumers see the published values at once and owe
@@ -874,50 +844,45 @@ class P2PPagerankSimulation:
         return int(pubs.size), step.max_change, step.n_live, rows
 
     def _stage(self, docs: np.ndarray) -> Tuple[_Rows, np.ndarray]:
-        """Stage ``docs``' published values at their publish versions for
-        every out-link target on another peer, documents in the given
-        order and each one's targets in out-link order, each row with its
-        out-edge (position in ``graph.indices``).  Returns the rows and
-        the out-edges whose target shares its source's owner."""
-        pos, lens = expand_rows(self.graph.indptr, docs)
-        targets = self.graph.indices[pos]
-        senders = np.repeat(self._peer_of[docs], lens)
-        dests = self._peer_of[targets]
-        remote = dests != senders
+        """Stage ``docs``' updates (:meth:`_rows`) for every out-link
+        target on another peer, documents in the given order and each
+        one's targets in out-link order.  Returns the rows and the
+        out-edges whose target shares its source's owner."""
+        pos, _ = expand_rows(self.graph.indptr, docs)
+        ws = self._workspace
+        remote = self._peer_of[ws.dst[pos]] != self._peer_of[ws.src[pos]]
+        return self._rows(pos[remote]), pos[~remote]
+
+    def _rows(self, edges: np.ndarray) -> _Rows:
+        """One row per forward edge (position in ``graph.indices``), in
+        the given order: the source's published value at its publish
+        version, from the source's owner to the target's."""
+        ws = self._workspace
+        source, target = ws.src[edges], ws.dst[edges]
         updates = UpdateColumns(
-            target=targets[remote],
-            source=np.repeat(docs, lens)[remote],
-            value=np.repeat(self.published[docs], lens)[remote],
-            version=np.repeat(self.version[docs], lens)[remote],
-            edge=pos[remote],
+            target=target, source=source, value=self.published[source],
+            version=self.version[source], edge=edges,
         )
-        return (senders[remote], dests[remote], updates), pos[~remote]
+        return self._peer_of[source], self._peer_of[target], updates
 
     # ------------------------------------------------------------------
     def _resend(self, live: np.ndarray) -> int:
-        """Step 1: present senders resend their stored rows to present
-        receivers, each sender's stores in opening order.  Returns the
-        number of updates delivered.
+        """Step 1: the owed edges whose source's and target's *current*
+        owners are both present are resent, staged as step 3 stages
+        (:meth:`_rows`, edges ascending), at the source's latest publish.
+        Returns the number of updates delivered.
 
-        Under re-homing a stored update's target document may have
-        moved, so every store of a present sender is taken, and each
-        update is re-resolved to the document's *current* owner before
-        delivery (and stored again if that owner is absent).
+        An edge owes at most one update, and any one carries the
+        source's newest value, so a resend supersedes every update the
+        edge missed; under re-homing an owed edge goes with its
+        documents.  Every owed edge with both ends present goes here, so
+        step 3 never delivers on an owed edge.
         """
-        held = self._stored
-        due = live[held["sender"]]
-        if self.rehoming_after is None:
-            due &= live[held["receiver"]]
-        rows = np.flatnonzero(due)
-        rows = rows[np.lexsort((held["opened"][rows], held["sender"][rows]))]
-        updates = self._stored_updates.take(rows)
-        self._stored = held[~due]
-        self._stored_updates = self._stored_updates.take(~due)
-        batches = _batches(
-            held["sender"][rows], self._peer_of[updates.target], updates,
-            self.network.num_peers,
-        )
-        return self._transfer(batches, live)
+        ws = self._workspace
+        edges = np.flatnonzero(self._owes)
+        edges = edges[live[self._peer_of[ws.src[edges]]] & live[self._peer_of[ws.dst[edges]]]]
+        self._owes[edges] = False
+        return self._transfer(_batches(*self._rows(edges), self.network.num_peers), live)
 
     def _visible(
         self, owners: np.ndarray, sources: np.ndarray
@@ -985,11 +950,15 @@ class P2PPagerankSimulation:
         # The knowledge deliveries above wrote the view through the
         # cross-edge index of the old owners; every edge whose owner
         # pair changed touches a moved document and is rewritten here.
+        # An edge that joined its source's owner reads the published
+        # value from then on, so it owes nothing.
         if moved.any():
             self._index_cross_edges()
             ws = self._workspace
             pos = np.flatnonzero(moved[ws.src] | moved[ws.dst])
-            value, _, known = self._visible(self._peer_of[ws.dst[pos]], ws.src[pos])
+            owners = self._peer_of[ws.dst[pos]]
+            value, _, known = self._visible(owners, ws.src[pos])
             self._write_view(pos, np.where(known, value, self.init_rank))
+            self._owes[pos[owners == self._peer_of[ws.src[pos]]]] = False
             # The step's live rows follow the owner array.
             (self._step or self._new_step()).placement_moved()

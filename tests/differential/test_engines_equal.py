@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import ChaoticPagerank, pagerank_reference
 from repro.graphs import broder_graph
-from repro.p2p import DocumentPlacement, P2PNetwork
+from repro.p2p import DocumentPlacement, FixedFractionChurn, P2PNetwork
 from repro.simulation import P2PPagerankSimulation
 
 SEEDS = range(20)
@@ -50,3 +50,32 @@ def test_reference_vectorized_simulator_agree(seed, size):
     rel = np.abs(vectorized.ranks - reference) / reference
     assert float(np.percentile(rel, 99)) < REFERENCE_TOLERANCE
     assert float(rel.max()) < 10 * REFERENCE_TOLERANCE
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vectorized_and_simulator_agree_under_churn(seed):
+    """Lossless §3.1 store-and-resend at 50 % availability, without
+    re-homing: both pass engines store an update for an absent receiver
+    as an owed edge, so they agree on ranks, passes and every pass
+    record, ``deferred_messages`` (updates newly stored) included."""
+    size = 300 + 40 * seed
+    peers = max(4, size // 40)
+    graph = broder_graph(size, seed=seed)
+    placement = DocumentPlacement.random(size, peers, seed=seed + 1)
+
+    def churn():
+        return FixedFractionChurn(peers, 0.5, seed=seed + 2)
+
+    vectorized = ChaoticPagerank(
+        graph, placement.assignment, num_peers=peers, epsilon=1e-4
+    ).run(availability=churn())
+    network = P2PNetwork(peers, placement, build_ring=False)
+    simulator = P2PPagerankSimulation(graph, network, epsilon=1e-4).run(
+        availability=churn()
+    )
+
+    assert vectorized.converged and simulator.converged
+    assert np.array_equal(vectorized.ranks, simulator.ranks)
+    assert vectorized.passes == simulator.passes
+    assert vectorized.history == simulator.history
+    assert any(p.deferred_messages for p in simulator.history)

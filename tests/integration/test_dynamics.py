@@ -34,15 +34,15 @@ class TestChurnResilience:
             assert np.percentile(rel, 99) < 0.01
 
     def test_object_sim_deferred_state_bounded(self):
-        """§3.1's state bound: stored updates never exceed the sum of
-        out-links over the peer's documents."""
+        """§3.1's state bound: the updates a peer owes never exceed the
+        sum of out-links over its documents."""
         g = broder_graph(200, seed=63)
         pl = DocumentPlacement.random(g.num_nodes, 6, seed=64)
         net = P2PNetwork(6, pl, build_ring=False)
         sim = P2PPagerankSimulation(g, net, epsilon=1e-3)
         sim.run(availability=FixedFractionChurn(6, 0.5, seed=65), max_passes=2000)
         out_deg = g.out_degrees()
-        stored = np.bincount(sim._stored["sender"], minlength=6)
+        stored = np.bincount(sim._peer_of[sim._workspace.src[sim._owes]], minlength=6)
         for p in range(6):
             bound = int(out_deg[sim._peer_of == p].sum())
             assert stored[p] <= bound
