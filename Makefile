@@ -94,10 +94,12 @@ parallel-smoke:
 # Query-serving smoke: a 30-unit deterministic serving run with the
 # invariant probes (conservation, no silent drops, bounded queues) and
 # the read-only control — final ranks must be byte-identical to a
-# no-serving replay (docs/SERVING.md "Determinism contract").  The CI
-# serve-smoke job runs the same line.
+# no-serving replay (docs/SERVING.md "Determinism contract") — then
+# the search and serve test suites, which pin the index's posting order
+# and refresh pricing.  The CI serve-smoke job runs the same lines.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --docs 200 --peers 10 --qps 40 --duration 30 --verify-ranks
+	PYTHONPATH=src $(PYTHON) -m pytest tests/search tests/serve -q
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done

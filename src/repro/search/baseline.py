@@ -58,10 +58,12 @@ def intersect_sorted_by_rank(
     """AND the running result with a term's postings; re-sort by rank.
 
     The boolean operation each index peer performs on arrival of a
-    forwarded hit set (§2.4.3).
+    forwarded hit set (§2.4.3).  ``current`` must hold distinct docs:
+    every search passes a posting list or a prefix of a rank-sorted
+    intersection, so the intersect skips re-uniquing both inputs.
     """
     postings = index.postings(term)
-    merged = np.intersect1d(current, postings.docs, assume_unique=False)
+    merged = np.intersect1d(current, postings.docs, assume_unique=True)
     return index.sort_docs_by_rank(merged)
 
 

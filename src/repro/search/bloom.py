@@ -197,7 +197,9 @@ def bloom_search(
         candidates = postings[bloom.contains_many(postings)]
         traffic += candidates.size * DOC_ID_BYTES
 
-        true_set = np.intersect1d(current, candidates)
+        # Both sides are distinct docs: a rank-sorted set and a subset
+        # of a posting list.
+        true_set = np.intersect1d(current, candidates, assume_unique=True)
         false_pos += int(candidates.size - true_set.size)
         current = index.sort_docs_by_rank(true_set)
 

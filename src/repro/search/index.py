@@ -8,21 +8,22 @@ kept current by index-update messages sent whenever a document's
 pagerank (re)converges — which is what lets any single peer sort its
 hit list by global importance without further communication.
 
-:class:`DistributedIndex` implements that structure.  Posting lists are
+:class:`DistributedIndex` implements that structure as one CSR over
+terms: term ``t``'s posting list is ``docs[indptr[t]:indptr[t + 1]]``,
 kept sorted by descending pagerank (ties by doc id, so results are
-deterministic) because every search variant consumes them in that
-order.
+deterministic) because every search variant consumes it in that order.
+The pagerank column is the index's rank vector gathered at those docs.
+A bulk refresh re-sorts every list with one sort of packed
+``(term, rank position)`` keys and prices itself with one gather over
+a per-document count of index peers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro._util import as_generator
-from repro._util.rng import SeedLike
 from repro.p2p.guid import guid_of
 from repro.search.corpus import Corpus
 
@@ -58,6 +59,10 @@ class PostingList:
         return self.docs[:k].copy()
 
 
+def _term_peer(term: int, num_peers: int) -> int:
+    return guid_of(str(term), namespace="term") % num_peers
+
+
 class DistributedIndex:
     """Term-partitioned inverted index with a pagerank column.
 
@@ -79,6 +84,9 @@ class DistributedIndex:
     document per call to :meth:`update_rank`, plus the initial bulk
     load (one per (term, doc) posting), so traffic experiments can
     account for index maintenance if they choose to.
+
+    A refresh or update replaces the doc column rather than writing
+    into it, so a :class:`PostingList` taken earlier keeps its contents.
     """
 
     def __init__(self, corpus: Corpus, ranks: np.ndarray, num_peers: int) -> None:
@@ -92,50 +100,63 @@ class DistributedIndex:
         self.corpus = corpus
         self.num_peers = int(num_peers)
         self._ranks = ranks.copy()
-        self.index_update_messages = 0
-        # GUID hashing dominates maintenance accounting on bulk
-        # refreshes; both maps are stable for the index's lifetime.
-        self._term_peer_cache: Dict[int, int] = {}
-        self._doc_peer_count: Dict[int, int] = {}
 
-        # Invert: term -> docs, one pass over the corpus.
-        buckets: Dict[int, List[int]] = {}
-        for doc, terms in enumerate(corpus.doc_terms):
-            for t in terms.tolist():
-                buckets.setdefault(t, []).append(doc)
-        self._postings: Dict[int, PostingList] = {}
-        for term, docs in buckets.items():
-            docs_arr = np.asarray(docs, dtype=np.int64)
-            self._postings[term] = self._sorted_posting(term, docs_arr)
-        self.index_update_messages += sum(len(p) for p in self._postings.values())
+        n = corpus.num_documents
+        lengths = np.fromiter((t.size for t in corpus.doc_terms), np.int64, count=n)
+        pair_doc = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        pair_term = np.concatenate(corpus.doc_terms, dtype=np.int32, casting="same_kind")
+        counts = np.bincount(pair_term, minlength=corpus.vocab_size)
+        self._indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=self._indptr[1:])
+        self._term = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+        self._docs = self._rank_sorted(pair_term, pair_doc)
+        self._peer = np.array(
+            [_term_peer(t, self.num_peers) for t in range(counts.size)], dtype=np.int64
+        )
+        # Distinct index peers per document: sort the (doc, peer) keys
+        # and count the first of each run.
+        key = pair_doc * self.num_peers
+        key += self._peer[pair_term]
+        del pair_doc, pair_term
+        key.sort()
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        self._doc_peers = np.bincount(key[first] // self.num_peers, minlength=n)
+        self.index_update_messages = int(self._docs.size)
 
     # ------------------------------------------------------------------
-    def _sorted_posting(self, term: int, docs: np.ndarray) -> PostingList:
-        r = self._ranks[docs]
-        # Descending rank, ascending doc id among ties: lexsort keys
-        # are applied last-key-primary.
-        order = np.lexsort((docs, -r))
-        return PostingList(term=term, docs=docs[order], ranks=r[order])
+    def _rank_sorted(self, terms: np.ndarray, docs: np.ndarray) -> np.ndarray:
+        """The docs of the ``(terms, docs)`` postings, ordered by term,
+        then descending rank, then ascending doc id: one stable sort of
+        the documents by rank, then one sort of packed
+        ``term * N + rank position`` keys."""
+        n = self._ranks.size
+        order = np.argsort(-self._ranks, kind="stable")
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n, dtype=np.int64)
+        key = terms * np.int64(n)
+        key += position[docs]
+        key.sort()
+        np.remainder(key, n, out=key)
+        return order[key]
 
     # ------------------------------------------------------------------
     def peer_of_term(self, term: int) -> int:
         """Index peer owning ``term`` (GUID-hash partitioning)."""
-        peer = self._term_peer_cache.get(term)
-        if peer is None:
-            peer = guid_of(str(term), namespace="term") % self.num_peers
-            self._term_peer_cache[term] = peer
-        return peer
+        if 0 <= term < self._peer.size:
+            return int(self._peer[term])
+        return _term_peer(term, self.num_peers)
 
     def postings(self, term: int) -> PostingList:
-        """The posting list for ``term`` (empty list if unseen)."""
-        p = self._postings.get(term)
-        if p is None:
-            return PostingList(
-                term=term,
-                docs=np.empty(0, dtype=np.int64),
-                ranks=np.empty(0, dtype=np.float64),
-            )
-        return p
+        """The posting list for ``term`` (empty list if unseen).
+
+        ``docs`` is a view into the index's doc column; ``ranks`` is
+        gathered from the current rank vector."""
+        if 0 <= term < self._peer.size:
+            docs = self._docs[self._indptr[term] : self._indptr[term + 1]]
+        else:
+            docs = self._docs[:0]
+        return PostingList(term=term, docs=docs, ranks=self._ranks[docs])
 
     def rank_of(self, doc: int) -> float:
         """Pagerank currently recorded for ``doc``."""
@@ -147,14 +168,17 @@ class DistributedIndex:
 
     def update_rank(self, doc: int, rank: float) -> None:
         """Apply a §2.4.2 index-update message: a document's pagerank
-        changed; every posting list containing it re-sorts."""
+        changed; every posting list containing it re-sorts, in a copy
+        of the doc column."""
         if not 0 <= doc < self.corpus.num_documents:
             raise IndexError(f"doc {doc} out of range")
         self._ranks[doc] = float(rank)
+        docs = self._docs.copy()
         for term in self.corpus.doc_terms[doc].tolist():
-            p = self._postings.get(term)
-            if p is not None:
-                self._postings[term] = self._sorted_posting(term, p.docs)
+            lo, hi = self._indptr[term], self._indptr[term + 1]
+            segment = docs[lo:hi]
+            segment[:] = segment[np.lexsort((segment, -self._ranks[segment]))]
+        self._docs = docs
         self.index_update_messages += 1
 
     def index_peers_of_doc(self, doc: int) -> set:
@@ -166,21 +190,18 @@ class DistributedIndex:
         """
         if not 0 <= doc < self.corpus.num_documents:
             raise IndexError(f"doc {doc} out of range")
-        return {self.peer_of_term(int(t)) for t in self.corpus.doc_terms[doc]}
+        return set(self._peer[self.corpus.doc_terms[doc]].tolist())
 
     def maintenance_messages(self, changed_docs) -> int:
         """Total index-update messages to refresh the pagerank column
         for ``changed_docs`` (one message per affected index peer per
         document)."""
-        total = 0
-        for d in changed_docs:
-            doc = int(d)
-            count = self._doc_peer_count.get(doc)
-            if count is None:
-                count = len(self.index_peers_of_doc(doc))
-                self._doc_peer_count[doc] = count
-            total += count
-        return total
+        docs = np.asarray(changed_docs, dtype=np.int64)
+        if docs.size and not (
+            0 <= docs.min() and docs.max() < self.corpus.num_documents
+        ):
+            raise IndexError("changed_docs holds a doc out of range")
+        return int(self._doc_peers[docs].sum())
 
     def refresh_ranks(self, ranks: np.ndarray) -> int:
         """Apply a bulk batch of §2.4.2 index-update messages.
@@ -189,7 +210,8 @@ class DistributedIndex:
         computation's current rank vector into the index (the paper's
         "index update messages are sent" moment); this is the bulk
         equivalent of calling :meth:`update_rank` per changed document,
-        re-sorting each posting list once instead of once per change.
+        re-sorting the whole doc column with one packed sort instead of
+        once per change.
 
         Returns the number of index-update messages charged (one per
         affected index peer per changed document), also added to
@@ -205,8 +227,7 @@ class DistributedIndex:
         if changed.size == 0:
             return 0
         self._ranks = ranks.copy()
-        for term, p in self._postings.items():
-            self._postings[term] = self._sorted_posting(term, p.docs)
+        self._docs = self._rank_sorted(self._term, self._docs)
         messages = self.maintenance_messages(changed)
         self.index_update_messages += messages
         return messages
