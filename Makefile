@@ -95,11 +95,13 @@ parallel-smoke:
 # invariant probes (conservation, no silent drops, bounded queues) and
 # the read-only control — final ranks must be byte-identical to a
 # no-serving replay (docs/SERVING.md "Determinism contract") — then
-# the search and serve test suites, which pin the index's posting order
-# and refresh pricing.  The CI serve-smoke job runs the same lines.
+# the search and serve test suites, which pin the index's posting order,
+# refresh pricing and the load generator's stream, and the peer tests
+# that pin the runtime's single-document recompute serving runs on.
+# The CI serve-smoke job runs the same lines.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve --docs 200 --peers 10 --qps 40 --duration 30 --verify-ranks
-	PYTHONPATH=src $(PYTHON) -m pytest tests/search tests/serve -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/search tests/serve tests/p2p/test_peer.py tests/properties/test_peer_recompute.py -q
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done

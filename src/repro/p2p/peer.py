@@ -201,11 +201,19 @@ class Peer:
 
     # ------------------------------------------------------------------
     def _fresh_rank(self, doc: int, damping: float) -> float:
-        """Recompute ``doc``'s rank from currently visible values."""
+        """Recompute ``doc``'s rank from currently visible values.
+
+        :meth:`visible_value` inlined over the in-links and their
+        weights, each gathered once.  The sum runs left to right from
+        0.0 in in-link order, the engines' rounding (``np.dot``, and
+        ``sum()`` from CPython 3.12, round differently).
+        """
+        srcs = self.graph.in_links(doc)
+        local, published = self._local, self.published
+        heard, init = self.remote_values.get, self.init_rank
         total = 0.0
-        for src in self.graph.in_links(doc):
-            src = int(src)
-            total += self.visible_value(src) * self._inv_out[src]
+        for src, weight in zip(srcs.tolist(), self._inv_out[srcs].tolist()):
+            total += (published[src] if src in local else heard(src, init)) * weight
         return (1.0 - damping) + damping * total
 
     def _publish(self, docs: np.ndarray, values: np.ndarray, peer_of: np.ndarray) -> None:

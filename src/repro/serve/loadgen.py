@@ -99,11 +99,15 @@ class LoadGenerator:
         )
         weights = np.arange(1, len(self.candidates) + 1, dtype=np.float64)
         weights = weights ** -float(zipf_exponent)
-        self._weights = weights / weights.sum()
+        # numpy's ``choice(n, p=p)`` over the normalised weights builds
+        # this CDF on every call and searches it with one ``random()``
+        # draw; building it once keeps the seeded stream pick for pick.
+        self._cdf = (weights / weights.sum()).cumsum()
+        self._cdf /= self._cdf[-1]
 
     def sample(self, time: float) -> QueryArrival:
         """Draw one arrival at ``time`` (advances the seeded stream)."""
-        idx = int(self._rng.choice(len(self.candidates), p=self._weights))
+        idx = int(self._cdf.searchsorted(self._rng.random(), side="right"))
         portal = int(self._rng.integers(self.num_peers))
         return QueryArrival(time=float(time), query=self.candidates[idx], portal_peer=portal)
 

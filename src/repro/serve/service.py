@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -290,16 +290,16 @@ def _corpus_config(docs: int) -> CorpusConfig:
 _FINISH, _ARRIVE = 0, 1
 
 
-@dataclass(order=True)
+@dataclass
 class _Event:
     time: float
     kind: int
     seq: int
-    arrival: Optional[QueryArrival] = field(compare=False, default=None)
-    attempt: int = field(compare=False, default=1)
-    record: Optional[QueryRecord] = field(compare=False, default=None)
-    hits: Tuple[int, ...] = field(compare=False, default=())
-    version: int = field(compare=False, default=0)
+    arrival: Optional[QueryArrival] = None
+    attempt: int = 1
+    record: Optional[QueryRecord] = None
+    hits: Tuple[int, ...] = ()
+    version: int = 0
 
 
 class ServeSession:
@@ -367,7 +367,9 @@ class ServeSession:
             zipf_exponent=config.zipf_exponent,
         )
         self.rank_version = 0
-        self._events: List[_Event] = []
+        # Heap of ``(time, kind, seq, event)``: ``seq`` is unique, so
+        # the tuples order without ever comparing two events.
+        self._events: List[Tuple[float, int, int, _Event]] = []
         self._seq = 0
         self._peer_free: Dict[int, float] = {}
         self._records: List[QueryRecord] = []
@@ -385,7 +387,7 @@ class ServeSession:
 
     # ------------------------------------------------------------------
     def _push(self, event: _Event) -> None:
-        heapq.heappush(self._events, event)
+        heapq.heappush(self._events, (event.time, event.kind, event.seq, event))
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -571,8 +573,8 @@ class ServeSession:
         )
 
     def _drain(self, now: float) -> None:
-        while self._events and self._events[0].time <= now:
-            event = heapq.heappop(self._events)
+        while self._events and self._events[0][0] <= now:
+            event = heapq.heappop(self._events)[3]
             if event.kind == _ARRIVE:
                 self._handle_arrival(event)
             else:

@@ -1,7 +1,11 @@
 """Tests of the seeded Zipf load generator (docs/SERVING.md)."""
 
+import copy
+
+import numpy as np
 import pytest
 
+from repro._util.rng import as_generator
 from repro.search.corpus import CorpusConfig, synthesize_corpus
 from repro.serve.loadgen import LoadGenerator
 
@@ -73,3 +77,54 @@ class TestLoadGenerator:
             _gen(corpus).open_arrivals(qps=0.0, duration=1.0)
         with pytest.raises(ValueError):
             _gen(corpus).open_arrivals(qps=1.0, duration=0.0)
+
+
+def _twin_arrivals(gen, rng, qps, duration, zipf_exponent):
+    """``open_arrivals`` written against numpy's own draws: per arrival
+    one ``exponential``, one ``choice`` over the normalised Zipf
+    weights and one ``integers`` portal."""
+    n = len(gen.candidates)
+    weights = np.arange(1, n + 1, dtype=np.float64) ** -float(zipf_exponent)
+    p = weights / weights.sum()
+    out, t = [], 0.0
+    while True:
+        t += float(rng.exponential(1.0 / qps))
+        if t >= duration:
+            return out
+        idx = int(rng.choice(n, p=p))
+        out.append((t, gen.candidates[idx], int(rng.integers(gen.num_peers))))
+
+
+class TestStreamPinnedToNumpyChoice:
+    """A Zipf pick is one ``random()`` draw searched in a CDF built
+    once; the stream must be the one ``Generator.choice`` gives."""
+
+    @pytest.mark.parametrize("zipf_exponent", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11, 12345])
+    def test_open_arrivals_equal_choice_twin(self, corpus, seed, zipf_exponent):
+        gen = _gen(corpus, seed=seed, zipf_exponent=zipf_exponent)
+        # The same-seed generator as construction left it (the query
+        # pool drew from it first).
+        twin = copy.deepcopy(gen._rng)
+        got = [
+            (a.time, a.query, a.portal_peer)
+            for a in gen.open_arrivals(qps=400.0, duration=2.0)
+        ]
+        assert got == _twin_arrivals(gen, twin, 400.0, 2.0, zipf_exponent)
+        assert len(got) > 500
+        assert gen._rng.random() == twin.random()
+
+    @pytest.mark.parametrize("zipf_exponent", [0.0, 1.0, 2.0])
+    def test_reseeded_generator_keeps_the_stream(self, corpus, zipf_exponent):
+        # The CDF is built from the weights alone, so swapping the
+        # generator after construction (as a benchmark reseeding the
+        # arrival stream does) draws that generator's choice stream.
+        gen = _gen(corpus, zipf_exponent=zipf_exponent)
+        gen._rng = as_generator(99)
+        got = [
+            (a.time, a.query, a.portal_peer)
+            for a in gen.open_arrivals(qps=400.0, duration=1.0)
+        ]
+        twin = as_generator(99)
+        assert got == _twin_arrivals(gen, twin, 400.0, 1.0, zipf_exponent)
+        assert gen._rng.random() == twin.random()

@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.serve import ServeConfig, ServeSession, run_serve
+from repro.serve.service import _ARRIVE, _FINISH, _Event
 
 BASE = dict(
     docs=120,
@@ -172,3 +173,44 @@ class TestLifecycle:
     def test_report_digest_is_hex_sha256(self, report):
         assert len(report.digest) == 64
         int(report.digest, 16)
+
+
+class TestEventOrder:
+    """The event heap holds ``(time, kind, seq, event)`` tuples: time
+    first, FINISH before ARRIVE at equal times, then schedule order."""
+
+    @staticmethod
+    def _drained(session, now):
+        seen = []
+        session._handle_arrival = lambda e: seen.append(("arrive", e.seq))
+        session._handle_finish = lambda e: seen.append(("finish", e.seq))
+        session._drain(now)
+        return seen
+
+    def _push(self, session, time, kind):
+        seq = session._next_seq()
+        session._push(_Event(time=time, kind=kind, seq=seq))
+        return seq
+
+    def test_finish_drains_before_arrive_at_equal_time(self):
+        session = ServeSession(_config())
+        arrive = self._push(session, 1.0, _ARRIVE)
+        finish = self._push(session, 1.0, _FINISH)
+        assert self._drained(session, 1.0) == [("finish", finish), ("arrive", arrive)]
+
+    def test_equal_time_and_kind_drain_in_schedule_order(self):
+        session = ServeSession(_config())
+        late = self._push(session, 2.0, _ARRIVE)
+        first = [self._push(session, 1.0, _ARRIVE) for _ in range(5)]
+        finishes = [self._push(session, 1.0, _FINISH) for _ in range(3)]
+        assert self._drained(session, 1.5) == (
+            [("finish", s) for s in finishes] + [("arrive", s) for s in first]
+        )
+        # Events later than ``now`` stay queued.
+        assert self._drained(session, 2.0) == [("arrive", late)]
+        assert session._events == []
+
+    def test_events_are_never_compared(self):
+        assert "__lt__" not in vars(_Event)
+        with pytest.raises(TypeError):
+            _Event(time=0.0, kind=_FINISH, seq=1) < _Event(time=0.0, kind=_FINISH, seq=2)
