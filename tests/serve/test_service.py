@@ -111,6 +111,25 @@ class TestModes:
         assert report.shed == 0
         assert report.completed > 0
 
+    def test_closed_loop_sheds_then_drops_pinned(self):
+        # One admission slot per peer for twelve clients, with retries
+        # too quick to outlast a 50 ms service time: queries shed, some
+        # exhaust their retry budget, and each client then thinks and
+        # asks again (or retires at the end of the run).
+        config = _config(
+            loop="closed", clients=12, queue_capacity=1, cache_ttl=0.0,
+            retry_scale=0.01, service_time=0.05, duration=4.0,
+        )
+        report = run_serve(config)
+        assert report.verify_invariants(config) == []
+        assert (
+            report.offered, report.completed, report.shed, report.retries,
+            report.dropped,
+        ) == (180, 150, 583, 553, 30)
+        assert report.digest == (
+            "778102c529f380611bd3f619e416d565d4772d60c87a17f0cb1aaa1983962160"
+        )
+
     def test_cache_disabled(self):
         config = _config(cache_ttl=0.0, duration=3.0)
         report = run_serve(config)
