@@ -76,9 +76,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 __all__ = ["main", "build_parser"]
 
@@ -269,26 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pagerank(args) -> int:
     from repro.analysis import error_distribution, format_table
-    from repro.core import ChaoticPagerank, pagerank_reference
-    from repro.graphs import broder_graph
-    from repro.p2p import DocumentPlacement, FixedFractionChurn
+    from repro.core import pagerank_reference
+    from repro.scenario import Scenario, build
 
-    graph = broder_graph(args.docs, seed=args.seed)
-    placement = DocumentPlacement.random(args.docs, args.peers, seed=args.seed + 1)
-    engine = ChaoticPagerank(
-        graph,
-        placement.assignment,
-        num_peers=args.peers,
-        epsilon=args.epsilon,
-        damping=args.damping,
-    )
-    availability = (
-        None
-        if args.availability >= 1.0
-        else FixedFractionChurn(args.peers, args.availability, seed=args.seed + 2)
-    )
-    report = engine.run(availability=availability, keep_history=False)
-    reference = pagerank_reference(graph, damping=args.damping)
+    built = build(Scenario.from_args(args))
+    report = built.solve()
+    reference = pagerank_reference(built.graph, damping=args.damping)
     dist = error_distribution(report.ranks, reference.ranks)
     print(
         format_table(
@@ -314,38 +298,15 @@ def _cmd_pagerank(args) -> int:
 def _cmd_parallel(args) -> int:
     from repro.analysis import error_distribution, format_table
     from repro.core import pagerank_reference
-    from repro.faults.plan import FaultSpec
-    from repro.graphs import broder_graph
-    from repro.p2p import DocumentPlacement, FixedFractionChurn
-    from repro.parallel import ParallelPagerank
+    from repro.scenario import Scenario, build
 
-    graph = broder_graph(args.docs, seed=args.seed)
-    placement = DocumentPlacement.random(args.docs, args.peers, seed=args.seed + 1)
-    engine = ParallelPagerank(
-        graph,
-        placement.assignment,
-        num_peers=args.peers,
-        workers=args.workers,
-        shards=args.shards,
-        epsilon=args.epsilon,
-        damping=args.damping,
-        backend=args.backend,
+    built = build(
+        Scenario.from_args(args, engine="parallel"),
+        workers=args.workers, shards=args.shards, backend=args.backend,
     )
-    availability = (
-        None
-        if args.availability >= 1.0
-        else FixedFractionChurn(args.peers, args.availability, seed=args.seed + 2)
-    )
-    fault_spec = (
-        FaultSpec(drop_rate=args.loss) if args.loss > 0.0 else None
-    )
-    report = engine.run(
-        availability=availability,
-        fault_spec=fault_spec,
-        fault_seed=args.seed + 3,
-        keep_history=False,
-    )
-    reference = pagerank_reference(graph, damping=args.damping)
+    engine = built.engine
+    report = built.solve()
+    reference = pagerank_reference(built.graph, damping=args.damping)
     dist = error_distribution(report.ranks, reference.ranks)
     exchange = engine.last_exchange
     print(
@@ -490,19 +451,9 @@ def _cmd_runtime(args) -> int:
 
     from repro.analysis import error_distribution, format_table
     from repro.core import pagerank_reference
-    from repro.faults.plan import FaultPlan, FaultSpec
-    from repro.graphs import broder_graph
-    from repro.p2p import DocumentPlacement, P2PNetwork
-    from repro.runtime import (
-        AsyncPeerRuntime,
-        FixedLatency,
-        OnOffSchedule,
-        TcpTransport,
-    )
+    from repro.runtime import FixedLatency, TcpTransport
+    from repro.scenario import Scenario, build
 
-    graph = broder_graph(args.docs, seed=args.seed)
-    placement = DocumentPlacement.random(args.docs, args.peers, seed=args.seed + 1)
-    network = P2PNetwork(args.peers, placement, build_ring=False)
     realtime = args.realtime or args.tcp
     kwargs = {}
     if args.tcp:
@@ -510,33 +461,16 @@ def _cmd_runtime(args) -> int:
             print("error: --tcp carries no fault plan; drop --loss/--churn")
             return 2
         kwargs["transport"] = TcpTransport()
-    else:
-        if args.loss:
-            kwargs["faults"] = FaultPlan(
-                FaultSpec(drop_rate=args.loss), seed=args.seed + 3
-            )
-        if args.churn:
-            kwargs["availability"] = OnOffSchedule(
-                args.peers, mean_up=30.0, mean_down=10.0, seed=args.seed + 2
-            )
-        if realtime:
-            # Millisecond-scale virtual units so a real-clock run is not
-            # paced at one second per hop.
-            kwargs["latency"] = FixedLatency(0.005)
-            kwargs["pass_time"] = 0.01
-        kwargs["seed"] = args.seed + 4
-    runtime = AsyncPeerRuntime(
-        graph,
-        network,
-        damping=args.damping,
-        epsilon=args.epsilon,
-        **kwargs,
-    )
+    elif realtime:
+        # Millisecond-scale virtual units so a real-clock run is not
+        # paced at one second per hop.
+        kwargs.update(latency=FixedLatency(0.005), pass_time=0.01)
+    built = build(Scenario.from_args(args, engine="runtime"), **kwargs)
     if realtime:
-        report = asyncio.run(runtime.run_realtime(timeout=args.timeout))
+        report = asyncio.run(built.engine.run_realtime(timeout=args.timeout))
     else:
-        report = asyncio.run(runtime.run())
-    reference = pagerank_reference(graph, damping=args.damping)
+        report = built.solve()
+    reference = pagerank_reference(built.graph, damping=args.damping)
     dist = error_distribution(report.ranks, reference.ranks)
     mode = "tcp" if args.tcp else ("realtime" if realtime else "deterministic")
     print(
@@ -635,16 +569,14 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_obs(args) -> int:
+    import dataclasses
     from contextlib import ExitStack
 
     from repro import obs
-    from repro.core import ChaoticPagerank
-    from repro.graphs import broder_graph
-    from repro.p2p import FixedFractionChurn, P2PNetwork
-    from repro.p2p.routing import RoutedDelivery
+    from repro.p2p.cache import LocationCache
+    from repro.scenario import Scenario, build
     from repro.simulation import (
         RATE_32KBPS,
-        P2PPagerankSimulation,
         TransferModel,
         pass_time_parallel,
         total_time_serialized,
@@ -658,37 +590,20 @@ def _cmd_obs(args) -> int:
             stack.enter_context(obs.use_trace_sink(sink))
 
         # Vectorized engine (core.* metrics, churn model metrics).
-        graph = broder_graph(args.docs, seed=args.seed)
-        network = P2PNetwork(args.peers, build_ring=False)
-        placement = network.place_documents(args.docs, seed=args.seed + 1)
+        scenario = Scenario.from_args(args)
+        built = build(scenario)
+        graph, network = built.graph, built.network
         network.cross_peer_edge_count(graph)
-        engine = ChaoticPagerank(
-            graph, placement.assignment, num_peers=args.peers, epsilon=args.epsilon
-        )
-        churn = (
-            None
-            if args.availability >= 1.0
-            else FixedFractionChurn(args.peers, args.availability, seed=args.seed + 2)
-        )
-        report = engine.run(availability=churn, keep_history=False)
+        report = built.solve()
 
         # Protocol-level simulator on a smaller graph (sim.* metrics,
         # chord routing metrics via the routed delivery policy).
-        sim_graph = broder_graph(args.sim_docs, seed=args.seed + 3)
-        sim_net = P2PNetwork(args.sim_peers)
-        sim_net.place_documents(args.sim_docs, seed=args.seed + 4)
-        sim = P2PPagerankSimulation(
-            sim_graph, sim_net, epsilon=args.epsilon,
-            delivery_policy=RoutedDelivery(sim_net.ring),
-        )
-        sim_churn = (
-            None
-            if args.availability >= 1.0
-            else FixedFractionChurn(
-                args.sim_peers, args.availability, seed=args.seed + 5
-            )
-        )
-        sim.run(availability=sim_churn, max_passes=2_000)
+        sim = build(dataclasses.replace(
+            scenario, engine="simulator", docs=args.sim_docs, peers=args.sim_peers,
+            delivery="routed", graph_offset=3, placement_offset=4, churn_offset=5,
+        ))
+        sim.solve(max_passes=2_000)
+        sim_net = sim.network
 
         # Eq. 4 modeled execution time for the vectorized run (both the
         # serialised Table 3 reading and the peer-parallel per-pass one).
@@ -705,8 +620,6 @@ def _cmd_obs(args) -> int:
 
         # §3.2 location caching: a miss, a hit, and an invalidation so
         # every p2p.location_cache.* counter appears in the snapshot.
-        from repro.p2p.cache import LocationCache
-
         loc_cache = LocationCache(0, sim_net.ring)
         loc_cache.locate(0)
         loc_cache.locate(0)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -32,8 +32,6 @@ import numpy as np
 from repro._util import as_generator
 from repro._util.rng import SeedLike
 from repro.faults.plan import FaultPlan, FaultSpec, Partition
-from repro.graphs import broder_graph
-from repro.p2p import DocumentPlacement, P2PNetwork
 from repro.recovery.supervisor import RecoveryConfig
 
 __all__ = ["SoakConfig", "SoakViolation", "SoakReport", "build_soak_plan", "run_soak"]
@@ -188,25 +186,23 @@ def run_soak(
     """
     # Imported here: this module is imported by repro.recovery's
     # package init, which repro.runtime pulls in for journals.
-    from repro.runtime.runtime import AsyncPeerRuntime
-    from repro.simulation import P2PPagerankSimulation
+    from repro.scenario import Scenario, build
 
-    graph = broder_graph(config.docs, seed=seed)
-    placement = DocumentPlacement.random(config.docs, config.peers, seed=seed + 1)
-    plan = build_soak_plan(config, seed + 2)
-    network = P2PNetwork(config.peers, placement, build_ring=False)
-    runtime = AsyncPeerRuntime(
-        graph,
-        network,
-        epsilon=config.epsilon,
-        seed=seed + 3,
-        faults=plan,
+    # The fault spec and plan share one stream (seed + 2), so the plan
+    # goes to the runtime as it is; the runtime draws from seed + 3.
+    scenario = Scenario(
+        config.docs, config.peers, "runtime", config.epsilon, seed=seed, runtime_offset=3
+    )
+    built = build(
+        scenario,
+        faults=build_soak_plan(config, seed + 2),
         recovery=RecoveryConfig(
             heartbeat_timeout_passes=config.heartbeat_timeout_passes,
             snapshot_interval=config.snapshot_interval,
             verify_replay_on_crash=True,
         ),
     )
+    runtime = built.engine
     violations: List[SoakViolation] = []
 
     def record(kind: str, round_index: int, detail: str) -> None:
@@ -281,11 +277,7 @@ def run_soak(
         )
 
     # Reference: the same problem, fault-free, pass-based.
-    reference = P2PPagerankSimulation(
-        graph,
-        P2PNetwork(config.peers, placement, build_ring=False),
-        epsilon=config.epsilon,
-    ).run(keep_history=False)
+    reference = build(replace(scenario, engine="simulator"), reuse=built).solve()
     ref_ranks = reference.ranks
     rel = np.abs(report.ranks - ref_ranks) / np.maximum(np.abs(ref_ranks), 1e-12)
     p99 = float(np.percentile(rel, 99))

@@ -68,35 +68,10 @@ def _make_factory(
     """
 
     def factory(tiebreak: Optional[Callable[[int], int]]) -> "AsyncPeerRuntime":
-        from repro.faults.plan import FaultPlan, FaultSpec
-        from repro.graphs import broder_graph
-        from repro.p2p import DocumentPlacement, P2PNetwork
-        from repro.runtime import AsyncPeerRuntime, OnOffSchedule
+        from repro.scenario import Scenario, build
 
-        graph = broder_graph(args.docs, seed=args.seed)
-        placement = DocumentPlacement.random(
-            args.docs, args.peers, seed=args.seed + 1
-        )
-        network = P2PNetwork(args.peers, placement, build_ring=False)
-        kwargs: Dict[str, object] = {}
-        if args.loss:
-            kwargs["faults"] = FaultPlan(
-                FaultSpec(drop_rate=args.loss), seed=args.seed + 3
-            )
-        if args.churn:
-            kwargs["availability"] = OnOffSchedule(
-                args.peers, mean_up=30.0, mean_down=10.0, seed=args.seed + 2
-            )
-        runtime = AsyncPeerRuntime(
-            graph,
-            network,
-            damping=args.damping,
-            epsilon=args.epsilon,
-            seed=args.seed + 4,
-            sanitizer=RuntimeSanitizer(),
-            tiebreak=tiebreak,
-            **kwargs,
-        )
+        scenario = Scenario.from_args(args, engine="runtime")
+        runtime = build(scenario, sanitizer=RuntimeSanitizer(), tiebreak=tiebreak).engine
         captured.append(runtime)
         return runtime
 
