@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full perfbench-smoke soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
+.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full bench-tables perfbench-smoke soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -35,6 +35,15 @@ bench:
 # smoke variant regression-checks the 1k rows against the committed file.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --compare
+
+# The committed paper tables must regenerate byte for byte: the suites
+# that write Tables 1-3, the section 4.3 trajectory and the churn and
+# epsilon-schedule ablations, then a diff of every committed results
+# table.  Only the .txt tables are compared; the metrics snapshot holds
+# wall-clock timers.  The CI test job runs the same lines.
+bench-tables:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_table1_convergence.py benchmarks/test_table2_quality.py benchmarks/test_table3_traffic.py benchmarks/test_trajectory.py benchmarks/test_ablation_churn_sweep.py benchmarks/test_ablation_schedule.py -q
+	git diff --exit-code -- 'benchmarks/results/*.txt'
 
 # The paper's graph sizes (up to 5,000,000 nodes) — budget hours.
 bench-full:

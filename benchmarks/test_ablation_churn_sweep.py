@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_PEERS, BENCH_SEED
-from repro.analysis import format_table, make_graph
-from repro.core import ChaoticPagerank
-from repro.p2p import DocumentPlacement, FixedFractionChurn, MarkovChurn
+from repro.analysis import format_table
+from repro.p2p import MarkovChurn
+from repro.scenario import Scenario, build
 
 
 def test_ablation_churn_sweep(benchmark, record_table):
@@ -23,24 +23,18 @@ def test_ablation_churn_sweep(benchmark, record_table):
     fractions = (1.0, 0.9, 0.75, 0.5, 0.3)
 
     def run_all():
-        graph = make_graph(size, BENCH_SEED)
-        placement = DocumentPlacement.random(size, BENCH_PEERS, seed=BENCH_SEED + 1)
-        engine = ChaoticPagerank(
-            graph, placement.assignment, num_peers=BENCH_PEERS, epsilon=eps
-        )
+        built = None
         out = {}
         for frac in fractions:
-            availability = (
-                None if frac >= 1.0
-                else FixedFractionChurn(BENCH_PEERS, frac, seed=BENCH_SEED + 2)
+            scenario = Scenario(
+                size, BENCH_PEERS, epsilon=eps, availability=frac, seed=BENCH_SEED
             )
-            out[("iid", frac)] = engine.run(
-                availability=availability, max_passes=50_000, keep_history=False
-            )
+            built = build(scenario, reuse=built)
+            out[("iid", frac)] = built.solve(max_passes=50_000)
         # Markov churn at 75% and 50% stationary availability.
         for frac, (p_leave, p_join) in [(0.75, (0.1, 0.3)), (0.5, (0.2, 0.2))]:
             model = MarkovChurn(BENCH_PEERS, p_leave, p_join, seed=BENCH_SEED + 3)
-            out[("markov", frac)] = engine.run(
+            out[("markov", frac)] = built.engine.run(
                 availability=model, max_passes=50_000, keep_history=False
             )
         return out

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_PEERS, BENCH_SEED
-from repro.analysis import error_distribution, format_table, make_graph
-from repro.analysis.experiments import _reference_ranks
-from repro.core import ChaoticPagerank, scheduled_pagerank
-from repro.p2p import DocumentPlacement
+from repro.analysis import error_distribution, format_table, reference_ranks
+from repro.core import scheduled_pagerank
+from repro.scenario import Scenario, build
 
 
 def test_ablation_epsilon_schedule(benchmark, record_table):
@@ -23,21 +22,18 @@ def test_ablation_epsilon_schedule(benchmark, record_table):
     target = 1e-5
 
     def run_all():
-        graph = make_graph(size, BENCH_SEED)
-        placement = DocumentPlacement.random(size, BENCH_PEERS, seed=BENCH_SEED + 1)
-        ref = _reference_ranks(size, BENCH_SEED, 0.85)
+        built = build(Scenario(size, BENCH_PEERS, epsilon=target, seed=BENCH_SEED))
+        ref = reference_ranks(built)
         out = {}
-        direct = ChaoticPagerank(
-            graph, placement.assignment, num_peers=BENCH_PEERS, epsilon=target
-        ).run(keep_history=False)
+        direct = built.solve()
         out["direct 1e-5"] = direct
         for label, schedule in [
             ("2-stage 1e-2 -> 1e-5", (1e-2, 1e-5)),
             ("3-stage 1e-1 -> 1e-3 -> 1e-5", (1e-1, 1e-3, 1e-5)),
         ]:
             out[label] = scheduled_pagerank(
-                graph,
-                placement.assignment,
+                built.graph,
+                built.network.placement.assignment,
                 num_peers=BENCH_PEERS,
                 schedule=schedule,
             )

@@ -56,22 +56,19 @@ def test_table2b_ordering_quality(benchmark, bench_sizes, record_table):
     almost untouched.  This is the quantitative reason the paper's
     search results (Table 6) are insensitive to the pagerank epsilon.
     """
-    from repro.analysis import format_table, kendall_tau, make_graph, top_k_overlap
-    from repro.analysis.experiments import _reference_ranks
-    from repro.core import ChaoticPagerank
-    from repro.p2p import DocumentPlacement
+    from repro.analysis import format_table, kendall_tau, reference_ranks, top_k_overlap
+    from repro.scenario import Scenario, build
 
     size = max(bench_sizes)
 
     def run():
-        graph = make_graph(size, BENCH_SEED)
-        ref = _reference_ranks(size, BENCH_SEED, 0.85)
-        placement = DocumentPlacement.random(size, BENCH_PEERS, seed=BENCH_SEED + 1)
+        built = None
         out = {}
         for eps in (0.2, 1e-3, 1e-4):
-            ranks = ChaoticPagerank(
-                graph, placement.assignment, num_peers=BENCH_PEERS, epsilon=eps
-            ).run(keep_history=False).ranks
+            scenario = Scenario(size, BENCH_PEERS, epsilon=eps, seed=BENCH_SEED)
+            built = build(scenario, reuse=built)
+            ref = reference_ranks(built)
+            ranks = built.solve().ranks
             out[eps] = (
                 top_k_overlap(ranks, ref, 100),
                 top_k_overlap(ranks, ref, 1000),

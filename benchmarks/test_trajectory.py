@@ -12,24 +12,18 @@ factor: our graphs are denser in outdeg-1 chains, which slow the tail).
 import pytest
 
 from benchmarks.conftest import BENCH_PEERS, BENCH_SEED
-from repro.analysis import (
-    convergence_trajectory,
-    format_table,
-    make_graph,
-    passes_to_quality,
-)
-from repro.p2p import DocumentPlacement
+from repro.analysis import convergence_trajectory, format_table, passes_to_quality
+from repro.scenario import Scenario, build
 
 
 def test_convergence_trajectory(benchmark, bench_sizes, record_table):
     size = max(bench_sizes)
 
     def run():
-        graph = make_graph(size, BENCH_SEED)
-        placement = DocumentPlacement.random(size, BENCH_PEERS, seed=BENCH_SEED + 1)
+        built = build(Scenario(size, BENCH_PEERS, seed=BENCH_SEED))
         return convergence_trajectory(
-            graph,
-            placement.assignment,
+            built.graph,
+            built.network.placement.assignment,
             num_peers=BENCH_PEERS,
             epsilon=1e-4,
             bands=(0.01, 0.001),
@@ -72,10 +66,9 @@ def test_time_to_quality(benchmark, bench_sizes, record_table):
     size = max(bench_sizes)
 
     def run():
-        graph = make_graph(size, BENCH_SEED)
-        placement = DocumentPlacement.random(size, BENCH_PEERS, seed=BENCH_SEED + 1)
+        built = build(Scenario(size, BENCH_PEERS, seed=BENCH_SEED))
         return convergence_trajectory(
-            graph, placement.assignment, num_peers=BENCH_PEERS,
+            built.graph, built.network.placement.assignment, num_peers=BENCH_PEERS,
             epsilon=1e-4, return_report=True,
         )
 

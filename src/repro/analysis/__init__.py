@@ -19,9 +19,9 @@ from repro.analysis.experiments import (
     Table4Result,
     Table5Result,
     Table6Result,
-    clear_graph_cache,
+    clear_reference_cache,
     default_sizes,
-    make_graph,
+    reference_ranks,
     table1,
     table2,
     table3,
@@ -56,8 +56,8 @@ __all__ = [
     "passes_to_quality",
     "time_to_quality",
     "default_sizes",
-    "make_graph",
-    "clear_graph_cache",
+    "reference_ranks",
+    "clear_reference_cache",
     "DEFAULT_SIZES",
     "FULL_SIZES",
     "PAPER_THRESHOLDS",

@@ -16,10 +16,12 @@ headline *shape* claims hold at either scale.
 
 Seeding
 -------
-Every driver takes one integer ``seed``; all randomness (graph
-synthesis, placement, churn, insert sampling, corpus, queries) derives
-from it via independent spawned streams, so results are exactly
-reproducible.
+Every driver takes one integer ``seed``, so results are exactly
+reproducible.  Tables 1–4 build their runs with
+:func:`repro.scenario.build` and draw each stream at a fixed offset
+from the seed (graph +0, placement +1, churn +2; Table 4's insert
+sample +3; docs/API.md "Seed offsets").  Table 6 spawns independent
+streams for its corpus, placement and queries.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ from repro.analysis.error_stats import (
     error_distribution,
 )
 from repro.analysis.tables import format_table
+from repro.core.convergence import RunReport
 from repro.core.distributed import ChaoticPagerank
 from repro.core.incremental import simulate_insert
 from repro.core.pagerank import pagerank_reference
-from repro.graphs.linkgraph import LinkGraph
-from repro.graphs.powerlaw import broder_graph
-from repro.p2p.churn import FixedFractionChurn
 from repro.p2p.network import DocumentPlacement
+from repro.scenario import Built, Scenario, build
 from repro.search.baseline import baseline_search
 from repro.search.corpus import CorpusConfig, synthesize_corpus
 from repro.search.incremental import incremental_search
@@ -56,8 +57,8 @@ __all__ = [
     "PAPER_THRESHOLDS",
     "INSERT_THRESHOLDS",
     "default_sizes",
-    "make_graph",
-    "clear_graph_cache",
+    "reference_ranks",
+    "clear_reference_cache",
     "Table1Result",
     "table1",
     "Table2Result",
@@ -93,43 +94,42 @@ def default_sizes() -> Tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# Shared fixtures: graphs, placements, references (cached per process)
+# Shared inputs: the reference solution R_c (cached per process)
 # ----------------------------------------------------------------------
-_graph_cache: Dict[Tuple[int, int], LinkGraph] = {}
 _reference_cache: Dict[Tuple[int, int, float], np.ndarray] = {}
 
 
-def make_graph(size: int, seed: int) -> LinkGraph:
-    """Build (or reuse) the §4.1 power-law graph for ``(size, seed)``.
+def reference_ranks(built: Built) -> np.ndarray:
+    """The synchronous reference R_c of ``built``'s graph.
 
-    Tables 1–4 all evaluate on the same synthetic graphs; caching keeps
-    a multi-table benchmark session from regenerating them.
+    Tables 2 and 4 and the §4.3 trajectory measure against the same
+    solve; it is cached per (graph size, graph seed, damping).
     """
-    key = (int(size), int(seed))
-    g = _graph_cache.get(key)
-    if g is None:
-        g = _graph_cache[key] = broder_graph(size, seed=seed)
-    return g
-
-
-def _reference_ranks(size: int, seed: int, damping: float) -> np.ndarray:
-    key = (int(size), int(seed), float(damping))
+    s = built.scenario
+    key = (s.docs, s.seed + s.graph_offset, s.damping)
     r = _reference_cache.get(key)
     if r is None:
-        result = pagerank_reference(make_graph(size, seed), damping=damping)
-        r = _reference_cache[key] = result.ranks
+        r = _reference_cache[key] = pagerank_reference(
+            built.graph, damping=s.damping
+        ).ranks
     return r
 
 
-def clear_graph_cache() -> None:
-    """Drop cached graphs and reference solutions (frees memory after
-    full-scale runs)."""
-    _graph_cache.clear()
+def clear_reference_cache() -> None:
+    """Drop cached reference solutions (frees memory after full-scale
+    runs)."""
     _reference_cache.clear()
 
 
-def _placement(size: int, num_peers: int, seed: int) -> DocumentPlacement:
-    return DocumentPlacement.random(size, num_peers, seed=seed)
+def _solve_converged(table: str, built: Built, max_passes: int, at: str) -> RunReport:
+    """Run ``built`` once; a run that did not converge aborts the table."""
+    report = built.solve(max_passes=max_passes)
+    if not report.converged:
+        raise RuntimeError(
+            f"{table}: no convergence at size={built.scenario.docs}, {at} "
+            f"within {max_passes} passes"
+        )
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -182,29 +182,14 @@ def table1(
     sizes = tuple(sizes) if sizes is not None else default_sizes()
     passes: Dict[Tuple[int, float], int] = {}
     for size in sizes:
-        graph = make_graph(size, seed)
-        placement = _placement(size, num_peers, seed + 1)
-        engine = ChaoticPagerank(
-            graph,
-            placement.assignment,
-            num_peers=num_peers,
-            epsilon=epsilon,
-            damping=damping,
-        )
+        built = None
         for frac in fractions:
-            availability = (
-                None
-                if frac >= 1.0
-                else FixedFractionChurn(num_peers, frac, seed=seed + 2)
+            scenario = Scenario(
+                size, num_peers, epsilon=epsilon, damping=damping,
+                availability=frac, seed=seed,
             )
-            report = engine.run(
-                max_passes=max_passes, availability=availability, keep_history=False
-            )
-            if not report.converged:
-                raise RuntimeError(
-                    f"table1: no convergence at size={size}, fraction={frac} "
-                    f"within {max_passes} passes"
-                )
+            built = build(scenario, reuse=built)
+            report = _solve_converged("table1", built, max_passes, f"fraction={frac}")
             passes[(size, float(frac))] = report.passes
     return Table1Result(
         sizes=sizes,
@@ -268,20 +253,15 @@ def table2(
     sizes = tuple(sizes) if sizes is not None else default_sizes()
     distributions: Dict[Tuple[int, float], ErrorDistribution] = {}
     for size in sizes:
-        graph = make_graph(size, seed)
-        reference = _reference_ranks(size, seed, damping)
-        placement = _placement(size, num_peers, seed + 1)
+        built = None
         for eps in thresholds:
-            engine = ChaoticPagerank(
-                graph,
-                placement.assignment,
-                num_peers=num_peers,
-                epsilon=eps,
-                damping=damping,
+            scenario = Scenario(
+                size, num_peers, epsilon=eps, damping=damping, seed=seed
             )
-            report = engine.run(max_passes=max_passes, keep_history=False)
+            built = build(scenario, reuse=built)
+            report = _solve_converged("table2", built, max_passes, f"epsilon={eps:g}")
             distributions[(size, float(eps))] = error_distribution(
-                report.ranks, reference
+                report.ranks, reference_ranks(built)
             )
     return Table2Result(
         sizes=sizes,
@@ -355,17 +335,13 @@ def table3(
     sizes = tuple(sizes) if sizes is not None else default_sizes()
     messages: Dict[Tuple[int, float], Tuple[int, int]] = {}
     for size in sizes:
-        graph = make_graph(size, seed)
-        placement = _placement(size, num_peers, seed + 1)
+        built = None
         for eps in thresholds:
-            engine = ChaoticPagerank(
-                graph,
-                placement.assignment,
-                num_peers=num_peers,
-                epsilon=eps,
-                damping=damping,
+            scenario = Scenario(
+                size, num_peers, epsilon=eps, damping=damping, seed=seed
             )
-            report = engine.run(max_passes=max_passes, keep_history=False)
+            built = build(scenario, reuse=built)
+            report = _solve_converged("table3", built, max_passes, f"epsilon={eps:g}")
             messages[(size, float(eps))] = (report.total_messages, report.passes)
     return Table3Result(
         sizes=sizes,
@@ -435,8 +411,8 @@ def table4(
     path_length: Dict[Tuple[int, float], float] = {}
     coverage: Dict[Tuple[int, float], float] = {}
     for size in sizes:
-        graph = make_graph(size, seed)
-        base = _reference_ranks(size, seed, damping)
+        built = build(Scenario(size, PAPER_NUM_PEERS, damping=damping, seed=seed))
+        graph, base = built.graph, reference_ranks(built)
         rng = as_generator(seed + 3)
         nodes = rng.choice(size, size=min(samples, size), replace=False)
         for eps in thresholds:

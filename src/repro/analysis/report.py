@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.experiments import (
+    reference_ranks,
     table1,
     table2,
     table3,
@@ -26,7 +27,7 @@ from repro.analysis.experiments import (
     table6,
 )
 from repro.analysis.trajectory import convergence_trajectory, passes_to_quality
-from repro.p2p.network import DocumentPlacement
+from repro.scenario import Scenario, build
 
 __all__ = ["generate_report"]
 
@@ -91,12 +92,10 @@ def generate_report(
 
     progress("Convergence trajectory (section 4.3) ...")
     size = max(t1.sizes)
-    from repro.analysis.experiments import make_graph
-
-    placement = DocumentPlacement.random(size, num_peers, seed=seed + 1)
+    built = build(Scenario(size, num_peers, seed=seed))
     traj = convergence_trajectory(
-        make_graph(size, seed), placement.assignment, num_peers=num_peers,
-        epsilon=1e-4,
+        built.graph, built.network.placement.assignment, num_peers=num_peers,
+        epsilon=1e-4, reference=reference_ranks(built),
     )
     numbers = passes_to_quality(traj)
     sections.append(

@@ -39,9 +39,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="offered queries per clock unit (open loop)")
     parser.add_argument("--duration", type=float, default=30.0,
                         help="load window in virtual-clock units")
-    parser.add_argument("--mode", choices=("deterministic",),
-                        default="deterministic",
-                        help="scheduler mode (seeded virtual clock)")
     parser.add_argument("--loop", choices=("open", "closed"), default="open",
                         help="arrival discipline (docs/SERVING.md)")
     parser.add_argument("--clients", type=int, default=8,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    clear_graph_cache,
+    clear_reference_cache,
     default_sizes,
-    make_graph,
+    reference_ranks,
     table1,
     table2,
     table3,
@@ -14,6 +14,7 @@ from repro.analysis import (
     table5,
     table6,
 )
+from repro.scenario import Scenario, build
 from repro.search import CorpusConfig
 
 SIZES = (300, 600)
@@ -36,14 +37,20 @@ class TestInfrastructure:
         monkeypatch.setenv("REPRO_FULL_SCALE", "1")
         assert default_sizes() == (10_000, 100_000, 500_000, 5_000_000)
 
-    def test_graph_cache_reuses(self):
-        a = make_graph(200, 1)
-        b = make_graph(200, 1)
+    def test_reference_cache_reuses(self):
+        a = reference_ranks(build(Scenario(200, 5, seed=1)))
+        b = reference_ranks(build(Scenario(200, 7, epsilon=1e-2, seed=1)))
         assert a is b
-        clear_graph_cache()
-        c = make_graph(200, 1)
+        assert reference_ranks(build(Scenario(200, 5, seed=2))) is not a
+        clear_reference_cache()
+        c = reference_ranks(build(Scenario(200, 5, seed=1)))
         assert c is not a
-        assert c == a
+        np.testing.assert_array_equal(c, a)
+
+    @pytest.mark.parametrize("driver", [table1, table2, table3])
+    def test_unconverged_run_aborts_the_table(self, driver):
+        with pytest.raises(RuntimeError, match="no convergence at size=300"):
+            driver((300,), num_peers=20, seed=0, max_passes=2)
 
 
 class TestTable1:

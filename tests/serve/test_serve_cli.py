@@ -45,11 +45,6 @@ class TestServeCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache_hits"] == 0
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(ARGS + ["--mode", "wallclock"])
-        assert exc.value.code == 2
-
     def test_bad_loop_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(ARGS + ["--loop", "sideways"])
