@@ -121,7 +121,11 @@ examples:
 obs-demo:
 	PYTHONPATH=src $(PYTHON) -m repro obs report --docs 800 --sim-docs 200 --peers 30 --sim-peers 10
 
+# Removes untracked output only: benchmarks/results holds tracked
+# goldens beside the ignored per-table metric snapshots, and
+# src/repro.egg-info is tracked.
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \
-	       benchmarks/results .benchmarks
+	rm -rf build dist *.egg-info .pytest_cache .benchmarks
+	find benchmarks/results -name '*.metrics.json' \
+	     ! -name table_1_convergence.metrics.json -delete
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -48,14 +48,16 @@ def bench_sizes() -> Tuple[int, ...]:
     return BENCH_SIZES
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(autouse=True)
 def _bench_metrics_registry():
-    """Collect observability metrics for the whole benchmark session.
+    """Collect observability metrics for each benchmark test.
 
     Each recorded table's results file gets a sibling
-    ``<name>.metrics.json`` snapshot (cumulative up to that table) so a
-    benchmark run leaves the measured instrumentation — messages,
-    passes, hops, bytes — on disk next to the rendered numbers.
+    ``<name>.metrics.json`` snapshot of its own test's counts (a fresh
+    registry per test, so the snapshot does not depend on which tests
+    ran before it) so a benchmark run leaves the measured
+    instrumentation — messages, passes, hops, bytes — on disk next to
+    the rendered numbers.
     """
     with obs.use_registry() as reg:
         yield reg

@@ -24,6 +24,7 @@ reproducible given (corpus, seed).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -102,12 +103,14 @@ class LoadGenerator:
         # numpy's ``choice(n, p=p)`` over the normalised weights builds
         # this CDF on every call and searches it with one ``random()``
         # draw; building it once keeps the seeded stream pick for pick.
-        self._cdf = (weights / weights.sum()).cumsum()
-        self._cdf /= self._cdf[-1]
+        # Kept as a list for ``bisect``: for one scalar pick it is
+        # several times cheaper than a numpy ``searchsorted`` call.
+        cdf = (weights / weights.sum()).cumsum()
+        self._cdf: List[float] = (cdf / cdf[-1]).tolist()
 
     def sample(self, time: float) -> QueryArrival:
         """Draw one arrival at ``time`` (advances the seeded stream)."""
-        idx = int(self._cdf.searchsorted(self._rng.random(), side="right"))
+        idx = bisect.bisect_right(self._cdf, self._rng.random())
         portal = int(self._rng.integers(self.num_peers))
         return QueryArrival(time=float(time), query=self.candidates[idx], portal_peer=portal)
 

@@ -14,17 +14,20 @@ graph.  From :attr:`P2PPagerankSimulation.view`, which holds for each
 in-edge ``s -> d`` what ``d``'s owner sees of ``s``, it recomputes the
 live documents that have not computed in the run or whose view changed
 since (any other would recompute to its very same bits), and its ε-gate
-picks the publishers.  One staging writes their co-located view and
-stages their remote updates in one
-:class:`~repro.p2p.messages.BatchColumns` batch per (sender, receiver)
-pair.  Lossless, a row for an absent receiver leaves its edge owing an
-update: the §3.1 store is one bool per edge, as in the shard step, and
+picks the publishers.  Step 3 walks their out-edges once: co-located
+targets see the published values at once.  Lossless, nothing can be
+lost, so no update is staged: each cross-peer edge to a present
+receiver writes its (receiver, source) pair in one table of what every
+peer has heard, and the view, and an edge to an absent receiver owes an
+update.  The §3.1 store is one bool per edge, as in the shard step, and
 a later pass resends each owed edge at its source's current published
-value and version; with a fault plan every batch becomes a flight of
-the reliable transport.  Every update that reaches a peer — a
-fresh batch, a resend, a transport copy, or the knowledge a re-homed
-document carries — goes through one grouped fold into one table of what
-every peer has heard, by (receiver, source) pair, which also writes the
+value and version.  With a fault plan the remote updates are staged as
+rows, in one :class:`~repro.p2p.messages.BatchColumns` batch per
+(sender, receiver) pair, and every batch becomes a flight of the
+reliable transport; a §3.2 delivery policy prices the hops of rows
+grouped the same way.  Every update that arrives as a row — a resend,
+a transport copy, or the knowledge a re-homed document carries — goes
+through one grouped fold into the heard table, which also writes the
 view.  A crash is a mask, and a §3.1 migration a write to the owner
 array.  The view changes only at a publish, an applied update or a
 migration, and each puts the documents it writes in the frontier.  The
@@ -92,6 +95,13 @@ def _stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise OverflowError(f"keys up to {int(keys.max())} do not pack above {bits} bits")
     packed = np.sort((keys << bits) | np.arange(keys.size))
     return packed >> bits, packed & ((1 << bits) - 1)
+
+
+def _distinct(keys: np.ndarray) -> int:
+    """How many distinct values ``keys`` holds (a sort: ``np.unique``
+    hashes, several times slower on integer keys)."""
+    keys = np.sort(keys)
+    return int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _batches(
@@ -501,8 +511,10 @@ class P2PPagerankSimulation:
         Semantics mirror the vectorized engine exactly: (1) owed edges
         whose sender and receiver are both present are resent, (2) every
         present peer recomputes the documents whose inputs changed from
-        previously received values, (3) freshly staged updates are
-        delivered to present receivers and stored for absent ones.
+        previously received values, (3) the publishers' updates are
+        delivered on their out-edges to present receivers and stored for
+        absent ones.  Step 3 stages update rows only under a fault plan,
+        or for a delivery policy's hop pricing.
 
         With a fault plan attached, steps (1) and (3) instead go
         through the reliable transport: (1) becomes delayed-copy
@@ -624,25 +636,28 @@ class P2PPagerankSimulation:
                         resent = self._resend(live)
 
                     # (2) concurrent recompute: the shard step
-                    active, max_change, computed, rows = self._recompute(t, live)
+                    active, max_change, computed, pubs = self._recompute(t, live)
 
                     # (3) exchange: deliver or defer (reliable transport:
                     #     submit each batch as a new flight)
-                    senders, dests, updates = zip(*republished, rows)
-                    del republished, rows
-                    batches = _batches(
-                        np.concatenate(senders), np.concatenate(dests),
-                        UpdateColumns.concat(updates), num_peers,
-                    )
-                    # The staged rows are copied into the batches.
-                    del senders, dests, updates
-                    deferred = int(batches.sizes[~live[batches.receivers]].sum())
                     if faulted:
+                        rows, local = self._stage(pubs)
+                        self._share(local)
+                        senders, dests, updates = zip(*republished, rows)
+                        del republished, rows
+                        batches = _batches(
+                            np.concatenate(senders), np.concatenate(dests),
+                            UpdateColumns.concat(updates), num_peers,
+                        )
+                        # The staged rows are copied into the batches.
+                        del senders, dests, updates
+                        deferred = int(batches.sizes[~live[batches.receivers]].sum())
                         transport.send(t, batches, live)
                         messages = transport.pass_delivered
                         resent = transport.pass_resent
                     else:
-                        messages = self._transfer(batches, live) + resent
+                        delivered, deferred = self._exchange(pubs, live)
+                        messages = delivered + resent
 
                 self.traffic.update_messages += messages
                 self.traffic.resent_messages += resent
@@ -800,14 +815,19 @@ class P2PPagerankSimulation:
         updates = copies.updates
         applied = self._deliver(np.repeat(copies.receivers, copies.sizes), updates)
         self._dirty[updates.target] = True
+        self._price(copies)
+        return applied
+
+    def _price(self, copies: BatchColumns) -> None:
+        """Count delivered batches, one §4.6.1 batch per copy, and price
+        their hops under the delivery policy."""
         if self.delivery_policy is not None and len(copies):
             # Hop pricing is order-sensitive (location caches, random
             # restarts), so rows go in delivery order.
             self.traffic.routing_hops += self.delivery_policy.delivery_hops_batch(
-                np.repeat(copies.senders, copies.sizes), updates.target
+                np.repeat(copies.senders, copies.sizes), copies.updates.target
             )
         self.traffic.network_batches += len(copies)
-        return applied
 
     def _transfer(self, batches: BatchColumns, live: np.ndarray) -> int:
         """Lossless transfer: deliver the batches for present receivers
@@ -825,23 +845,70 @@ class P2PPagerankSimulation:
         """Current rank of every document."""
         return self.rank.copy()
 
-    def _recompute(self, t: int, live: np.ndarray) -> Tuple[int, float, int, _Rows]:
+    def _recompute(
+        self, t: int, live: np.ndarray
+    ) -> Tuple[int, float, int, np.ndarray]:
         """Step 2: the shard step recomputes the live frontier and gates it
         by ε; the publishers publish at their next versions.  Returns
-        ``(active, max_change, computed, rows)``, ``rows`` for remote peers."""
+        ``(active, max_change, computed, publishers)``, the publishers
+        ascending: `_batches` groups rows by sender and keeps each
+        sender's rows in staging order, so no pass sorts them by owner."""
         step = self._step or self._new_step()
         step.compute(t, live)
         step.publish()
-        # Documents ascending: `_batches` groups the rows by sender, and
-        # each sender's rows keep their order, documents ascending.
         pubs = step.published
         self.version[pubs] += 1
-        rows, local = self._stage(pubs)
-        # Co-located consumers see the published values at once and owe
-        # a recompute; remote targets are marked at delivery.
-        self._dirty[self._workspace.dst[local]] = True
-        self.view[local] = self.published[self._workspace.src[local]]
-        return int(pubs.size), step.max_change, step.n_live, rows
+        return int(pubs.size), step.max_change, step.n_live, pubs
+
+    def _share(self, local: np.ndarray) -> None:
+        """Co-located consumers see the published values on the ``local``
+        edges at once and owe a recompute."""
+        ws = self._workspace
+        self._dirty[ws.dst[local]] = True
+        self.view[local] = self.published[ws.src[local]]
+
+    def _exchange(self, pubs: np.ndarray, live: np.ndarray) -> Tuple[int, int]:
+        """Lossless step 3: every out-edge of the publishers ``pubs``
+        delivers its source's published value, or owes it (§3.1) if the
+        target's owner is absent.  Returns ``(delivered, deferred)``.
+
+        Nothing can be lost, so no rows are staged: each cross-peer edge
+        writes its pair in the heard table, the view and the frontier,
+        as :meth:`_deliver` would fold its row.  Every delivery of one
+        pair carries the same value and version, and a fresh publish's
+        version beats anything its receivers heard (step 1 resent every
+        owed edge with both ends present, so no delivered edge owes).
+        The pairs' edges are exactly the publishers' cross-peer edges to
+        their receivers.  A delivery policy prices the rows in the
+        order :func:`_batches` gives them."""
+        ws = self._workspace
+        edges, _ = expand_rows(self.graph.indptr, pubs)
+        pair = self._pair_of_edge[edges]
+        cross = pair >= 0
+        self._share(edges[~cross])
+        edges, pair = edges[cross], pair[cross]
+        targets = ws.dst[edges]
+        receivers = self._peer_of[targets]
+        present = live[receivers]
+        deferred = edges.size - int(np.count_nonzero(present))
+        if deferred:
+            self._owes[edges[~present]] = True
+            edges, pair = edges[present], pair[present]
+            targets, receivers = targets[present], receivers[present]
+        source = ws.src[edges]
+        value = self.published[source]
+        self._heard_value[pair] = value
+        self._heard_version[pair] = self.version[source]
+        self._write_view(edges, value)
+        self._dirty[targets] = True
+        del pair, value, targets
+        if self.delivery_policy is None:
+            self.traffic.network_batches += _distinct(
+                self._peer_of[source] * self.network.num_peers + receivers
+            )
+        else:
+            self._price(_batches(*self._rows(edges), self.network.num_peers))
+        return int(edges.size), deferred
 
     def _stage(self, docs: np.ndarray) -> Tuple[_Rows, np.ndarray]:
         """Stage ``docs``' updates (:meth:`_rows`) for every out-link

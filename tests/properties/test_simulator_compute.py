@@ -123,7 +123,8 @@ def assert_step_matches_twins(sim, live):
         active += outcome.active_documents
         max_change = max(max_change, outcome.max_rel_change)
         computed += twin.documents.size
-    got_active, got_max, got_computed, rows = sim._recompute(0, live)
+    got_active, got_max, got_computed, _ = sim._recompute(0, live)
+    rows, _ = sim._stage(sim._step.published)
     assert (got_active, got_max, got_computed) == (active, max_change, computed)
     assert_same_rows(rows, drained(peers))
     assert_same_state(sim, peers)

@@ -128,3 +128,23 @@ class TestStreamPinnedToNumpyChoice:
         twin = as_generator(99)
         assert got == _twin_arrivals(gen, twin, 400.0, 1.0, zipf_exponent)
         assert gen._rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("zipf_exponent", [0.0, 1.0, 2.0])
+def test_list_cdf_search_equals_numpy_searchsorted(corpus, zipf_exponent):
+    """``sample`` bisects a list CDF; on 10k seeded draws it picks the
+    index ``np.searchsorted(side="right")`` picks on the array CDF."""
+    gen = _gen(corpus, num_distinct=50, term_pool_size=80, zipf_exponent=zipf_exponent)
+    twin = copy.deepcopy(gen._rng)
+    weights = np.arange(1, len(gen.candidates) + 1, dtype=np.float64) ** -zipf_exponent
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    index = {query: i for i, query in enumerate(gen.candidates)}
+    assert len(index) == len(gen.candidates)
+    got = [index[gen.sample(0.0).query] for _ in range(10_000)]
+    expected = []
+    for _ in range(10_000):
+        expected.append(int(np.searchsorted(cdf, twin.random(), side="right")))
+        twin.integers(gen.num_peers)
+    assert got == expected
+    assert len(set(got)) > 1
